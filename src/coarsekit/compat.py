@@ -42,7 +42,9 @@ from .errors import (
     DimensionMismatch,
     MethodDisagreement,
     NotCP,
+    NotEquivalent,
     NotUnitary,
+    NumericalFailure,
 )
 from .linalg import (
     asmatrix,
@@ -53,7 +55,11 @@ from .linalg import (
     pinv,
     vec,
 )
-from .rand import random_density_mat, random_pure_state_mat
+from .rand import ginibre, random_pure_state_vec, state_from_factor
+
+# The witness search samples states in factor form and no longer calls these
+# two; they stay importable from this module because perfbench wraps them here.
+from .rand import random_density_mat, random_pure_state_mat  # noqa: F401
 
 FIBER_TOL = 1e-8
 ALGEBRAIC_REL_TOL = 1e-8
@@ -62,6 +68,10 @@ SDP_MAX_ITER = 20000
 SDP_STALL_WINDOW = 200
 SDP_STALL_RTOL = 1e-12
 WITNESS_MARGIN = 1e-9
+# Working set of one witness batch in bytes: the state factors and their
+# Kraus images.  It caps the trials per batch; at D*n = 1024 a batch is one
+# trial, and each factor is then pushed through on its own.
+_WITNESS_BATCH_BYTES = 2**20
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -186,22 +196,25 @@ def check_fiber_preservation(s: Scenario, tol: float = FIBER_TOL) -> tuple[bool,
     return residual <= tol, residual
 
 
-def _algebraic_lstsq(s: Scenario) -> tuple[np.ndarray, float]:
+def _algebraic_lstsq(s: Scenario) -> tuple[np.ndarray, float, float]:
     """Least-squares solution of ``M_k u == V M_k`` over all Kraus operators.
 
     Stacks the linear system for V (column-stacking convention) and returns
-    the minimum-norm solution together with the joint residual.
+    the minimum-norm solution, the joint residual, and the norm of the
+    right-hand side that the residual is judged against.
     """
     d = s.d
     eye_d = np.eye(d)
+    mu = [m @ s.u for m in s.cg.kraus]
     a = np.vstack([np.kron(m.T, eye_d) for m in s.cg.kraus])
-    b = np.concatenate([vec(m @ s.u) for m in s.cg.kraus])
+    b = np.concatenate([vec(mu_k) for mu_k in mu])
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
     v = x.reshape(d, d, order="F")
     residual = float(
-        np.sqrt(sum(frob(m @ s.u - v @ m) ** 2 for m in s.cg.kraus))
+        np.sqrt(sum(frob(mu_k - v @ m) ** 2 for mu_k, m in zip(mu, s.cg.kraus)))
     )
-    return v, residual
+    scale = float(np.sqrt(sum(frob(mu_k) ** 2 for mu_k in mu)))
+    return v, residual, scale
 
 
 def solve_algebraic_V(
@@ -214,8 +227,7 @@ def solve_algebraic_V(
     V is sufficient for a well-defined effective dynamics but not necessary:
     absence proves nothing.
     """
-    v, residual = _algebraic_lstsq(s)
-    scale = float(np.sqrt(sum(frob(m @ s.u) ** 2 for m in s.cg.kraus)))
+    v, residual, scale = _algebraic_lstsq(s)
     if residual <= rel_tol * scale:
         return v, residual
     return None, residual
@@ -244,6 +256,78 @@ def helstrom_pguess(p0: float, rho0, rho1) -> float:
     return float(0.5 * (1.0 + np.abs(w).sum()))
 
 
+def _draw_trial(dim: int, ancilla_dim: int, seed: int, t: int):
+    """Weight p0 and the two state factors of witness trial t.
+
+    Each trial has its own generator, so a trial's ensemble does not depend
+    on how trials are batched.  A factor is a unit vector (pure state) or a
+    square complex Gaussian G (Wishart state G G*/tr).
+    """
+    rng = np.random.default_rng([seed, ancilla_dim, t])
+    p0 = rng.uniform(0.2, 0.8)
+    factors = [
+        random_pure_state_vec(dim, rng) if rng.random() < 0.5 else ginibre(dim, rng)
+        for _ in range(2)
+    ]
+    return p0, factors
+
+
+def _factor_bytes(s: Scenario, n: int, rank: int) -> int:
+    """Working set of one factor: G, its Kraus images on both paths with
+    their conjugate, and the per-operator Gram blocks."""
+    k, dn = len(s.cg.kraus), s.d * n
+    return 16 * (rank * (s.D * n + 4 * k * dn) + 2 * k * dn * dn)
+
+
+def _coarse_grams(s: Scenario, n: int, ops: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Coarse-grained Gram matrices of stacked factors, before and after u.
+
+    ``ops`` stacks {M_k} over {M_k u} as (2 K d, D) and ``g`` is (m, D n, r).
+    Returns (m, 2, d n, d n) holding ``sum_k (A_k x I_n) G G* (A_k x I_n)*``
+    for A = M and A = M u.  ``(A_k x I_n) G`` is A_k applied to the system
+    index of G read as (D, n r), so no lifted operator is formed.
+    """
+    m, _, r = g.shape
+    k, dn = len(s.cg.kraus), s.d * n
+    # rows (A_k, j) and columns (a, c) of the product, read as the (j a, c)
+    # image Y_k of G
+    y = (ops @ g.reshape(m, s.D, n * r)).reshape(m, 2 * k, dn, r)
+    grams = y @ y.conj().swapaxes(-1, -2)
+    return grams.reshape(m, 2, k, dn, dn).sum(axis=2)
+
+
+def _guessing_probs(s: Scenario, n: int, ops: np.ndarray, draws) -> np.ndarray:
+    """Helstrom guessing probabilities (b, 2), before and after u, of the
+    coarse-grained ensembles of a batch of drawn trials.
+
+    Factors of one shape are pushed through together, in chunks that fit
+    _WITNESS_BATCH_BYTES, and all 2 b Helstrom operators go through one
+    stacked ``eigvalsh``.
+    """
+    dn = s.d * n
+    factors = [g for _, pair in draws for g in pair]
+    weights = np.empty(len(factors))
+    for i, g in enumerate(factors):
+        p0 = draws[i // 2][0]
+        p = p0 if i % 2 == 0 else 1.0 - p0
+        weights[i] = p if g.ndim == 1 else p / np.vdot(g, g).real
+    grams = np.empty((len(factors), 2, dn, dn), dtype=np.complex128)
+    for pure in (True, False):
+        idx = [i for i, g in enumerate(factors) if (g.ndim == 1) == pure]
+        if not idx:
+            continue
+        rank = 1 if pure else s.D * n
+        chunk = max(1, _WITNESS_BATCH_BYTES // _factor_bytes(s, n, rank))
+        for lo in range(0, len(idx), chunk):
+            part = idx[lo : lo + chunk]
+            g = np.stack([factors[i] for i in part]).reshape(len(part), s.D * n, rank)
+            grams[part] = _coarse_grams(s, n, ops, g)
+    grams *= weights[:, None, None, None]
+    helstrom = grams[0::2] - grams[1::2]
+    w = np.linalg.eigvalsh(helstrom)
+    return 0.5 * (1.0 + np.abs(w).sum(axis=-1))
+
+
 def search_witness(
     s: Scenario, trials: int, ancilla_dim: int = 1, seed: int = 0
 ) -> Optional[EnsembleWitness]:
@@ -254,45 +338,46 @@ def search_witness(
     uniformly), and compares guessing probabilities of the coarse-grained
     ensemble before and after the unitary.  Returns the first violation
     found; absence proves nothing, the test is one-sided.
+
+    States stay in factor form, rho = G G*/tr, and the coarse image is
+    ``Y Y*`` with Y the stacked Kraus operators {M_k} (before) or {M_k u}
+    (after) applied to the system factor of G; no lifted operator and no
+    density matrix on the (D n)-dimensional space is built in the trial
+    loop.  Trials run in batches that grow geometrically from one trial up
+    to the _WITNESS_BATCH_BYTES working set, and each batch's Helstrom
+    eigenvalues come from one stacked ``eigvalsh``.  Trial t draws from its
+    own ``default_rng([seed, ancilla_dim, t])``, so the result does not
+    depend on the batching; the states of the returned trial are rebuilt
+    from their factors.
     """
     if trials < 1 or ancilla_dim < 1:
         raise ValueError("trials and ancilla_dim must be >= 1")
     n = ancilla_dim
     dim = s.D * n
-    eye_n = np.eye(n)
-    lifted = [np.kron(m, eye_n) for m in s.cg.kraus]
-    u_lift = np.kron(s.u, eye_n)
-
-    def coarse(mat):
-        return sum(k @ mat @ k.conj().T for k in lifted)
-
-    for t in range(trials):
-        rng = np.random.default_rng([seed, ancilla_dim, t])
-        p0 = rng.uniform(0.2, 0.8)
-        pair = []
-        for _ in range(2):
-            if rng.random() < 0.5:
-                pair.append(random_pure_state_mat(dim, rng))
-            else:
-                pair.append(random_density_mat(dim, rng))
-        r0, r1 = pair
-        pg_before = helstrom_pguess(p0, coarse(r0), coarse(r1))
-        pg_after = helstrom_pguess(
-            p0,
-            coarse(u_lift @ r0 @ u_lift.conj().T),
-            coarse(u_lift @ r1 @ u_lift.conj().T),
-        )
-        if pg_after > pg_before + WITNESS_MARGIN:
+    ops = np.concatenate([*s.cg.kraus, *(m @ s.u for m in s.cg.kraus)])
+    # per trial: two factors at worst (Wishart) plus four Helstrom blocks
+    per_trial = 2 * _factor_bytes(s, n, dim) + 4 * 16 * (s.d * n) ** 2
+    cap = max(1, _WITNESS_BATCH_BYTES // per_trial)
+    start, size = 0, 1
+    while start < trials:
+        stop = min(trials, start + size)
+        draws = [_draw_trial(dim, ancilla_dim, seed, t) for t in range(start, stop)]
+        pg = _guessing_probs(s, n, ops, draws)
+        hits = np.flatnonzero(pg[:, 1] > pg[:, 0] + WITNESS_MARGIN)
+        if hits.size:
+            j = int(hits[0])
+            p0, (g0, g1) = draws[j]
             return EnsembleWitness(
                 p0=float(p0),
                 p1=float(1.0 - p0),
-                rho0=DensityMatrix(r0),
-                rho1=DensityMatrix(r1),
-                pg_before=pg_before,
-                pg_after=pg_after,
+                rho0=DensityMatrix(state_from_factor(g0)),
+                rho1=DensityMatrix(state_from_factor(g1)),
+                pg_before=float(pg[j, 0]),
+                pg_after=float(pg[j, 1]),
                 ancilla_dim=ancilla_dim,
-                trial=t,
+                trial=start + j,
             )
+        start, size = stop, min(2 * size, cap)
     return None
 
 
@@ -454,7 +539,7 @@ def verify_kraus_equivalence(
         return False, None
     try:
         v = connecting_unitary(upper, lower, tol)
-    except Exception:
+    except (NotEquivalent, NumericalFailure):
         return False, None
     return True, v
 
@@ -468,8 +553,7 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
     cfg = cfg or CheckConfig()
     fiber_ok, fiber_res = check_fiber_preservation(s, cfg.fiber_tol)
 
-    v_lsq, alg_res = _algebraic_lstsq(s)
-    scale = float(np.sqrt(sum(frob(m @ s.u) ** 2 for m in s.cg.kraus)))
+    v_lsq, alg_res, scale = _algebraic_lstsq(s)
     v_opt = v_lsq if alg_res <= cfg.algebraic_rel_tol * scale else None
     dual_res = verify_dual_identity(s, v_lsq)
 

@@ -7,23 +7,39 @@ import numpy as np
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(ginibre(dim, rng))
     # normalize the R-diagonal phases so the distribution is exactly Haar
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_pure_state_mat(dim: int, rng: np.random.Generator) -> np.ndarray:
+def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """dim x dim matrix of independent complex Gaussian entries."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def random_pure_state_vec(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unit vector."""
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
+    return v
+
+
+def state_from_factor(g: np.ndarray) -> np.ndarray:
+    """Density matrix of a factor: ``v v*`` for a unit vector v, else
+    ``G G* / tr(G G*)`` for a matrix G."""
+    if g.ndim == 1:
+        return np.outer(g, g.conj())
+    w = g @ g.conj().T
+    return w / np.trace(w).real
+
+
+def random_pure_state_mat(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return state_from_factor(random_pure_state_vec(dim, rng))
 
 
 def random_density_mat(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Full-rank random state from a Wishart matrix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    w = g @ g.conj().T
-    return w / np.trace(w).real
+    return state_from_factor(ginibre(dim, rng))
 
 
 def random_kraus_ops(

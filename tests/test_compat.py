@@ -4,7 +4,7 @@ import pytest
 import coarsekit as ck
 from coarsekit import compat
 from coarsekit.channel import KrausChannel, unitary_channel
-from coarsekit.errors import DimensionMismatch
+from coarsekit.errors import DimensionMismatch, NotEquivalent, NumericalFailure
 from coarsekit.linalg import frob
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 from coarsekit.scenarios import (
@@ -79,6 +79,14 @@ class TestAlgebraic:
         v, res = compat.solve_algebraic_V(REG["example1-incompatible"].scenario)
         assert v is None
         assert res > 1e-3
+
+    def test_run_all_uses_the_same_decision(self):
+        cfg = compat.CheckConfig(witness_trials=0)
+        for ns in REG.values():
+            v, res = compat.solve_algebraic_V(ns.scenario)
+            report = compat.run_all(ns.scenario, cfg)
+            assert report.algebraic_residual == res
+            assert (report.algebraic_v is None) == (v is None), ns.name
 
 
 class TestDualIdentity:
@@ -243,6 +251,26 @@ class TestKrausEquivalence:
             ok, v = compat.verify_kraus_equivalence(s, gamma)
             assert not ok
             assert v is None
+
+    @pytest.mark.parametrize("error", [NotEquivalent("differ"), NumericalFailure("residual")])
+    def test_connecting_unitary_failure_rejects(self, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(compat, "connecting_unitary", fail)
+        s = REG["spin-d3"].scenario
+        gamma = unitary_channel(emergent_spin_rotation(np.pi / 2, (0, 0, 1)))
+        assert compat.verify_kraus_equivalence(s, gamma) == (False, None)
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(compat, "connecting_unitary", fail)
+        s = REG["spin-d3"].scenario
+        gamma = unitary_channel(emergent_spin_rotation(np.pi / 2, (0, 0, 1)))
+        with pytest.raises(ZeroDivisionError, match="bug"):
+            compat.verify_kraus_equivalence(s, gamma)
 
 
 class TestRunAll:
