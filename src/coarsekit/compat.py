@@ -22,7 +22,8 @@ consistency, and constructs the effective channel when one exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,19 +47,12 @@ from .errors import (
     NotUnitary,
     NumericalFailure,
 )
-from .linalg import (
-    asmatrix,
-    frob,
-    hermitize,
-    kernel_basis,
-    partial_trace,
-    pinv,
-    vec,
-)
+from .linalg import RANK_TOL, asmatrix, frob, hermitize, partial_trace, vec
 from .rand import ginibre, random_pure_state_vec, state_from_factor
 
-# The witness search samples states in factor form and no longer calls these
-# two; they stay importable from this module because perfbench wraps them here.
+# No criterion calls these four; they stay importable from this module
+# because perfbench wraps them here.
+from .linalg import kernel_basis, pinv  # noqa: F401
 from .rand import random_density_mat, random_pure_state_mat  # noqa: F401
 
 FIBER_TOL = 1e-8
@@ -76,6 +70,17 @@ _WITNESS_BATCH_BYTES = 2**20
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNDECIDED = "undecided"
+
+
+class _Image(NamedTuple):
+    """The coarse-graining's transfer matrix T_cg = U diag(sigma) V*, cut at
+    rank r, and the transfer matrix A of {M_k u} split along V: ``av = A V``
+    and the part of A outside the image, ``e = A - A V V*``."""
+
+    u: np.ndarray  # d^2 x r
+    sigma: np.ndarray  # r
+    av: np.ndarray  # d^2 x r
+    e: np.ndarray  # d^2 x D^2
 
 
 @dataclass(frozen=True)
@@ -107,9 +112,23 @@ class Scenario:
     def d(self) -> int:
         return self.cg.dout
 
-    @property
-    def u_transfer(self) -> np.ndarray:
-        return np.kron(self.u.conj(), self.u)
+    @cached_property
+    def _kraus_after(self) -> tuple[np.ndarray, ...]:
+        """The Kraus operators {M_k u} of the coarse-graining after u."""
+        return tuple(m @ self.u for m in self.cg.kraus)
+
+    @cached_property
+    def _image(self) -> _Image:
+        """One thin SVD of T_cg, shared by kernel invariance, the SDP and
+        construction; computed on first use."""
+        a = sum(np.kron(m.conj(), m) for m in self._kraus_after)
+        u, sigma, vh = np.linalg.svd(self.cg.transfer_mat, full_matrices=False)
+        r = int(np.sum(sigma > RANK_TOL * sigma[0]))
+        vh = vh[:r]
+        av = a @ vh.conj().T
+        # with a trivial kernel A lies in the image exactly
+        e = a - av @ vh if r < a.shape[1] else np.zeros_like(a)
+        return _Image(u[:, :r], sigma[:r], av, e)
 
 
 @dataclass(frozen=True)
@@ -187,12 +206,13 @@ def check_fiber_preservation(s: Scenario, tol: float = FIBER_TOL) -> tuple[bool,
     effective map is well defined iff the kernel is invariant.  The residual
     is the operator norm of (T_cg . T_u) restricted to the kernel; no
     sampling is involved.
+
+    With the thin SVD T_cg = U S V* (rank r <= d^2), the kernel is the
+    complement of V, and T_cg . T_u = A is the d^2 x D^2 transfer matrix of
+    {M_k u}, so the residual is ``||A - A V V*||_2``; no D^2 x D^2 array is
+    formed.
     """
-    t_cg = s.cg.transfer_mat
-    ker = kernel_basis(t_cg)
-    if ker.shape[1] == 0:
-        return True, 0.0
-    residual = float(np.linalg.norm(t_cg @ (s.u_transfer @ ker), 2))
+    residual = float(np.linalg.norm(s._image.e, 2))
     return residual <= tol, residual
 
 
@@ -205,7 +225,7 @@ def _algebraic_lstsq(s: Scenario) -> tuple[np.ndarray, float, float]:
     """
     d = s.d
     eye_d = np.eye(d)
-    mu = [m @ s.u for m in s.cg.kraus]
+    mu = s._kraus_after
     a = np.vstack([np.kron(m.T, eye_d) for m in s.cg.kraus])
     b = np.concatenate([vec(mu_k) for mu_k in mu])
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -256,18 +276,24 @@ def helstrom_pguess(p0: float, rho0, rho1) -> float:
     return float(0.5 * (1.0 + np.abs(w).sum()))
 
 
+# Whether each of the two states of trial t is pure, by t mod 4: every four
+# trials draw each pairing of pure and Wishart states once, so a search of a
+# given budget costs the same whatever its seed.
+_TRIAL_KINDS = ((True, True), (True, False), (False, True), (False, False))
+
+
 def _draw_trial(dim: int, ancilla_dim: int, seed: int, t: int):
     """Weight p0 and the two state factors of witness trial t.
 
     Each trial has its own generator, so a trial's ensemble does not depend
     on how trials are batched.  A factor is a unit vector (pure state) or a
-    square complex Gaussian G (Wishart state G G*/tr).
+    square complex Gaussian G (Wishart state G G*/tr), as _TRIAL_KINDS says.
     """
     rng = np.random.default_rng([seed, ancilla_dim, t])
     p0 = rng.uniform(0.2, 0.8)
     factors = [
-        random_pure_state_vec(dim, rng) if rng.random() < 0.5 else ginibre(dim, rng)
-        for _ in range(2)
+        random_pure_state_vec(dim, rng) if pure else ginibre(dim, rng)
+        for pure in _TRIAL_KINDS[t % len(_TRIAL_KINDS)]
     ]
     return p0, factors
 
@@ -334,10 +360,12 @@ def search_witness(
     """Randomized hunt for an ensemble violating data processing.
 
     Samples binary ensembles on the microscopic system tensored with an
-    ancilla (Haar-random pure states and Wishart mixed states, weight drawn
-    uniformly), and compares guessing probabilities of the coarse-grained
-    ensemble before and after the unitary.  Returns the first violation
-    found; absence proves nothing, the test is one-sided.
+    ancilla (Haar-random pure states and Wishart mixed states, each pairing
+    of the two kinds once every four trials, weight drawn uniformly), so
+    the cost of a search depends on its budget and not on its seed, and
+    compares guessing probabilities of the coarse-grained ensemble before
+    and after the unitary.  Returns the first violation found; absence
+    proves nothing, the test is one-sided.
 
     States stay in factor form, rho = G G*/tr, and the coarse image is
     ``Y Y*`` with Y the stacked Kraus operators {M_k} (before) or {M_k u}
@@ -354,7 +382,7 @@ def search_witness(
         raise ValueError("trials and ancilla_dim must be >= 1")
     n = ancilla_dim
     dim = s.D * n
-    ops = np.concatenate([*s.cg.kraus, *(m @ s.u for m in s.cg.kraus)])
+    ops = np.concatenate([*s.cg.kraus, *s._kraus_after])
     # per trial: two factors at worst (Wishart) plus four Helstrom blocks
     per_trial = 2 * _factor_bytes(s, n, dim) + 4 * 16 * (s.d * n) ** 2
     cap = max(1, _WITNESS_BATCH_BYTES // per_trial)
@@ -411,7 +439,15 @@ def sdp_feasibility(
     the cone side makes the iteration converge to a point of the
     intersection whenever one exists.
 
-    The reported residual is the affine violation of the PSD-projected iterate.
+    The square T_J T_cg = A (A the transfer matrix of {M_k u}) is taken in
+    the thin SVD T_cg = U S V*: its rows along V read T_J U S = A V, d^2 r
+    equations whatever D is, and its rows off V read 0 = A - A V V*, which
+    no J can change.  The affine system holds the first and the trace
+    condition; the second enters the residual as the constant
+    ``||A - A V V*||_F``.
+
+    The reported residual is the affine violation of the PSD-projected
+    iterate, ``sqrt(||affine rows||^2 + ||A - A V V*||_F^2)``.
     ``feasible`` means residual <= tol; ``infeasible`` means the residual
     stalled (relative change < 1e-12 across 200 iterations) while still
     above 100*tol, which in practice signals an empty intersection;
@@ -421,21 +457,22 @@ def sdp_feasibility(
         raise ValueError("max_iter must be >= 1 and tol > 0")
     d = s.d
     n = d * d
-    t_cg = s.cg.transfer_mat
-    rhs = t_cg @ s.u_transfer
+    img = s._image
+    us = img.u * img.sigma
+    off_image = frob(img.e)
     basis = _hermitian_basis(n)
 
     cols = []
     for b_el in basis:
         tb = choi_to_transfer_mat(b_el, d, d)
-        diagram = (tb @ t_cg).ravel()
+        diagram = (tb @ us).ravel()
         tp = partial_trace(b_el, (d, d), keep="A").ravel()
         cols.append(
             np.concatenate([diagram.real, diagram.imag, tp.real, tp.imag])
         )
     a = np.array(cols).T
     b_vec = np.concatenate(
-        [rhs.ravel().real, rhs.ravel().imag, np.eye(d).ravel(), np.zeros(d * d)]
+        [img.av.ravel().real, img.av.ravel().imag, np.eye(d).ravel(), np.zeros(d * d)]
     )
     a_pinv = np.linalg.pinv(a, rcond=1e-13)
 
@@ -454,7 +491,7 @@ def sdp_feasibility(
         p = x + p - y
         violation = a @ y - b_vec
         x = y - a_pinv @ violation
-        residual = float(np.linalg.norm(violation))
+        residual = float(np.hypot(np.linalg.norm(violation), off_image))
         history.append(residual)
         if residual <= tol:
             status = FEASIBLE
@@ -489,12 +526,16 @@ def construct_emergent(
     and trace preservation directly; a candidate that closes the diagram
     but is not CPTP may still admit a CPTP completion off the image of the
     coarse-graining, which the feasibility SDP then searches for.
+
+    Both come from the thin SVD T_cg = U S V* shared with the other
+    criteria: the candidate is ``(A V) S^-1 U*``, with A = T_cg . T_u the
+    transfer matrix of {M_k u}, and its diagram residual is
+    ``||A - A V V*||_F``.
     """
     d = s.d
-    t_cg = s.cg.transfer_mat
-    rhs = t_cg @ s.u_transfer
-    t_gamma = rhs @ pinv(t_cg)
-    diagram_residual = frob(t_gamma @ t_cg - rhs)
+    img = s._image
+    t_gamma = (img.av / img.sigma) @ img.u.conj().T
+    diagram_residual = frob(img.e)
     if diagram_residual > diagram_tol:
         return None
 

@@ -21,10 +21,6 @@ class NotCP(CoarsekitError, ValueError):
     """A map required to be completely positive has a negative Choi eigenvalue."""
 
 
-class NoConvergence(CoarsekitError, RuntimeError):
-    """An iterative numerical routine failed to converge."""
-
-
 class NotEquivalent(CoarsekitError, ValueError):
     """Two Kraus sets do not represent the same channel."""
 

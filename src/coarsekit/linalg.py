@@ -7,16 +7,12 @@ project-wide convention that matters: vectorization is column-stacking
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import DimensionMismatch
 
 # Relative threshold below which a singular value counts as zero.
 RANK_TOL = 1e-10
-
-HERMITIAN_TOL = 1e-10
 
 
 def asmatrix(a) -> np.ndarray:
@@ -38,10 +34,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return frob(a - a.conj().T) <= tol * max(1.0, frob(a))
-
-
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(a).flatten(order="F")
@@ -57,41 +49,6 @@ def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
     return v.reshape(rows, cols, order="F")
 
 
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues ascending, eigenvectors as orthonormal columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eig(a, tol: float = HERMITIAN_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises NotHermitian if ``a`` deviates from its adjoint by more than
-    ``tol * ||a||_F``, and NoConvergence if the underlying solver fails.
-    """
-    m = asmatrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"square matrix required, got {m.shape}")
-    if frob(m - m.conj().T) > tol * max(1.0, frob(m)):
-        raise NotHermitian(f"asymmetry {frob(m - m.conj().T):.3e} exceeds tolerance")
-    try:
-        values, vectors = np.linalg.eigh(hermitize(m))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NoConvergence(str(exc)) from exc
-    return EigenDecomposition(values, vectors)
-
-
-def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``a = u @ diag(s) @ v.conj().T`` with s descending."""
-    m = asmatrix(a)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NoConvergence(str(exc)) from exc
-    return u, s, vh.conj().T
-
-
 def pinv(a, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse.
 
@@ -101,11 +58,6 @@ def pinv(a, rank_tol: float = RANK_TOL) -> np.ndarray:
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
     return np.linalg.pinv(m, rcond=rank_tol)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, ``(a kron b)[i*rb+k, j*cb+l] = a[i,j] * b[k,l]``."""
-    return np.kron(asmatrix(a), asmatrix(b))
 
 
 def kernel_basis(a, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -135,11 +87,3 @@ def partial_trace(a, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
     if keep == "B":
         return np.einsum("kikj->ij", t)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def trace_norm(a, tol: float = HERMITIAN_TOL) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    m = asmatrix(a)
-    if not is_hermitian(m, tol):
-        raise NotHermitian("trace_norm requires a Hermitian argument")
-    return float(np.abs(np.linalg.eigvalsh(hermitize(m))).sum())

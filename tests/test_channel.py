@@ -3,7 +3,7 @@ import pytest
 
 from coarsekit import channel as qc
 from coarsekit.errors import DimensionMismatch, NotCP, NotEquivalent, NotUnitary
-from coarsekit.linalg import frob, kron, partial_trace, vec
+from coarsekit.linalg import frob, partial_trace, vec
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 
 S2 = np.sqrt(2.0)
@@ -168,7 +168,7 @@ class TestTransfer:
     def test_unitary_form(self):
         u = haar_unitary(3, np.random.default_rng(1))
         t = qc.transfer(qc.unitary_channel(u))
-        assert frob(t.mat - kron(u.conj(), u)) < 1e-14
+        assert frob(t.mat - np.kron(u.conj(), u)) < 1e-14
 
     def test_agrees_with_apply(self):
         ch = qc.KrausChannel(example2_kraus())
@@ -195,7 +195,7 @@ class TestTransfer:
         rng = np.random.default_rng(78)
         rho = random_density_mat(3, rng)
         contracted = partial_trace(
-            ch.choi.mat @ kron(rho.T, np.eye(2)), (3, 2), keep="B"
+            ch.choi.mat @ np.kron(rho.T, np.eye(2)), (3, 2), keep="B"
         )
         direct = sum(k @ rho @ k.conj().T for k in ch.kraus)
         assert frob(contracted - direct) < 1e-9

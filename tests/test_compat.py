@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -347,3 +349,18 @@ class TestImplicationChain:
                 assert ok
                 assert compat.verify_dual_identity(s, v) <= 1e-7
         assert n_alg >= 10  # the planted third must all qualify
+
+
+def test_image_criteria_build_nothing_of_size_D2_by_D2():
+    # one D^2 x D^2 complex array at D=48 takes 81 MB; the d^2 x D^2
+    # matrices of the thin-SVD path take 0.15 MB each
+    s = random_scenario(48, 2, 24, 0).scenario
+    tracemalloc.start()
+    try:
+        compat.check_fiber_preservation(s)
+        compat.sdp_feasibility(s)
+        compat.construct_emergent(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coarsekit import linalg
-from coarsekit.errors import DimensionMismatch, NotHermitian
+from coarsekit.errors import DimensionMismatch
 
 
 def rand_complex(rng, rows, cols=None):
@@ -20,7 +20,7 @@ def test_vec_convention():
     rng = np.random.default_rng(0)
     a, x, b = (rand_complex(rng, 3) for _ in range(3))
     lhs = linalg.vec(a @ x @ b)
-    rhs = linalg.kron(b.T, a) @ linalg.vec(x)
+    rhs = np.kron(b.T, a) @ linalg.vec(x)
     assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
@@ -30,71 +30,6 @@ def test_unvec_roundtrip():
     assert np.array_equal(linalg.unvec(linalg.vec(m), 2, 5), m)
     with pytest.raises(DimensionMismatch):
         linalg.unvec(np.arange(5), 2, 2)
-
-
-class TestHermitianEig:
-    def test_diagonal(self):
-        dec = linalg.hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(dec.values, [1, 2, 3])
-        # eigenvectors are identity columns, permuted
-        assert np.allclose(np.abs(dec.vectors), np.eye(3)[:, [1, 2, 0]])
-
-    def test_pauli_x(self):
-        dec = linalg.hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(dec.values, [-1, 1])
-        s2 = 1 / np.sqrt(2)
-        assert np.allclose(np.abs(dec.vectors), [[s2, s2], [s2, s2]])
-
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(42)
-        a = rand_hermitian(rng, 8)
-        values, vectors = linalg.hermitian_eig(a)
-        rebuilt = (vectors * values) @ vectors.conj().T
-        assert linalg.frob(rebuilt - a) < 1e-9 * max(1.0, linalg.frob(a))
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12, 16])
-    def test_reconstruction_many_sizes(self, n):
-        rng = np.random.default_rng(n)
-        a = rand_hermitian(rng, n)
-        values, vectors = linalg.hermitian_eig(a)
-        assert np.all(np.diff(values) >= 0)
-        assert linalg.frob((vectors * values) @ vectors.conj().T - a) <= 1e-9 * max(
-            1.0, linalg.frob(a)
-        )
-        assert linalg.frob(vectors.conj().T @ vectors - np.eye(n)) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            linalg.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
-            linalg.hermitian_eig(np.zeros((2, 3)))
-
-
-class TestSvd:
-    def test_identity(self):
-        _, s, _ = linalg.svd(np.eye(3))
-        assert np.allclose(s, 1.0)
-
-    def test_rank_one(self):
-        rng = np.random.default_rng(3)
-        x = rand_complex(rng, 4, 1).ravel()
-        y = rand_complex(rng, 4, 1).ravel()
-        x /= np.linalg.norm(x)
-        y /= np.linalg.norm(y)
-        _, s, _ = linalg.svd(np.outer(x, y.conj()))
-        assert abs(s[0] - 1.0) < 1e-12
-        assert np.all(s[1:] < 1e-12)
-
-    def test_frobenius_identity(self):
-        rng = np.random.default_rng(4)
-        a = rand_complex(rng, 4, 6)
-        u, s, v = linalg.svd(a)
-        assert abs(linalg.frob(a) ** 2 - np.sum(s**2)) < 1e-10
-        assert linalg.frob(u @ np.diag(s) @ v.conj().T - a) <= 1e-9 * max(
-            1.0, linalg.frob(a)
-        )
 
 
 class TestPinv:
@@ -128,28 +63,12 @@ class TestPinv:
         assert linalg.frob((ap @ a).conj().T - ap @ a) < 1e-8
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        out = linalg.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-        assert np.allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-    def test_mixed_product(self):
-        rng = np.random.default_rng(7)
-        a, b, c, d = (rand_complex(rng, 2) for _ in range(4))
-        lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-        rhs = linalg.kron(a @ c, b @ d)
-        assert linalg.frob(lhs - rhs) < 1e-12
-
-
 class TestPartialTrace:
     def test_product_state(self):
         rng = np.random.default_rng(8)
         rho = rand_hermitian(rng, 3)
         sigma = rand_hermitian(rng, 2)
-        out = linalg.partial_trace(linalg.kron(rho, sigma), (3, 2), keep="A")
+        out = linalg.partial_trace(np.kron(rho, sigma), (3, 2), keep="A")
         assert linalg.frob(out - rho * np.trace(sigma)) < 1e-12
 
     def test_maximally_entangled(self):
@@ -171,34 +90,6 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             linalg.partial_trace(np.eye(5), (2, 2), "A")
-
-
-class TestTraceNorm:
-    def test_signature(self):
-        assert abs(linalg.trace_norm(np.diag([1.0, -1.0])) - 2.0) < 1e-14
-
-    def test_density_matrix(self):
-        rng = np.random.default_rng(11)
-        g = rand_complex(rng, 4)
-        rho = g @ g.conj().T
-        rho /= np.trace(rho)
-        assert abs(linalg.trace_norm(rho) - 1.0) < 1e-12
-
-    def test_sum_of_absolute_values(self):
-        assert abs(linalg.trace_norm(np.diag([0.7, -0.2, 0.1])) - 1.0) < 1e-14
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            linalg.trace_norm(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_lower_bound_and_unitary_invariance(self):
-        rng = np.random.default_rng(12)
-        for trial in range(10):
-            a = rand_hermitian(rng, 5)
-            tn = linalg.trace_norm(a)
-            assert tn >= abs(np.trace(a).real) - 1e-12
-            q, _ = np.linalg.qr(rand_complex(rng, 5))
-            assert abs(linalg.trace_norm(q @ a @ q.conj().T) - tn) < 1e-10
 
 
 def test_kernel_basis():

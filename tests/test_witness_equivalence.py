@@ -34,8 +34,8 @@ def _dense_pguess(s, n, p0, rho0, rho1):
     return before, after
 
 
-def _dense_draw(dim, rng):
-    if rng.random() < 0.5:
+def _dense_draw(dim, rng, pure):
+    if pure:
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         v /= np.linalg.norm(v)
         return np.outer(v, v.conj())
@@ -47,8 +47,10 @@ def _dense_draw(dim, rng):
 def _dense_trial(s, n, seed, t):
     rng = np.random.default_rng([seed, n, t])
     p0 = rng.uniform(0.2, 0.8)
-    rho0 = _dense_draw(s.D * n, rng)
-    rho1 = _dense_draw(s.D * n, rng)
+    # trials cycle through (pure, pure), (pure, mixed), (mixed, pure), (mixed, mixed)
+    pure0, pure1 = [(True, True), (True, False), (False, True), (False, False)][t % 4]
+    rho0 = _dense_draw(s.D * n, rng, pure0)
+    rho1 = _dense_draw(s.D * n, rng, pure1)
     return p0, rho0, rho1
 
 
@@ -152,3 +154,14 @@ def test_every_trial_probability_matches_dense():
         before, after = _dense_pguess(s, n, p0, rho0, rho1)
         assert abs(pg[t, 0] - before) <= PG_TOL
         assert abs(pg[t, 1] - after) <= PG_TOL
+
+
+def test_trial_kinds_do_not_depend_on_the_seed():
+    # every four trials pair pure and Wishart states once each way, so the
+    # work of a search is fixed by its budget
+    for seed in (0, 1, 7):
+        kinds = [
+            tuple(g.ndim == 1 for g in compat._draw_trial(6, 2, seed, t)[1])
+            for t in range(8)
+        ]
+        assert kinds == [(True, True), (True, False), (False, True), (False, False)] * 2
