@@ -48,7 +48,7 @@ from .errors import (
     NumericalFailure,
 )
 from .linalg import RANK_TOL, asmatrix, frob, hermitize, partial_trace, vec
-from .rand import ginibre, random_pure_state_vec, state_from_factor
+from .rand import state_from_factor
 
 # No criterion calls these four; they stay importable from this module
 # because perfbench wraps them here.
@@ -62,9 +62,10 @@ SDP_MAX_ITER = 20000
 SDP_STALL_WINDOW = 200
 SDP_STALL_RTOL = 1e-12
 WITNESS_MARGIN = 1e-9
-# Working set of one witness batch in bytes: the state factors and their
-# Kraus images.  It caps the trials per batch; at D*n = 1024 a batch is one
-# trial, and each factor is then pushed through on its own.
+# Working set of one witness batch in bytes.  It caps the trials per batch
+# (by their drawn factors and Gram and Helstrom blocks) and the factors
+# pushed through the Kraus operators at once (by their images); at
+# D*n = 1024 a batch is one trial, and each factor goes through on its own.
 _WITNESS_BATCH_BYTES = 2**20
 
 FEASIBLE = "feasible"
@@ -278,24 +279,49 @@ def helstrom_pguess(p0: float, rho0, rho1) -> float:
 
 # Whether each of the two states of trial t is pure, by t mod 4: every four
 # trials draw each pairing of pure and Wishart states once, so a search of a
-# given budget costs the same whatever its seed.
-_TRIAL_KINDS = ((True, True), (True, False), (False, True), (False, False))
+# given budget costs the same whatever its seed, and how many factors a
+# batch reads from the pure and the Wishart stream depends only on its trials.
+_TRIAL_KINDS = np.array([(True, True), (True, False), (False, True), (False, False)])
 
 
-def _draw_trial(dim: int, ancilla_dim: int, seed: int, t: int):
-    """Weight p0 and the two state factors of witness trial t.
+class _Draws(NamedTuple):
+    """A batch of b witness trials: the weights p0 (b,), whether each of the
+    2 b states is pure (state 0 then state 1 of each trial, in trial order),
+    and the unnormalized factors of the pure states (m, D n, 1) and of the
+    Wishart states (m', D n, D n), each in state order."""
 
-    Each trial has its own generator, so a trial's ensemble does not depend
-    on how trials are batched.  A factor is a unit vector (pure state) or a
-    square complex Gaussian G (Wishart state G G*/tr), as _TRIAL_KINDS says.
+    p0: np.ndarray
+    pure: np.ndarray
+    vecs: np.ndarray
+    mats: np.ndarray
+
+    def factor(self, i: int) -> np.ndarray:
+        """Factor of state i: a vector for a pure state, else a matrix."""
+        if self.pure[i]:
+            return self.vecs[np.count_nonzero(self.pure[:i]), :, 0]
+        return self.mats[np.count_nonzero(~self.pure[:i])]
+
+
+def _draw_batch(streams, dim: int, start: int, stop: int) -> _Draws:
+    """Draw witness trials start..stop-1 from a search's three streams: the
+    weights, the pure-state vectors and the Wishart factors.
+
+    Each stream is read in trial order, so a trial's draws do not depend on
+    how trials are batched.  Each kind comes from one ``normal`` call: a
+    vector reads its real parts, then its imaginary parts, as
+    ``random_pure_state_mat`` does; a Wishart factor reads interleaved real
+    and imaginary parts, viewed as complex with no second buffer.
     """
-    rng = np.random.default_rng([seed, ancilla_dim, t])
-    p0 = rng.uniform(0.2, 0.8)
-    factors = [
-        random_pure_state_vec(dim, rng) if pure else ginibre(dim, rng)
-        for pure in _TRIAL_KINDS[t % len(_TRIAL_KINDS)]
-    ]
-    return p0, factors
+    weights, vec_rng, mat_rng = streams
+    pure = _TRIAL_KINDS[np.arange(start, stop) % len(_TRIAL_KINDS)].ravel()
+    n_vecs = int(np.count_nonzero(pure))
+    re_im = vec_rng.normal(size=(n_vecs, 2, dim))
+    return _Draws(
+        p0=weights.uniform(0.2, 0.8, size=stop - start),
+        pure=pure,
+        vecs=(re_im[:, 0] + 1j * re_im[:, 1])[..., None],
+        mats=mat_rng.normal(size=(pure.size - n_vecs, dim, 2 * dim)).view(np.complex128),
+    )
 
 
 def _factor_bytes(s: Scenario, n: int, rank: int) -> int:
@@ -322,33 +348,27 @@ def _coarse_grams(s: Scenario, n: int, ops: np.ndarray, g: np.ndarray) -> np.nda
     return grams.reshape(m, 2, k, dn, dn).sum(axis=2)
 
 
-def _guessing_probs(s: Scenario, n: int, ops: np.ndarray, draws) -> np.ndarray:
+def _guessing_probs(s: Scenario, n: int, ops: np.ndarray, draws: _Draws) -> np.ndarray:
     """Helstrom guessing probabilities (b, 2), before and after u, of the
     coarse-grained ensembles of a batch of drawn trials.
 
-    Factors of one shape are pushed through together, in chunks that fit
-    _WITNESS_BATCH_BYTES, and all 2 b Helstrom operators go through one
-    stacked ``eigvalsh``.
+    Factors of one kind are pushed through together, in chunks that fit
+    _WITNESS_BATCH_BYTES; each factor G then enters with weight p/||G||_F^2,
+    which normalizes pure and Wishart states alike, and all 2 b Helstrom
+    operators go through one stacked ``eigvalsh``.
     """
     dn = s.d * n
-    factors = [g for _, pair in draws for g in pair]
-    weights = np.empty(len(factors))
-    for i, g in enumerate(factors):
-        p0 = draws[i // 2][0]
-        p = p0 if i % 2 == 0 else 1.0 - p0
-        weights[i] = p if g.ndim == 1 else p / np.vdot(g, g).real
-    grams = np.empty((len(factors), 2, dn, dn), dtype=np.complex128)
-    for pure in (True, False):
-        idx = [i for i, g in enumerate(factors) if (g.ndim == 1) == pure]
-        if not idx:
-            continue
-        rank = 1 if pure else s.D * n
-        chunk = max(1, _WITNESS_BATCH_BYTES // _factor_bytes(s, n, rank))
-        for lo in range(0, len(idx), chunk):
-            part = idx[lo : lo + chunk]
-            g = np.stack([factors[i] for i in part]).reshape(len(part), s.D * n, rank)
-            grams[part] = _coarse_grams(s, n, ops, g)
-    grams *= weights[:, None, None, None]
+    grams = np.empty((draws.pure.size, 2, dn, dn), dtype=np.complex128)
+    norms = np.empty(draws.pure.size)
+    for slots, g in ((draws.pure, draws.vecs), (~draws.pure, draws.mats)):
+        idx = np.flatnonzero(slots)
+        re_im = g.view(np.float64)
+        norms[idx] = np.einsum("mij,mij->m", re_im, re_im)
+        chunk = max(1, _WITNESS_BATCH_BYTES // _factor_bytes(s, n, g.shape[-1]))
+        for lo in range(0, len(g), chunk):
+            grams[idx[lo : lo + chunk]] = _coarse_grams(s, n, ops, g[lo : lo + chunk])
+    p = np.column_stack([draws.p0, 1.0 - draws.p0]).ravel()
+    grams *= (p / norms)[:, None, None, None]
     helstrom = grams[0::2] - grams[1::2]
     w = np.linalg.eigvalsh(helstrom)
     return 0.5 * (1.0 + np.abs(w).sum(axis=-1))
@@ -372,34 +392,40 @@ def search_witness(
     (after) applied to the system factor of G; no lifted operator and no
     density matrix on the (D n)-dimensional space is built in the trial
     loop.  Trials run in batches that grow geometrically from one trial up
-    to the _WITNESS_BATCH_BYTES working set, and each batch's Helstrom
-    eigenvalues come from one stacked ``eigvalsh``.  Trial t draws from its
-    own ``default_rng([seed, ancilla_dim, t])``, so the result does not
-    depend on the batching; the states of the returned trial are rebuilt
-    from their factors.
+    to the _WITNESS_BATCH_BYTES working set (the drawn factors and the
+    Gram and Helstrom blocks), and each batch's Helstrom eigenvalues come
+    from one stacked ``eigvalsh``.  The search spawns three streams from
+    ``SeedSequence([seed, ancilla_dim])``: the weights p0, the pure-state
+    vectors and the Wishart factors.  Each is read in trial order, a batch
+    at a time, so the result does not depend on the batching; the states
+    of the returned trial are rebuilt from their factors.
     """
     if trials < 1 or ancilla_dim < 1:
         raise ValueError("trials and ancilla_dim must be >= 1")
     n = ancilla_dim
     dim = s.D * n
     ops = np.concatenate([*s.cg.kraus, *s._kraus_after])
-    # per trial: two factors at worst (Wishart) plus four Helstrom blocks
-    per_trial = 2 * _factor_bytes(s, n, dim) + 4 * 16 * (s.d * n) ** 2
+    streams = [
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence([seed, ancilla_dim]).spawn(3)
+    ]
+    # per trial: two factors at worst (Wishart), four Gram and two Helstrom blocks
+    per_trial = 16 * (2 * dim**2 + 6 * (s.d * n) ** 2)
     cap = max(1, _WITNESS_BATCH_BYTES // per_trial)
     start, size = 0, 1
     while start < trials:
         stop = min(trials, start + size)
-        draws = [_draw_trial(dim, ancilla_dim, seed, t) for t in range(start, stop)]
+        draws = _draw_batch(streams, dim, start, stop)
         pg = _guessing_probs(s, n, ops, draws)
         hits = np.flatnonzero(pg[:, 1] > pg[:, 0] + WITNESS_MARGIN)
         if hits.size:
             j = int(hits[0])
-            p0, (g0, g1) = draws[j]
+            p0 = float(draws.p0[j])
             return EnsembleWitness(
-                p0=float(p0),
-                p1=float(1.0 - p0),
-                rho0=DensityMatrix(state_from_factor(g0)),
-                rho1=DensityMatrix(state_from_factor(g1)),
+                p0=p0,
+                p1=1.0 - p0,
+                rho0=DensityMatrix(state_from_factor(draws.factor(2 * j))),
+                rho1=DensityMatrix(state_from_factor(draws.factor(2 * j + 1))),
                 pg_before=float(pg[j, 0]),
                 pg_after=float(pg[j, 1]),
                 ancilla_dim=ancilla_dim,

@@ -17,24 +17,19 @@ def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
-def random_pure_state_vec(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unit vector."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    return v
-
-
 def state_from_factor(g: np.ndarray) -> np.ndarray:
-    """Density matrix of a factor: ``v v*`` for a unit vector v, else
-    ``G G* / tr(G G*)`` for a matrix G."""
+    """Density matrix of a factor: ``v v*`` with v = g/||g|| for a vector g,
+    else ``G G* / tr(G G*)`` for a matrix G."""
     if g.ndim == 1:
-        return np.outer(g, g.conj())
+        v = g / np.linalg.norm(g)
+        return np.outer(v, v.conj())
     w = g @ g.conj().T
     return w / np.trace(w).real
 
 
 def random_pure_state_mat(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return state_from_factor(random_pure_state_vec(dim, rng))
+    """Haar-random pure state."""
+    return state_from_factor(rng.normal(size=dim) + 1j * rng.normal(size=dim))
 
 
 def random_density_mat(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,13 +2,19 @@
 
 The reference is the plain trial-by-trial search: each state is built as a
 (D n) x (D n) density matrix and pushed through ``kron(M_k, I_n)`` and
-``kron(u, I_n)``.  Both searches draw trial t from
-``default_rng([seed, ancilla_dim, t])``, so they must return the same trial
-with bit-identical states; guessing probabilities may differ by rounding.
+``kron(u, I_n)``.  Both searches read three streams spawned from
+``SeedSequence([seed, ancilla_dim])`` (weights, pure-state vectors, Wishart
+factors) in trial order; the reference draws one trial at a time, the search
+a batch at a time, so they must return the same trial with bit-identical
+states; guessing probabilities may differ by rounding.
 """
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsekit import compat
 from coarsekit.scenarios import _rotation, example1, random_scenario, registry
@@ -39,25 +45,35 @@ def _dense_draw(dim, rng, pure):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         v /= np.linalg.norm(v)
         return np.outer(v, v.conj())
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    # real and imaginary parts interleaved
+    x = rng.normal(size=(dim, 2 * dim))
+    g = x[:, 0::2] + 1j * x[:, 1::2]
     w = g @ g.conj().T
     return w / np.trace(w).real
 
 
-def _dense_trial(s, n, seed, t):
-    rng = np.random.default_rng([seed, n, t])
-    p0 = rng.uniform(0.2, 0.8)
-    # trials cycle through (pure, pure), (pure, mixed), (mixed, pure), (mixed, mixed)
-    pure0, pure1 = [(True, True), (True, False), (False, True), (False, False)][t % 4]
-    rho0 = _dense_draw(s.D * n, rng, pure0)
-    rho1 = _dense_draw(s.D * n, rng, pure1)
-    return p0, rho0, rho1
+def _search_streams(seed, n):
+    """The weight, pure-vector and Wishart streams of a search."""
+    return [np.random.default_rng(c) for c in np.random.SeedSequence([seed, n]).spawn(3)]
+
+
+def _dense_trials(s, n, seed):
+    """Trials (p0, rho0, rho1) for t = 0, 1, ..., drawn one at a time."""
+    weights, vecs, mats = _search_streams(seed, n)
+    for t in itertools.count():
+        p0 = weights.uniform(0.2, 0.8)
+        # trials cycle through (pure, pure), (pure, mixed), (mixed, pure), (mixed, mixed)
+        pure0, pure1 = [(True, True), (True, False), (False, True), (False, False)][t % 4]
+        rho0 = _dense_draw(s.D * n, vecs if pure0 else mats, pure0)
+        rho1 = _dense_draw(s.D * n, vecs if pure1 else mats, pure1)
+        yield p0, rho0, rho1
 
 
 def _dense_search(s, trials, n, seed):
     """Reference search: (trial, p0, rho0, rho1, pg_before, pg_after) or None."""
+    draws = _dense_trials(s, n, seed)
     for t in range(trials):
-        p0, rho0, rho1 = _dense_trial(s, n, seed, t)
+        p0, rho0, rho1 = next(draws)
         before, after = _dense_pguess(s, n, p0, rho0, rho1)
         if after > before + compat.WITNESS_MARGIN:
             return t, p0, rho0, rho1, before, after
@@ -125,7 +141,7 @@ def _near_compatible():
 @pytest.mark.parametrize("budget", [None, 1, 200_000])
 def test_witness_past_several_batches(monkeypatch, budget):
     # by default batches hold 1, 2, 4, ... trials and the witness sits in the
-    # seventh; the smaller budgets cap batches at one and at 19 trials
+    # eighth; the smaller budgets cap batches at one and at 74 trials
     if budget is not None:
         monkeypatch.setattr(compat, "_WITNESS_BATCH_BYTES", budget)
     s = _near_compatible()
@@ -136,7 +152,7 @@ def test_witness_past_several_batches(monkeypatch, budget):
 
 @pytest.mark.parametrize("budget", [1, 200_000])
 def test_small_budget_full_search(monkeypatch, budget):
-    # caps of one and of three trials per batch, with no witness to stop early
+    # caps of one and of 13 trials per batch, with no witness to stop early
     monkeypatch.setattr(compat, "_WITNESS_BATCH_BYTES", budget)
     assert_matches_dense(REG["example2-compatible"].scenario, 40, 4, seed=0)
 
@@ -145,12 +161,11 @@ def test_every_trial_probability_matches_dense():
     s = REG["example1-incompatible"].scenario
     n, seed = s.d, 3
     ops = np.concatenate([*s.cg.kraus, *(m @ s.u for m in s.cg.kraus)])
-    draws = [compat._draw_trial(s.D * n, n, seed, t) for t in range(24)]
+    draws = compat._draw_batch(_search_streams(seed, n), s.D * n, 0, 24)
     pg = compat._guessing_probs(s, n, ops, draws)
     assert pg.shape == (24, 2)
-    for t in range(24):
-        p0, rho0, rho1 = _dense_trial(s, n, seed, t)
-        assert draws[t][0] == p0
+    for t, (p0, rho0, rho1) in zip(range(24), _dense_trials(s, n, seed)):
+        assert draws.p0[t] == p0
         before, after = _dense_pguess(s, n, p0, rho0, rho1)
         assert abs(pg[t, 0] - before) <= PG_TOL
         assert abs(pg[t, 1] - after) <= PG_TOL
@@ -160,8 +175,43 @@ def test_trial_kinds_do_not_depend_on_the_seed():
     # every four trials pair pure and Wishart states once each way, so the
     # work of a search is fixed by its budget
     for seed in (0, 1, 7):
+        draws = compat._draw_batch(_search_streams(seed, 2), 6, 0, 8)
         kinds = [
-            tuple(g.ndim == 1 for g in compat._draw_trial(6, 2, seed, t)[1])
-            for t in range(8)
+            tuple(draws.factor(2 * t + i).ndim == 1 for i in (0, 1)) for t in range(8)
         ]
         assert kinds == [(True, True), (True, False), (False, True), (False, False)] * 2
+
+
+def _batching_cases():
+    for case in _registry_cases():
+        name, n, seed = case.values
+        yield pytest.param(REG[name].scenario, 300, n, seed, id=case.id)
+    yield pytest.param(random_scenario(8, 2, 4, seed=0).scenario, 100, 2, 0, id="random-8-2-4")
+    yield pytest.param(_near_compatible(), 200, 2, 1, id="near-compatible")
+
+
+def _outcome(w):
+    if w is None:
+        return None
+    return w.trial, w.p0, w.pg_before, w.pg_after, w.rho0.mat.tobytes(), w.rho1.mat.tobytes()
+
+
+@pytest.mark.parametrize("s,trials,n,seed", list(_batching_cases()))
+def test_witness_does_not_depend_on_batching(monkeypatch, s, trials, n, seed):
+    # caps of one trial, of a few, the default, and of the whole budget
+    found = []
+    for budget in (1, 200_000, compat._WITNESS_BATCH_BYTES, 2**26):
+        monkeypatch.setattr(compat, "_WITNESS_BATCH_BYTES", budget)
+        found.append(_outcome(compat.search_witness(s, trials, n, seed)))
+    assert found.count(found[0]) == len(found)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(REG)), seed=st.integers(0, 2**31 - 1))
+def test_registry_verdicts_hold_for_any_seed(name, seed):
+    # run_all raises MethodDisagreement when the criteria contradict each other
+    s = REG[name].scenario
+    report = compat.run_all(s, compat.CheckConfig(seed=seed))
+    assert report.verdict == REG[name].expected
+    if report.witness is not None:
+        assert_witness_holds(s, report.witness)
