@@ -63,9 +63,10 @@ SDP_STALL_WINDOW = 200
 SDP_STALL_RTOL = 1e-12
 WITNESS_MARGIN = 1e-9
 # Working set of one witness batch in bytes.  It caps the trials per batch
-# (by their drawn factors and Gram and Helstrom blocks) and the factors
-# pushed through the Kraus operators at once (by their images); at
-# D*n = 1024 a batch is one trial, and each factor goes through on its own.
+# (by their drawn factors and Gram and Helstrom blocks), the factors pushed
+# through the Kraus operators at once and the operators each push takes (by
+# their images); at D*n = 1024 a batch is one trial, each factor goes
+# through on its own and one Kraus operator at a time.
 _WITNESS_BATCH_BYTES = 2**20
 
 FEASIBLE = "feasible"
@@ -337,14 +338,22 @@ def _coarse_grams(s: Scenario, n: int, ops: np.ndarray, g: np.ndarray) -> np.nda
     ``ops`` stacks {M_k} over {M_k u} as (2 K d, D) and ``g`` is (m, D n, r).
     Returns (m, 2, d n, d n) holding ``sum_k (A_k x I_n) G G* (A_k x I_n)*``
     for A = M and A = M u.  ``(A_k x I_n) G`` is A_k applied to the system
-    index of G read as (D, n r), so no lifted operator is formed.
+    index of G read as (D, n r), so no lifted operator is formed.  The
+    operators go through a few at a time, so that their images and the
+    conjugate fit _WITNESS_BATCH_BYTES even when one factor's do not.
     """
     m, _, r = g.shape
-    k, dn = len(s.cg.kraus), s.d * n
-    # rows (A_k, j) and columns (a, c) of the product, read as the (j a, c)
-    # image Y_k of G
-    y = (ops @ g.reshape(m, s.D, n * r)).reshape(m, 2 * k, dn, r)
-    grams = y @ y.conj().swapaxes(-1, -2)
+    k, d, dn = len(s.cg.kraus), s.d, s.d * n
+    g = g.reshape(m, s.D, n * r)
+    grams = np.empty((m, 2 * k, dn, dn), dtype=np.complex128)
+    # operators per push: each one's image and its conjugate take 32 m dn r bytes
+    step = max(1, _WITNESS_BATCH_BYTES // (32 * m * dn * r))
+    for lo in range(0, 2 * k, step):
+        hi = min(2 * k, lo + step)
+        # rows (A_k, j) and columns (a, c) of the product, read as the (j a, c)
+        # image Y_k of G
+        y = (ops[lo * d : hi * d] @ g).reshape(m, hi - lo, dn, r)
+        np.matmul(y, y.conj().swapaxes(-1, -2), out=grams[:, lo:hi])
     return grams.reshape(m, 2, k, dn, dn).sum(axis=2)
 
 

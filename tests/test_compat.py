@@ -364,3 +364,19 @@ def test_image_criteria_build_nothing_of_size_D2_by_D2():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_witness_kraus_images_stay_within_the_batch_bytes():
+    # at D n = 256 one Wishart factor (1 MiB) has Kraus images that take
+    # 4 MiB with their conjugate; they go through two operators at a time
+    s = random_planted_scenario(4, 4, 0).scenario
+    dn, big = s.d * s.D, s.D * s.D
+    factors = 2 * 16 * big**2
+    gram_blocks = 2 * len(s.cg.kraus) * 16 * dn**2
+    tracemalloc.start()
+    try:
+        assert compat.search_witness(s, 4, s.D, seed=0) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < factors + gram_blocks + 2 * compat._WITNESS_BATCH_BYTES
