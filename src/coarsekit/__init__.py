@@ -13,7 +13,6 @@ from .channel import (
     ChoiMatrix,
     DensityMatrix,
     KrausChannel,
-    TransferMatrix,
     apply,
     channels_equal,
     choi_to_kraus,
@@ -21,7 +20,6 @@ from .channel import (
     connecting_unitary,
     dual,
     kraus_to_choi,
-    transfer,
     unitary_channel,
 )
 from .classical import (
@@ -74,7 +72,6 @@ __all__ = [
     "NamedScenario",
     "Scenario",
     "SdpOutcome",
-    "TransferMatrix",
     "apply",
     "channels_equal",
     "check_fiber_preservation",
@@ -98,7 +95,6 @@ __all__ = [
     "search_witness",
     "solve_algebraic_V",
     "spin_dichotomization",
-    "transfer",
     "unitary_channel",
     "verify_dual_identity",
     "verify_kraus_equivalence",

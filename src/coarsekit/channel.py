@@ -137,23 +137,6 @@ class ChoiMatrix:
         object.__setattr__(self, "mat", _freeze(m))
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Matrix of a channel acting on column-stacked operators."""
-
-    din: int
-    dout: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = asmatrix(self.mat)
-        if m.shape != (self.dout**2, self.din**2):
-            raise DimensionMismatch(
-                f"expected {(self.dout**2, self.din**2)}, got {m.shape}"
-            )
-        object.__setattr__(self, "mat", _freeze(m))
-
-
 def apply(ch: KrausChannel, rho):
     """Apply the channel; DensityMatrix in, DensityMatrix out (or raw arrays)."""
     raw = rho.mat if isinstance(rho, DensityMatrix) else asmatrix(rho)
@@ -213,11 +196,6 @@ def choi_to_kraus(c: ChoiMatrix, rank_tol: float = RANK_TOL) -> KrausChannel:
     return KrausChannel(ops, tp_tol=10 * CHOI_TP_TOL)
 
 
-def transfer(ch: KrausChannel) -> TransferMatrix:
-    """Transfer matrix ``sum_k kron(K.conj(), K)``."""
-    return TransferMatrix(ch.din, ch.dout, ch.transfer_mat)
-
-
 def transfer_to_choi_mat(t: np.ndarray, din: int, dout: int) -> np.ndarray:
     """Reshuffle a (dout^2, din^2) transfer matrix into a Choi matrix."""
     t4 = np.asarray(t).reshape(dout, dout, din, din)
@@ -254,22 +232,14 @@ def channels_equal(a: KrausChannel, b: KrausChannel, tol: float = EQ_TOL) -> boo
     return frob(a.choi.mat - b.choi.mat) <= tol
 
 
-def pad_kraus(ops, n: int) -> list[np.ndarray]:
-    """Extend a Kraus list to length n with zero operators."""
-    ops = list(ops)
-    if n < len(ops):
-        raise ValueError("cannot pad to a shorter length")
-    shape = ops[0].shape
-    return ops + [np.zeros(shape, dtype=np.complex128)] * (n - len(ops))
-
-
 def connecting_unitary(a: KrausChannel, b: KrausChannel, tol: float = EQ_TOL) -> np.ndarray:
     """Unitary W with ``K_i(a) = sum_j W[i, j] K_j(b)`` for equal channels.
 
-    Both Kraus lists are zero-padded to a common length N first.  The partial
-    isometry pinv(Vb) @ Va (columns = vectorized Kraus operators) is completed
-    to a unitary through its SVD; the completion is exact whenever the two
-    channels coincide, because equal Choi matrices force equal column spans.
+    The vectorized Kraus operators of both lists are stacked as columns and
+    zero-padded to a common count N.  The partial isometry pinv(Vb) @ Va is
+    completed to a unitary through its SVD; the completion is exact whenever
+    the two channels coincide, because equal Choi matrices force equal
+    column spans.
 
     Raises NotEquivalent if the channels differ beyond tol, NumericalFailure
     if the recovered W misses the residual bound 10*tol.
@@ -277,16 +247,15 @@ def connecting_unitary(a: KrausChannel, b: KrausChannel, tol: float = EQ_TOL) ->
     if not channels_equal(a, b, tol):
         raise NotEquivalent("channels differ; no connecting unitary exists")
     n = max(len(a.kraus), len(b.kraus))
-    ka = pad_kraus(a.kraus, n)
-    kb = pad_kraus(b.kraus, n)
-    va = np.column_stack([vec(op) for op in ka])
-    vb = np.column_stack([vec(op) for op in kb])
+    va, vb = (np.column_stack([vec(op) for op in ch.kraus]) for ch in (a, b))
+    # zero columns stand for the zero operators that pad the shorter list
+    va, vb = (np.pad(v, ((0, 0), (0, n - v.shape[1]))) for v in (va, vb))
     wt = pinv(vb) @ va
     p, _, qh = np.linalg.svd(wt)
     w = (p @ qh).T
-    residual = max(
-        frob(ka[i] - sum(w[i, j] * kb[j] for j in range(n))) for i in range(n)
-    )
+    # column i is vec(K_i(a) - sum_j W[i, j] K_j(b)), so its norm is that
+    # operator's Frobenius norm
+    residual = float(np.linalg.norm(va - vb @ w.T, axis=0).max())
     if residual > 10 * tol:
         raise NumericalFailure(f"connecting unitary residual {residual:.3e} > {10 * tol:.1e}")
     return w

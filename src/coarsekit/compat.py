@@ -77,12 +77,14 @@ UNDECIDED = "undecided"
 class _Image(NamedTuple):
     """The coarse-graining's transfer matrix T_cg = U diag(sigma) V*, cut at
     rank r, and the transfer matrix A of {M_k u} split along V: ``av = A V``
-    and the part of A outside the image, ``e = A - A V V*``."""
+    and the part of A outside the image, ``e = A - A V V*``; ``candidate``
+    is the effective transfer matrix ``(A V) diag(sigma)^-1 U*``."""
 
     u: np.ndarray  # d^2 x r
     sigma: np.ndarray  # r
     av: np.ndarray  # d^2 x r
     e: np.ndarray  # d^2 x D^2
+    candidate: np.ndarray  # d^2 x d^2
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,8 @@ class Scenario:
         av = a @ vh.conj().T
         # with a trivial kernel A lies in the image exactly
         e = a - av @ vh if r < a.shape[1] else np.zeros_like(a)
-        return _Image(u[:, :r], sigma[:r], av, e)
+        u, sigma = u[:, :r], sigma[:r]
+        return _Image(u, sigma, av, e, (av / sigma) @ u.conj().T)
 
 
 @dataclass(frozen=True)
@@ -444,24 +447,6 @@ def search_witness(
     return None
 
 
-def _hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal real basis of n x n Hermitian matrices, stacked (n^2, n, n)."""
-    out = np.zeros((n * n, n, n), dtype=np.complex128)
-    idx = 0
-    for i in range(n):
-        out[idx, i, i] = 1.0
-        idx += 1
-    inv_s2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for k in range(i + 1, n):
-            out[idx, i, k] = out[idx, k, i] = inv_s2
-            idx += 1
-            out[idx, i, k] = -1j * inv_s2
-            out[idx, k, i] = 1j * inv_s2
-            idx += 1
-    return out
-
-
 def sdp_feasibility(
     s: Scenario, max_iter: int = SDP_MAX_ITER, tol: float = SDP_TOL
 ) -> SdpOutcome:
@@ -469,24 +454,29 @@ def sdp_feasibility(
 
     The unknown is the effective map's Choi matrix J, constrained to be PSD
     (cone projection by eigenvalue clipping), trace preserving, and to close
-    the coarse-graining square (both affine; their orthogonal projector is
-    precomputed from the stacked linear system).  Dykstra's correction on
-    the cone side makes the iteration converge to a point of the
-    intersection whenever one exists.
+    the coarse-graining square (both affine).  Dykstra's correction on the
+    cone side makes the iteration converge to a point of the intersection
+    whenever one exists.
 
     The square T_J T_cg = A (A the transfer matrix of {M_k u}) is taken in
-    the thin SVD T_cg = U S V*: its rows along V read T_J U S = A V, d^2 r
-    equations whatever D is, and its rows off V read 0 = A - A V V*, which
-    no J can change.  The affine system holds the first and the trace
-    condition; the second enters the residual as the constant
-    ``||A - A V V*||_F``.
+    the thin SVD T_cg = U S V*: its rows along V read T_J U = (A V) S^-1,
+    whatever D is, and its rows off V read 0 = A - A V V*, which no J can
+    change and which enters the residual as the constant ``||A - A V V*||_F``.
+    In transfer form the affine set is {T : T U = (A V) S^-1, w* T = w*},
+    w = vec(I): one constraint acts on the right of T, the other on the
+    left, and both hold at once because cg and {M_k u} preserve the trace.
+    Its orthogonal projection is closed form,
+    ``T0 + (I - w w*/d) T (I - U U*)`` with T0 the candidate (A V) S^-1 U*
+    plus ``w w*/d (I - U U*)``; it keeps J Hermitian.  An iteration is one
+    ``eigh`` of J and two d^2 x d^2 products; no basis of the d^4 Hermitian
+    directions and no linear system over them is built.
 
     The reported residual is the affine violation of the PSD-projected
-    iterate, ``sqrt(||affine rows||^2 + ||A - A V V*||_F^2)``.
-    ``feasible`` means residual <= tol; ``infeasible`` means the residual
-    stalled (relative change < 1e-12 across 200 iterations) while still
-    above 100*tol, which in practice signals an empty intersection;
-    anything else is ``undecided``.
+    iterate, ``sqrt(||T_J U S - A V||^2 + ||tr_out J - I||^2 +
+    ||A - A V V*||_F^2)``.  ``feasible`` means residual <= tol;
+    ``infeasible`` means the residual stalled (relative change < 1e-12
+    across 200 iterations) while still above 100*tol, which in practice
+    signals an empty intersection; anything else is ``undecided``.
     """
     if max_iter < 1 or tol <= 0:
         raise ValueError("max_iter must be >= 1 and tol > 0")
@@ -495,38 +485,32 @@ def sdp_feasibility(
     img = s._image
     us = img.u * img.sigma
     off_image = frob(img.e)
-    basis = _hermitian_basis(n)
+    # vec(I): the trace-preservation row of a transfer matrix T is tp_row @ T
+    tp_row = np.eye(d, dtype=np.complex128).ravel()
+    w_hat = tp_row / np.sqrt(d)
+    off_u = np.eye(n) - img.u @ img.u.conj().T
+    off_w = np.eye(n) - np.outer(w_hat, w_hat)
+    t0 = img.candidate + np.outer(w_hat, w_hat @ off_u)
 
-    cols = []
-    for b_el in basis:
-        tb = choi_to_transfer_mat(b_el, d, d)
-        diagram = (tb @ us).ravel()
-        tp = partial_trace(b_el, (d, d), keep="A").ravel()
-        cols.append(
-            np.concatenate([diagram.real, diagram.imag, tp.real, tp.imag])
-        )
-    a = np.array(cols).T
-    b_vec = np.concatenate(
-        [img.av.ravel().real, img.av.ravel().imag, np.eye(d).ravel(), np.zeros(d * d)]
-    )
-    a_pinv = np.linalg.pinv(a, rcond=1e-13)
-
-    x = np.zeros(n * n)
-    p = np.zeros(n * n)
+    x = np.zeros((n, n), dtype=np.complex128)
+    p = np.zeros((n, n), dtype=np.complex128)
     history: list[float] = []
     status = UNDECIDED
     residual = np.inf
     iterations = 0
     psd_point = None
     for iterations in range(1, max_iter + 1):
-        j_mat = np.einsum("a,aij->ij", x + p, basis)
+        j_mat = x + p
         w, vecs = np.linalg.eigh(j_mat)
         psd_point = (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
-        y = np.einsum("aij,ji->a", basis, psd_point).real
-        p = x + p - y
-        violation = a @ y - b_vec
-        x = y - a_pinv @ violation
-        residual = float(np.hypot(np.linalg.norm(violation), off_image))
+        p = j_mat - psd_point
+        t_y = choi_to_transfer_mat(psd_point, d, d)
+        x = transfer_to_choi_mat(t0 + off_w @ t_y @ off_u, d, d)
+        diagram = t_y @ us - img.av
+        trace = tp_row @ t_y - tp_row
+        residual = float(
+            np.sqrt(np.vdot(diagram, diagram).real + np.vdot(trace, trace).real + off_image**2)
+        )
         history.append(residual)
         if residual <= tol:
             status = FEASIBLE
@@ -569,12 +553,11 @@ def construct_emergent(
     """
     d = s.d
     img = s._image
-    t_gamma = (img.av / img.sigma) @ img.u.conj().T
     diagram_residual = frob(img.e)
     if diagram_residual > diagram_tol:
         return None
 
-    j_raw = transfer_to_choi_mat(t_gamma, d, d)
+    j_raw = transfer_to_choi_mat(img.candidate, d, d)
     herm_err = frob(j_raw - j_raw.conj().T)
     j_mat = hermitize(j_raw)
     w_min = float(np.linalg.eigvalsh(j_mat).min())

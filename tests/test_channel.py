@@ -162,13 +162,13 @@ class TestChoi:
 
 class TestTransfer:
     def test_identity(self):
-        t = qc.transfer(qc.KrausChannel([np.eye(2)]))
-        assert frob(t.mat - np.eye(4)) < 1e-14
+        t = qc.KrausChannel([np.eye(2)]).transfer_mat
+        assert frob(t - np.eye(4)) < 1e-14
 
     def test_unitary_form(self):
         u = haar_unitary(3, np.random.default_rng(1))
-        t = qc.transfer(qc.unitary_channel(u))
-        assert frob(t.mat - np.kron(u.conj(), u)) < 1e-14
+        t = qc.unitary_channel(u).transfer_mat
+        assert frob(t - np.kron(u.conj(), u)) < 1e-14
 
     def test_agrees_with_apply(self):
         ch = qc.KrausChannel(example2_kraus())

@@ -366,6 +366,20 @@ def test_image_criteria_build_nothing_of_size_D2_by_D2():
     assert peak < 16 * 2**20
 
 
+def test_sdp_builds_nothing_of_size_d4():
+    # at d=6 a basis of d^4 Hermitian matrices of size d^2 x d^2 takes 27 MB
+    # and its stacked real system and that system's pinv 28 MB each; the
+    # closed-form projection needs a few d^2 x d^2 matrices of 21 KB each
+    s = random_planted_scenario(6, 2, 0).scenario
+    tracemalloc.start()
+    try:
+        compat.sdp_feasibility(s, max_iter=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_witness_kraus_images_stay_within_the_batch_bytes():
     # at D n = 256 one Wishart factor (1 MiB) has Kraus images that take
     # 4 MiB with their conjugate; they go through two operators at a time

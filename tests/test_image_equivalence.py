@@ -3,10 +3,13 @@
 The references build the coarse-graining square at full size: the
 D^2 x D^2 transfer matrix T_u of u, the kernel of T_cg as a basis, the
 d^2 D^2 diagram rows ``T_J T_cg = T_cg T_u`` in the SDP, and the candidate
-``T_cg T_u pinv(T_cg)``.  The code under test works from one thin SVD of
-T_cg.  An orthogonal change of the diagram rows relates the two SDPs, so
-every verdict, status and iteration count must be equal; residuals and
-matrices may differ by rounding.
+``T_cg T_u pinv(T_cg)``.  The reference SDP is the basis method: it
+writes J in an orthonormal basis of d^4 Hermitian matrices, stacks the
+affine rows into one real system and projects with that system's ``pinv``.
+The code under test works from one thin SVD of T_cg and projects onto the
+affine set in closed form.  Both project orthogonally onto the same
+affine set, so every verdict, status and iteration count must be equal;
+residuals and matrices may differ by rounding.
 """
 
 import numpy as np
@@ -69,13 +72,31 @@ def _dense_fiber(s, tol=compat.FIBER_TOL):
     return residual <= tol, residual
 
 
+def _hermitian_basis(n):
+    """Orthonormal real basis of n x n Hermitian matrices, stacked (n^2, n, n)."""
+    out = np.zeros((n * n, n, n), dtype=np.complex128)
+    idx = 0
+    for i in range(n):
+        out[idx, i, i] = 1.0
+        idx += 1
+    inv_s2 = 1.0 / np.sqrt(2.0)
+    for i in range(n):
+        for k in range(i + 1, n):
+            out[idx, i, k] = out[idx, k, i] = inv_s2
+            idx += 1
+            out[idx, i, k] = -1j * inv_s2
+            out[idx, k, i] = 1j * inv_s2
+            idx += 1
+    return out
+
+
 def _dense_sdp(s, max_iter=compat.SDP_MAX_ITER, tol=compat.SDP_TOL):
     """Dykstra iteration with all d^2 D^2 diagram rows."""
     d = s.d
     n = d * d
     t_cg = s.cg.transfer_mat
     rhs = _rhs(s)
-    basis = compat._hermitian_basis(n)
+    basis = _hermitian_basis(n)
     cols = []
     for b_el in basis:
         diagram = (choi_to_transfer_mat(b_el, d, d) @ t_cg).ravel()
@@ -166,7 +187,7 @@ def test_sdp_matches_full_diagram_rows(case):
 def test_candidate_matches_pseudoinverse(case):
     s = CASES[case]()
     img = s._image
-    t_gamma = (img.av / img.sigma) @ img.u.conj().T
+    t_gamma = img.candidate
     t_ref, residual_ref = _dense_candidate(s)
     assert frob(t_gamma - t_ref) <= TOL
     assert abs(frob(img.e) - residual_ref) <= TOL
