@@ -36,8 +36,11 @@ print(f"algebraic intertwiner : "
       f"   (residual {report.algebraic_residual:.2e})")
 print("  note: the single-matrix intertwiner is a sufficient condition only;")
 print("  this scenario is compatible even though no such matrix exists.")
-print(f"sdp feasibility : {report.sdp.status} "
-      f"after {report.sdp.iterations} iterations")
+# the coarse-graining's transfer matrix has full rank d^2, so the SDP's
+# affine set is one point and the SDP needs no iteration
+assert report.sdp.iterations == 0
+print(f"sdp feasibility : {report.sdp.status}"
+      f"   (residual {report.sdp.residual:.2e}, one candidate point, no iteration)")
 print(f"witness search : {'violation found' if report.witness else 'nothing found'}")
 print(f"\nverdict: {report.verdict.upper()}")
 

@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ancilla", type=int, default=None,
                        help="restrict the witness search to one ancilla dimension")
         p.add_argument("--max-iter", type=int, default=None, dest="max_iter",
-                       help="iteration cap for the feasibility SDP")
+                       help="iteration cap for the feasibility SDP's loop (r < d^2 only)")
 
     p_check = sub.add_parser("check", help="run all four compatibility criteria")
     p_check.add_argument("input", help="registry name or scenario file")

@@ -9,8 +9,9 @@ for every state rho:
    (exact; decides whether a well-defined linear map exists at all);
 2. a one-sided algebraic shortcut: a single d x d matrix V intertwining
    every Kraus operator, ``M_k u == V M_k`` (sufficient, not necessary);
-3. semidefinite feasibility for a CPTP effective map, decided by Dykstra
-   alternating projections on the effective map's Choi matrix;
+3. semidefinite feasibility of a CPTP effective map's Choi matrix, exact
+   when the kernel check fails or the affine set is one point, and
+   otherwise decided by Dykstra alternating projections;
 4. a randomized discrimination witness: a binary ensemble whose optimal
    guessing probability increases across the dynamics certifies that no
    CPTP effective map can exist.
@@ -447,10 +448,18 @@ def search_witness(
     return None
 
 
+def _status(residual: float, tol: float) -> str:
+    """SDP status that a residual reads against tol."""
+    if residual <= tol:
+        return FEASIBLE
+    return INFEASIBLE if residual > 100 * tol else UNDECIDED
+
+
 def sdp_feasibility(
     s: Scenario, max_iter: int = SDP_MAX_ITER, tol: float = SDP_TOL
 ) -> SdpOutcome:
-    """Decide existence of a CPTP effective map by alternating projections.
+    """Decide existence of a CPTP effective map, in closed form where the
+    affine set allows and by alternating projections otherwise.
 
     The unknown is the effective map's Choi matrix J, constrained to be PSD
     (cone projection by eigenvalue clipping), trace preserving, and to close
@@ -472,11 +481,13 @@ def sdp_feasibility(
     directions and no linear system over them is built.
 
     The reported residual is the affine violation of the PSD-projected
-    iterate, ``sqrt(||T_J U S - A V||^2 + ||tr_out J - I||^2 +
-    ||A - A V V*||_F^2)``.  ``feasible`` means residual <= tol;
-    ``infeasible`` means the residual stalled (relative change < 1e-12
-    across 200 iterations) while still above 100*tol, which in practice
-    signals an empty intersection; anything else is ``undecided``.
+    point, ``sqrt(||T_J U S - A V||^2 + ||tr_out J - I||^2 +
+    ||A - A V V*||_F^2)``: ``feasible`` when <= tol, ``infeasible`` when
+    > 100*tol, ``undecided`` in between.  A failed kernel check (the last
+    term alone > 100*tol) and r = d^2 (then I - U U* = 0 and the affine
+    set is the one point T0) are decided exactly, at 0 iterations.  Else
+    the loop runs at most ``max_iter`` times and says ``infeasible`` only
+    once the residual stalls (relative change < 1e-12 over 200 iterations).
     """
     if max_iter < 1 or tol <= 0:
         raise ValueError("max_iter must be >= 1 and tol > 0")
@@ -487,38 +498,42 @@ def sdp_feasibility(
     off_image = frob(img.e)
     # vec(I): the trace-preservation row of a transfer matrix T is tp_row @ T
     tp_row = np.eye(d, dtype=np.complex128).ravel()
-    w_hat = tp_row / np.sqrt(d)
-    off_u = np.eye(n) - img.u @ img.u.conj().T
-    off_w = np.eye(n) - np.outer(w_hat, w_hat)
-    t0 = img.candidate + np.outer(w_hat, w_hat @ off_u)
 
-    x = np.zeros((n, n), dtype=np.complex128)
-    p = np.zeros((n, n), dtype=np.complex128)
-    history: list[float] = []
-    status = UNDECIDED
-    residual = np.inf
-    iterations = 0
-    psd_point = None
-    for iterations in range(1, max_iter + 1):
-        j_mat = x + p
+    def project(j_mat):
+        """PSD projection of j_mat, its transfer matrix and its residual."""
         w, vecs = np.linalg.eigh(j_mat)
-        psd_point = (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
-        p = j_mat - psd_point
-        t_y = choi_to_transfer_mat(psd_point, d, d)
-        x = transfer_to_choi_mat(t0 + off_w @ t_y @ off_u, d, d)
+        psd = (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
+        t_y = choi_to_transfer_mat(psd, d, d)
         diagram = t_y @ us - img.av
         trace = tp_row @ t_y - tp_row
-        residual = float(
-            np.sqrt(np.vdot(diagram, diagram).real + np.vdot(trace, trace).real + off_image**2)
-        )
-        history.append(residual)
-        if residual <= tol:
-            status = FEASIBLE
-            break
-        if iterations > SDP_STALL_WINDOW and residual > 100 * tol:
-            past = history[-SDP_STALL_WINDOW - 1]
-            if abs(past - residual) <= SDP_STALL_RTOL * max(residual, 1e-300):
-                status = INFEASIBLE
+        sq = np.vdot(diagram, diagram).real + np.vdot(trace, trace).real
+        return psd, t_y, float(np.sqrt(sq + off_image**2))
+
+    if off_image > 100 * tol:
+        return SdpOutcome(status=INFEASIBLE, residual=off_image, iterations=0)
+    iterations = 0
+    if img.sigma.size == n:
+        psd_point, _, residual = project(transfer_to_choi_mat(img.candidate, d, d))
+        status = _status(residual, tol)
+    else:
+        w_hat = tp_row / np.sqrt(d)
+        off_u = np.eye(n) - img.u @ img.u.conj().T
+        off_w = np.eye(n) - np.outer(w_hat, w_hat)
+        t0 = img.candidate + np.outer(w_hat, w_hat @ off_u)
+        x = p = np.zeros((n, n), dtype=np.complex128)
+        history: list[float] = []
+        status = UNDECIDED
+        for iterations in range(1, max_iter + 1):
+            j_mat = x + p
+            psd_point, t_y, residual = project(j_mat)
+            p = j_mat - psd_point
+            x = transfer_to_choi_mat(t0 + off_w @ t_y @ off_u, d, d)
+            history.append(residual)
+            decided = _status(residual, tol)
+            past = history[-SDP_STALL_WINDOW - 1] if iterations > SDP_STALL_WINDOW else np.inf
+            stalled = abs(past - residual) <= SDP_STALL_RTOL * residual
+            if decided == FEASIBLE or (decided == INFEASIBLE and stalled):
+                status = decided
                 break
 
     choi = None

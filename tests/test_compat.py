@@ -2,16 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coarsekit as ck
 from coarsekit import compat
-from coarsekit.channel import KrausChannel, unitary_channel
+from coarsekit.channel import KrausChannel, transfer_to_choi_mat, unitary_channel
 from coarsekit.errors import DimensionMismatch, NotEquivalent, NumericalFailure
 from coarsekit.linalg import frob
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 from coarsekit.scenarios import (
     emergent_spin_rotation,
     example1,
+    example2,
     random_planted_scenario,
     random_scenario,
     registry,
@@ -154,6 +157,33 @@ class TestSdpFeasibility:
         out = compat.sdp_feasibility(REG["example2-incompatible"].scenario)
         assert out.status == compat.INFEASIBLE
         assert out.residual > 1e-5 * 100
+
+    def test_near_compatible_undecided_without_iterating(self):
+        # a Pauli channel with Bloch contraction (0.9, 0.8, 0.85), then a
+        # z-rotation by 4e-6: T_cg is invertible (r = d^2), so the affine set
+        # is one point, whose PSD projection misses it by 5.4e-7, between
+        # tol and 100*tol
+        paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1.0, -1.0])]
+        probs = [0.8875, 0.0625, 0.0125, 0.0375]
+        cg = KrausChannel([np.sqrt(p) * np.asarray(m, complex) for p, m in zip(probs, paulis)])
+        s = ck.Scenario(cg, np.diag(np.exp([-2e-6j, 2e-6j])))
+        out = compat.sdp_feasibility(s)
+        assert (out.status, out.iterations) == (compat.UNDECIDED, 0)
+        assert compat.SDP_TOL < out.residual <= 100 * compat.SDP_TOL
+
+    @pytest.mark.parametrize("p, quotient", [(0.1, -0.1056), (0.5, -0.75)])
+    def test_dephased_hadamard_has_an_eigenvector_certificate(self, p, quotient):
+        # D = d = 2: the kernel check holds and the one linear effective map
+        # J0 is not CP; J0's lowest eigenvector has a negative Rayleigh quotient
+        z = np.diag([1.0, -1.0])
+        cg = KrausChannel([np.sqrt(1 - p / 2) * np.eye(2), np.sqrt(p / 2) * z])
+        s = ck.Scenario(cg, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+        assert compat.check_fiber_preservation(s)[0]
+        j0 = transfer_to_choi_mat(s._image.candidate, 2, 2)
+        vec = np.linalg.eigh(j0)[1][:, 0]
+        assert np.vdot(vec, j0 @ vec).real == pytest.approx(quotient, abs=1e-4)
+        out = compat.sdp_feasibility(s)
+        assert (out.status, out.iterations) == (compat.INFEASIBLE, 0)
 
     def test_feasible_implies_fiber(self):
         # one-directional sanity across a small mixed family
@@ -331,6 +361,34 @@ def test_fiber_vs_sdp_cooccurrence_recorded():
     print("\nfiber/sdp co-occurrence:", dict(counts))
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    d=st.integers(2, 3),
+    extra=st.integers(1, 3),
+    spare=st.integers(0, 2),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_random_scenarios_decided_by_the_kernel_check(d, extra, spare, seed):
+    # run_all raises MethodDisagreement if the criteria contradict each other
+    big = d + extra
+    s = random_scenario(big, d, -(-big // d) + spare, seed).scenario
+    report = compat.run_all(s, compat.CheckConfig(witness_trials=4))
+    off_image = frob(s._image.e)
+    if off_image > 100 * compat.SDP_TOL:
+        assert (report.sdp.status, report.sdp.iterations) == (compat.INFEASIBLE, 0)
+        assert abs(report.sdp.residual - off_image) <= 1e-12
+        assert report.verdict == "incompatible"
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(d=st.integers(2, 3), env=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+def test_planted_scenarios_compatible_without_iterating(d, env, seed):
+    s = random_planted_scenario(d, env, seed).scenario
+    report = compat.run_all(s, compat.CheckConfig(witness_trials=4))
+    assert report.verdict == "compatible"
+    assert (report.sdp.status, report.sdp.iterations) == (compat.FEASIBLE, 0)
+
+
 class TestImplicationChain:
     def test_algebraic_implies_fiber_and_dual_identity(self):
         rng = np.random.default_rng(999)
@@ -377,6 +435,21 @@ def test_sdp_builds_nothing_of_size_d4():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_sdp_loop_builds_nothing_of_size_d4():
+    # the planted case above has r = d^2 and decides without iterating; this
+    # decohered one (d = 6, r = 6 < d^2) runs the loop under the same bound
+    blocks = [haar_unitary(2, np.random.default_rng(k)) for k in range(6)]
+    s = example2(2, 6, blocks, "none").scenario
+    tracemalloc.start()
+    try:
+        out = compat.sdp_feasibility(s, max_iter=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.iterations > 0
     assert peak < 2 * 2**20
 
 
