@@ -33,6 +33,7 @@ TP_TOL = 1e-9
 CP_TOL = 1e-8
 CHOI_TP_TOL = 1e-8
 EQ_TOL = 1e-8
+PHASE_TIE_RTOL = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -168,11 +169,13 @@ def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
 
 
 def _fix_phase(op: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the largest-modulus entry is real >= 0."""
-    idx = np.argmax(np.abs(op))
-    pivot = op.flat[idx]
-    if abs(pivot) == 0:
+    """Rotate a global phase so the pivot is real >= 0: the first entry, in
+    flat (row-major) order, whose modulus is within a relative PHASE_TIE_RTOL
+    of the largest, so rounding cannot choose among tied entries."""
+    mod = np.abs(op).ravel()
+    if mod.max() == 0:
         return op
+    pivot = op.flat[np.argmax(mod >= (1 - PHASE_TIE_RTOL) * mod.max())]
     return op * (pivot.conjugate() / abs(pivot))
 
 

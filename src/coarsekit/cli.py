@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .classical import emergent_channel, observational_vs_do, verify_total_probability
-from .compat import CheckConfig, Scenario, construct_emergent, run_all
+from .compat import CheckConfig, Scenario, construct_emergent, run_all, sdp_feasibility
 from .errors import CoarsekitError, MethodDisagreement, ZeroMarginal
 from .io import (
     ParseError,
@@ -101,7 +101,6 @@ def _build_config(args, doc: Optional[dict]) -> CheckConfig:
         fiber_tol=tol if tol is not None else defaults.fiber_tol,
         algebraic_rel_tol=tol if tol is not None else defaults.algebraic_rel_tol,
         sdp_tol=tol if tol is not None else defaults.sdp_tol,
-        equality_tol=tol if tol is not None else defaults.equality_tol,
         sdp_max_iter=int(pick(args.max_iter, "max_iter", defaults.sdp_max_iter)),
         witness_trials=int(pick(args.trials, "trials", defaults.witness_trials)),
         ancilla_dims=None if ancilla is None else (int(ancilla),),
@@ -115,7 +114,6 @@ def _config_echo(cfg: CheckConfig, s: Scenario) -> dict:
         "algebraic_rel_tol": cfg.algebraic_rel_tol,
         "sdp_tol": cfg.sdp_tol,
         "sdp_max_iter": cfg.sdp_max_iter,
-        "equality_tol": cfg.equality_tol,
         "witness_trials": cfg.witness_trials,
         "ancilla_dims": list(cfg.resolved_ancillas(s)),
         "seed": cfg.seed,
@@ -169,7 +167,7 @@ def cmd_check(args) -> int:
 def cmd_construct(args) -> int:
     scenario, label, doc = _resolve_input(args.input)
     cfg = _build_config(args, doc)
-    gamma = construct_emergent(scenario, diagram_tol=cfg.fiber_tol, sdp_max_iter=cfg.sdp_max_iter)
+    gamma = construct_emergent(scenario, sdp_feasibility(scenario, cfg.sdp_max_iter, cfg.sdp_tol))
     if gamma is None:
         print(f"{label}: no CPTP effective dynamics exists for this scenario",
               file=sys.stderr)
@@ -279,7 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_check)
     p_check.set_defaults(func=cmd_check)
 
-    p_cons = sub.add_parser("construct", help="construct the effective channel")
+    p_cons = sub.add_parser(
+        "construct",
+        help="construct the effective channel: the feasibility SDP's point, made "
+        "trace preserving (--tol and --max-iter apply to that SDP)",
+    )
     p_cons.add_argument("input", help="registry name or scenario file")
     p_cons.add_argument("--out", metavar="PATH", help="write the channel here (default: stdout)")
     add_common(p_cons)

@@ -11,13 +11,14 @@ for every state rho:
    every Kraus operator, ``M_k u == V M_k`` (sufficient, not necessary);
 3. semidefinite feasibility of a CPTP effective map's Choi matrix, exact
    when the kernel check fails or the affine set is one point, and
-   otherwise decided by Dykstra alternating projections;
+   otherwise decided by Dykstra alternating projections; its feasible
+   point, made exactly trace preserving, is the effective channel;
 4. a randomized discrimination witness: a binary ensemble whose optimal
    guessing probability increases across the dynamics certifies that no
    CPTP effective map can exist.
 
 ``run_all`` aggregates the four verdicts, cross-checks their logical
-consistency, and constructs the effective channel when one exists.
+consistency, and returns the SDP's channel when one exists.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ from .rand import random_density_mat, random_pure_state_mat  # noqa: F401
 
 FIBER_TOL = 1e-8
 ALGEBRAIC_REL_TOL = 1e-8
-SDP_TOL = 1e-7
+# feasibility bounds ||A - A V V*||_F by sdp_tol, so with sdp_tol <= fiber_tol
+# a feasible SDP implies that the kernel check holds
+SDP_TOL = FIBER_TOL
 SDP_MAX_ITER = 20000
 SDP_STALL_WINDOW = 200
 SDP_STALL_RTOL = 1e-12
@@ -145,7 +148,6 @@ class CheckConfig:
     algebraic_rel_tol: float = ALGEBRAIC_REL_TOL
     sdp_tol: float = SDP_TOL
     sdp_max_iter: int = SDP_MAX_ITER
-    equality_tol: float = 1e-8
     witness_trials: int = 1000
     ancilla_dims: Optional[tuple[int, ...]] = None
     seed: int = 0
@@ -448,11 +450,27 @@ def search_witness(
     return None
 
 
-def _status(residual: float, tol: float) -> str:
-    """SDP status that a residual reads against tol."""
-    if residual <= tol:
-        return FEASIBLE
-    return INFEASIBLE if residual > 100 * tol else UNDECIDED
+def _channel(psd: np.ndarray, d: int) -> Optional[ChoiMatrix]:
+    """The channel at a PSD point J: the congruence by (tr_out J)^(-1/2) x I
+    makes J exactly trace preserving and keeps it PSD.  None while that
+    point is not a valid Choi matrix (tr_out J singular, as it cannot be
+    within a residual tol < 1 of the affine set)."""
+    w, vecs = np.linalg.eigh(partial_trace(psd, (d, d), keep="A"))
+    if w.min() <= 0:
+        return None
+    r = np.kron((vecs / np.sqrt(w)) @ vecs.conj().T, np.eye(d))
+    try:
+        return ChoiMatrix(d, d, hermitize(r @ psd @ r))
+    except (NotCP, ValueError):
+        return None
+
+
+def _decide(psd, residual: float, tol: float, d: int) -> tuple[str, Optional[ChoiMatrix]]:
+    """Status and channel of a PSD-projected point with its residual."""
+    choi = _channel(psd, d) if residual <= tol else None
+    if choi is not None:
+        return FEASIBLE, choi
+    return (INFEASIBLE if residual > 100 * tol else UNDECIDED), None
 
 
 def sdp_feasibility(
@@ -488,6 +506,12 @@ def sdp_feasibility(
     set is the one point T0) are decided exactly, at 0 iterations.  Else
     the loop runs at most ``max_iter`` times and says ``infeasible`` only
     once the residual stalls (relative change < 1e-12 over 200 iterations).
+
+    A ``feasible`` outcome carries the channel, and only it does: the
+    feasible point J after the congruence by (tr_out J)^(-1/2) x I, which
+    keeps it PSD, makes it exactly trace preserving and moves its diagram
+    residual by O(tol).  The loop goes on while a point within tol is not
+    yet a valid Choi matrix.
     """
     if max_iter < 1 or tol <= 0:
         raise ValueError("max_iter must be >= 1 and tol > 0")
@@ -514,7 +538,7 @@ def sdp_feasibility(
     iterations = 0
     if img.sigma.size == n:
         psd_point, _, residual = project(transfer_to_choi_mat(img.candidate, d, d))
-        status = _status(residual, tol)
+        status, choi = _decide(psd_point, residual, tol, d)
     else:
         w_hat = tp_row / np.sqrt(d)
         off_u = np.eye(n) - img.u @ img.u.conj().T
@@ -522,68 +546,33 @@ def sdp_feasibility(
         t0 = img.candidate + np.outer(w_hat, w_hat @ off_u)
         x = p = np.zeros((n, n), dtype=np.complex128)
         history: list[float] = []
-        status = UNDECIDED
+        status, choi = UNDECIDED, None
         for iterations in range(1, max_iter + 1):
             j_mat = x + p
             psd_point, t_y, residual = project(j_mat)
             p = j_mat - psd_point
             x = transfer_to_choi_mat(t0 + off_w @ t_y @ off_u, d, d)
             history.append(residual)
-            decided = _status(residual, tol)
+            decided, choi = _decide(psd_point, residual, tol, d)
             past = history[-SDP_STALL_WINDOW - 1] if iterations > SDP_STALL_WINDOW else np.inf
             stalled = abs(past - residual) <= SDP_STALL_RTOL * residual
-            if decided == FEASIBLE or (decided == INFEASIBLE and stalled):
+            if choi is not None or (decided == INFEASIBLE and stalled):
                 status = decided
                 break
-
-    choi = None
-    if status == FEASIBLE:
-        try:
-            choi = ChoiMatrix(d, d, hermitize(psd_point))
-        except (NotCP, ValueError):
-            # feasible only marginally; the iterate is not yet a valid channel
-            choi = None
     return SdpOutcome(status=status, residual=residual, iterations=iterations, choi=choi)
 
 
-def construct_emergent(
-    s: Scenario,
-    diagram_tol: float = FIBER_TOL,
-    sdp_max_iter: int = SDP_MAX_ITER,
-) -> Optional[KrausChannel]:
-    """Build the effective channel, or return None when none exists.
+def construct_emergent(s: Scenario, sdp: Optional[SdpOutcome] = None) -> Optional[KrausChannel]:
+    """The effective channel in Kraus form, or None when the SDP finds none.
 
-    The candidate transfer matrix is T_cg . T_u . pinv(T_cg): the
-    pseudoinverse realizes the (set-valued) inverse of the coarse-graining
-    on its image, and the candidate is the least-squares-optimal linear
-    effective map.  If it closes the diagram we test complete positivity
-    and trace preservation directly; a candidate that closes the diagram
-    but is not CPTP may still admit a CPTP completion off the image of the
-    coarse-graining, which the feasibility SDP then searches for.
-
-    Both come from the thin SVD T_cg = U S V* shared with the other
-    criteria: the candidate is ``(A V) S^-1 U*``, with A = T_cg . T_u the
-    transfer matrix of {M_k u}, and its diagram residual is
-    ``||A - A V V*||_F``.
+    The channel is the SDP's feasible point made exactly trace preserving
+    (see ``sdp_feasibility``), so it closes the square to the SDP's
+    tolerance.  ``sdp`` is an outcome of ``sdp_feasibility(s)``; without
+    one the SDP runs with its default tolerance and iteration cap.
     """
-    d = s.d
-    img = s._image
-    diagram_residual = frob(img.e)
-    if diagram_residual > diagram_tol:
-        return None
-
-    j_raw = transfer_to_choi_mat(img.candidate, d, d)
-    herm_err = frob(j_raw - j_raw.conj().T)
-    j_mat = hermitize(j_raw)
-    w_min = float(np.linalg.eigvalsh(j_mat).min())
-    tp_err = frob(partial_trace(j_mat, (d, d), keep="A") - np.eye(d))
-    if herm_err <= 1e-8 and w_min >= -1e-8 and tp_err <= 1e-8:
-        return choi_to_kraus(ChoiMatrix(d, d, j_mat))
-
-    out = sdp_feasibility(s, max_iter=sdp_max_iter, tol=1e-9)
-    if out.status == FEASIBLE and out.choi is not None:
-        return choi_to_kraus(out.choi)
-    return None
+    if sdp is None:
+        sdp = sdp_feasibility(s)
+    return None if sdp.choi is None else choi_to_kraus(sdp.choi)
 
 
 def diagram_distance(s: Scenario, gamma: KrausChannel) -> float:
@@ -640,9 +629,11 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
             if witness is not None:
                 break
 
-    emergent = construct_emergent(s, diagram_tol=cfg.fiber_tol, sdp_max_iter=cfg.sdp_max_iter)
+    emergent = construct_emergent(s, sdp)
     diag_res = diagram_distance(s, emergent) if emergent is not None else None
-    if diag_res is not None and diag_res > 1e-6:
+    # the channel's diagram residual is the SDP's, within tol, plus the O(tol)
+    # shift of its trace normalization; past 100*tol the SDP would say infeasible
+    if diag_res is not None and diag_res > 100 * cfg.sdp_tol:
         raise MethodDisagreement(
             f"constructed effective map fails to close the diagram: {diag_res:.3e}"
         )

@@ -9,6 +9,7 @@ instrumentation once to keep those names in place.
 from pathlib import Path
 
 from coarsekit import cli, compat
+from coarsekit.scenarios import registry
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -21,3 +22,20 @@ def test_benchmark_instrumentation_finds_every_name(monkeypatch):
     with spans.instrument(spans.Tracer()):
         assert compat.run_all is not before[0]
     assert (compat.run_all, compat.np, cli.cmd_check) == before
+
+
+def test_run_all_constructs_through_the_wrapped_name(monkeypatch):
+    # the compat.construct span wraps this name; run_all must call it once,
+    # with the SDP outcome it already holds, or the stage drops out of the trace
+    calls = []
+    real = compat.construct_emergent
+
+    def spy(*args, **kwargs):
+        calls.append((*args, *kwargs.values()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(compat, "construct_emergent", spy)
+    report = compat.run_all(registry()["spin-d3"].scenario, compat.CheckConfig(witness_trials=0))
+    assert len(calls) == 1
+    assert any(arg is report.sdp for arg in calls[0])
+    assert report.emergent is not None

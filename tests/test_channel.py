@@ -139,6 +139,20 @@ class TestChoi:
         # phase fixed: largest entry real positive
         assert frob(ch.kraus[0] - np.eye(2)) < 1e-12
 
+    def test_choi_to_kraus_phase_survives_rounding_among_tied_entries(self):
+        # every entry of the Hadamard has modulus 1/sqrt(2), so rounding alone
+        # would pick the pivot; the first entry in flat order is taken instead
+        choi = qc.unitary_channel(np.array([[1, 1], [1, -1]]) / S2).choi.mat
+        want = qc.choi_to_kraus(qc.ChoiMatrix(2, 2, choi)).kraus[0]
+        assert frob(want - np.array([[1, 1], [1, -1]]) / S2) < 1e-12
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            noise = (g + g.conj().T) / frob(g + g.conj().T)
+            got = qc.choi_to_kraus(qc.ChoiMatrix(2, 2, choi + 1e-15 * noise))
+            assert len(got.kraus) == 1
+            assert frob(got.kraus[0] - want) <= 1e-12
+
     def test_choi_to_kraus_depolarizing_count(self):
         ch = qc.choi_to_kraus(qc.ChoiMatrix(2, 2, np.eye(4) / 2))
         assert len(ch.kraus) == 4

@@ -5,6 +5,7 @@ import pytest
 
 from coarsekit.cli import main
 from coarsekit.io import dumps, matrix_to_json
+from coarsekit.scenarios import registry
 
 
 def write_json(path, doc):
@@ -161,6 +162,18 @@ class TestConstruct:
         from coarsekit.channel import KrausChannel, channels_equal, unitary_channel
 
         assert channels_equal(KrausChannel([got]), unitary_channel(u))
+
+    @pytest.mark.parametrize(
+        "name", [n for n, e in registry().items() if e.expected == "compatible"]
+    )
+    def test_same_kraus_as_check(self, name, tmp_path, capsys):
+        # both commands take the channel from the same SDP outcome
+        gamma_path, report_path = tmp_path / "gamma.json", tmp_path / "report.json"
+        assert main(["construct", name, "--out", str(gamma_path)]) == 0
+        assert main(["check", name, "--json", str(report_path), "--trials", "0"]) == 0
+        built = json.loads(gamma_path.read_text(encoding="utf-8"))["kraus"]
+        checked = json.loads(report_path.read_text(encoding="utf-8"))["emergent"]["kraus"]
+        assert dumps(built) == dumps(checked)
 
     def test_incompatible_exit_one(self, capsys):
         assert main(["construct", "example1-incompatible"]) == 1

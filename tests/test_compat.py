@@ -9,7 +9,7 @@ import coarsekit as ck
 from coarsekit import compat
 from coarsekit.channel import KrausChannel, transfer_to_choi_mat, unitary_channel
 from coarsekit.errors import DimensionMismatch, NotEquivalent, NumericalFailure
-from coarsekit.linalg import frob
+from coarsekit.linalg import frob, partial_trace
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 from coarsekit.scenarios import (
     emergent_spin_rotation,
@@ -140,6 +140,57 @@ class TestConstructEmergent:
             assert compat.diagram_distance(s, gamma) < 1e-6
 
 
+def measure_prepare(states, u):
+    """Measure in the computational basis, prepare states[i] on outcome i:
+    T_cg has rank at most d < d^2, and the map is not unital."""
+    eye = np.eye(len(states))
+    ops = [np.outer(psi / np.linalg.norm(psi), eye[i]) for i, psi in enumerate(states)]
+    return ck.Scenario(KrausChannel(ops), np.asarray(u, dtype=complex))
+
+
+class TestSinglePath:
+    """run_all decides and builds the channel with one SDP call."""
+
+    @pytest.fixture
+    def sdp_calls(self, monkeypatch):
+        calls = []
+        real = compat.sdp_feasibility
+
+        def spy(*args, **kwargs):
+            calls.append(real(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(compat, "sdp_feasibility", spy)
+        return calls
+
+    @pytest.mark.parametrize("tol", [compat.SDP_TOL, 1e-7, 1e-5])
+    def test_swapped_preparations_give_the_hadamard(self, sdp_calls, tol):
+        # prepare |0> or |+>; X swaps the outcomes, so the one effective
+        # channel swaps |0> and |+>: the Hadamard, reached by the loop
+        s = measure_prepare(np.array([[1, 0], [1, 1]]), [[0, 1], [1, 0]])
+        report = compat.run_all(s, compat.CheckConfig(sdp_tol=tol, witness_trials=0))
+        assert report.verdict == "compatible"
+        assert len(sdp_calls) == 1 and report.sdp.iterations > 0
+        assert report.diagram_residual <= 100 * tol
+        # the point is made exactly trace preserving: at tol = 1e-7 its trace
+        # error would otherwise fail the trace check of compose
+        tp = partial_trace(report.sdp.choi.mat, (2, 2), keep="A")
+        assert frob(tp - np.eye(2)) <= 1e-12
+        hadamard = unitary_channel(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+        assert frob(report.emergent.choi.mat - hadamard.choi.mat) <= 100 * tol
+        # given an outcome, construction runs no SDP of its own
+        assert compat.construct_emergent(s, report.sdp) is not None
+        assert len(sdp_calls) == 1
+
+    def test_undecided_cycle_runs_one_loop(self, sdp_calls):
+        # |0>, |0>+|1>, |0>+|1>+|2> cycled by a permutation
+        s = measure_prepare(np.tril(np.ones((3, 3))), np.roll(np.eye(3), 1, axis=0))
+        report = compat.run_all(s, compat.CheckConfig(witness_trials=0, sdp_max_iter=500))
+        assert report.verdict == compat.UNDECIDED
+        assert len(sdp_calls) == 1 and report.sdp.iterations == 500
+        assert report.emergent is None
+
+
 class TestSdpFeasibility:
     def test_identity_cg_feasible_with_unitary_choi(self):
         s = identity_scenario(dim=2, seed=5)
@@ -184,6 +235,14 @@ class TestSdpFeasibility:
         assert np.vdot(vec, j0 @ vec).real == pytest.approx(quotient, abs=1e-4)
         out = compat.sdp_feasibility(s)
         assert (out.status, out.iterations) == (compat.INFEASIBLE, 0)
+
+    def test_loop_goes_on_until_the_point_is_a_channel(self):
+        # at tol = 10 the loop's first point, J = 0, is within tol of the
+        # affine set, but tr_out J = 0 makes it no channel
+        s = example2(3, 2, [np.eye(3)] * 2, "none").scenario
+        out = compat.sdp_feasibility(s, tol=10.0)
+        assert (out.status, out.iterations) == (compat.FEASIBLE, 2)
+        assert out.choi is not None
 
     def test_feasible_implies_fiber(self):
         # one-directional sanity across a small mixed family
@@ -387,6 +446,51 @@ def test_planted_scenarios_compatible_without_iterating(d, env, seed):
     report = compat.run_all(s, compat.CheckConfig(witness_trials=4))
     assert report.verdict == "compatible"
     assert (report.sdp.status, report.sdp.iterations) == (compat.FEASIBLE, 0)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    d=st.integers(2, 3),
+    k=st.integers(1, 3),
+    planted=st.booleans(),
+    mixed=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_feasible_outcomes_carry_a_trace_preserving_channel(d, k, planted, mixed, seed):
+    if planted:
+        s = random_planted_scenario(d, k, seed).scenario
+    else:
+        rng = np.random.default_rng(seed)
+        s = example2(k, d, [haar_unitary(k, rng) for _ in range(d)], "none").scenario
+        if mixed:
+            # a Haar unitary across the blocks tears the fibers
+            s = ck.Scenario(s.cg, haar_unitary(k * d, rng))
+    out = compat.sdp_feasibility(s)
+    assert (out.status == compat.FEASIBLE) == (out.choi is not None)
+    if out.choi is not None:
+        assert frob(partial_trace(out.choi.mat, (d, d), keep="A") - np.eye(d)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", [n for n, e in REG.items() if e.expected == "compatible"])
+def test_verdict_flips_once_along_a_perturbed_unitary(name):
+    # for a generic H, u exp(i eps H) is incompatible at every eps > 0; along
+    # eps = 1e-10 .. 1e-4 the verdict must leave `compatible` once, where
+    # the kernel residual meets the tolerance, and never raise
+    # MethodDisagreement
+    s = REG[name].scenario
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=(s.D, s.D)) + 1j * rng.normal(size=(s.D, s.D))
+    w, v = np.linalg.eigh(g + g.conj().T)
+    w /= np.abs(w).max()
+    compatible, residuals = [], []
+    for eps in np.logspace(-10, -4, 25):
+        u = s.u @ (v * np.exp(1j * eps * w)) @ v.conj().T
+        report = compat.run_all(ck.Scenario(s.cg, u), compat.CheckConfig(witness_trials=0))
+        compatible.append(report.verdict == "compatible")
+        residuals.append(report.fiber_residual)
+    flip = compatible.index(False)
+    assert flip > 0 and not any(compatible[flip:])
+    assert compat.FIBER_TOL / 10 < residuals[flip] <= 10 * compat.FIBER_TOL
 
 
 class TestImplicationChain:
