@@ -111,7 +111,7 @@ class KrausChannel:
 
     @cached_property
     def transfer_mat(self) -> np.ndarray:
-        return sum(np.kron(op.conj(), op) for op in self.kraus)
+        return kraus_to_transfer_mat(self.kraus)
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,18 @@ def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
         v = vec(op)
         mat += np.outer(v, v.conj())
     return ChoiMatrix(ch.din, ch.dout, mat)
+
+
+def kraus_to_transfer_mat(ops) -> np.ndarray:
+    """Transfer matrix ``sum_k kron(K_k.conj(), K_k)`` of dout x din Kraus
+    operators, as one product: with X the operators flattened to rows
+    (K, dout din), ``conj(X)^T X`` holds conj(K[a, i]) K[b, j] at
+    ((a, i), (b, j)), which realigns to ((a, b), (i, j))."""
+    x = np.asarray(ops)
+    k, dout, din = x.shape
+    x = x.reshape(k, dout * din)
+    p = (x.conj().T @ x).reshape(dout, din, dout, din)
+    return p.transpose(0, 2, 1, 3).reshape(dout * dout, din * din)
 
 
 def _fix_phase(op: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ from .channel import (
     compose,
     connecting_unitary,
     channels_equal,
+    kraus_to_transfer_mat,
     transfer_to_choi_mat,
     unitary_channel,
 )
@@ -49,7 +50,7 @@ from .errors import (
     NotUnitary,
     NumericalFailure,
 )
-from .linalg import RANK_TOL, asmatrix, frob, hermitize, partial_trace, vec
+from .linalg import RANK_TOL, asmatrix, frob, hermitize, partial_trace
 from .rand import state_from_factor
 
 # No criterion calls these four; they stay importable from this module
@@ -86,6 +87,7 @@ class _Image(NamedTuple):
 
     u: np.ndarray  # d^2 x r
     sigma: np.ndarray  # r
+    a: np.ndarray  # d^2 x D^2
     av: np.ndarray  # d^2 x r
     e: np.ndarray  # d^2 x D^2
     candidate: np.ndarray  # d^2 x d^2
@@ -129,7 +131,7 @@ class Scenario:
     def _image(self) -> _Image:
         """One thin SVD of T_cg, shared by kernel invariance, the SDP and
         construction; computed on first use."""
-        a = sum(np.kron(m.conj(), m) for m in self._kraus_after)
+        a = kraus_to_transfer_mat(self._kraus_after)
         u, sigma, vh = np.linalg.svd(self.cg.transfer_mat, full_matrices=False)
         r = int(np.sum(sigma > RANK_TOL * sigma[0]))
         vh = vh[:r]
@@ -137,7 +139,7 @@ class Scenario:
         # with a trivial kernel A lies in the image exactly
         e = a - av @ vh if r < a.shape[1] else np.zeros_like(a)
         u, sigma = u[:, :r], sigma[:r]
-        return _Image(u, sigma, av, e, (av / sigma) @ u.conj().T)
+        return _Image(u, sigma, a, av, e, (av / sigma) @ u.conj().T)
 
 
 @dataclass(frozen=True)
@@ -227,22 +229,18 @@ def check_fiber_preservation(s: Scenario, tol: float = FIBER_TOL) -> tuple[bool,
 def _algebraic_lstsq(s: Scenario) -> tuple[np.ndarray, float, float]:
     """Least-squares solution of ``M_k u == V M_k`` over all Kraus operators.
 
-    Stacks the linear system for V (column-stacking convention) and returns
-    the minimum-norm solution, the joint residual, and the norm of the
-    right-hand side that the residual is judged against.
+    With the operators side by side, M = [M_1 ... M_K] and
+    B = [M_1 u ... M_K u] (d x K D), the system is V M = B, solved as
+    ``M^T V^T = B^T``: K D equations with d right-hand sides, one per row
+    of V.  Returns the minimum-norm solution, the joint residual
+    ``||B - V M||_F`` and the norm ``||B||_F`` of the right-hand side that
+    the residual is judged against.
     """
-    d = s.d
-    eye_d = np.eye(d)
-    mu = s._kraus_after
-    a = np.vstack([np.kron(m.T, eye_d) for m in s.cg.kraus])
-    b = np.concatenate([vec(mu_k) for mu_k in mu])
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    v = x.reshape(d, d, order="F")
-    residual = float(
-        np.sqrt(sum(frob(mu_k - v @ m) ** 2 for mu_k, m in zip(mu, s.cg.kraus)))
-    )
-    scale = float(np.sqrt(sum(frob(mu_k) ** 2 for mu_k in mu)))
-    return v, residual, scale
+    m_cat = np.hstack(s.cg.kraus)
+    b_cat = np.hstack(s._kraus_after)
+    vt, *_ = np.linalg.lstsq(m_cat.T, b_cat.T, rcond=None)
+    v = vt.T
+    return v, frob(b_cat - v @ m_cat), frob(b_cat)
 
 
 def solve_algebraic_V(
@@ -314,32 +312,51 @@ def _draw_batch(streams, dim: int, start: int, stop: int) -> _Draws:
     weights, the pure-state vectors and the Wishart factors.
 
     Each stream is read in trial order, so a trial's draws do not depend on
-    how trials are batched.  Each kind comes from one ``normal`` call: a
-    vector reads its real parts, then its imaginary parts, as
-    ``random_pure_state_mat`` does; a Wishart factor reads interleaved real
-    and imaginary parts, viewed as complex with no second buffer.
+    how trials are batched.  Each kind comes from one ``standard_normal``
+    call, whose values are those of ``normal(0, 1)``: a vector reads its
+    real parts, then its imaginary parts, as ``random_pure_state_mat``
+    does; a Wishart factor reads interleaved real and imaginary parts,
+    viewed as complex with no second buffer.
     """
     weights, vec_rng, mat_rng = streams
     pure = _TRIAL_KINDS[np.arange(start, stop) % len(_TRIAL_KINDS)].ravel()
     n_vecs = int(np.count_nonzero(pure))
-    re_im = vec_rng.normal(size=(n_vecs, 2, dim))
+    re_im = vec_rng.standard_normal(size=(n_vecs, 2, dim))
+    mats = mat_rng.standard_normal(size=(pure.size - n_vecs, dim, 2 * dim))
     return _Draws(
         p0=weights.uniform(0.2, 0.8, size=stop - start),
         pure=pure,
         vecs=(re_im[:, 0] + 1j * re_im[:, 1])[..., None],
-        mats=mat_rng.normal(size=(pure.size - n_vecs, dim, 2 * dim)).view(np.complex128),
+        mats=mats.view(np.complex128),
     )
 
 
-def _factor_bytes(s: Scenario, n: int, rank: int) -> int:
-    """Working set of one factor: G, its Kraus images on both paths with
-    their conjugate, and the per-operator Gram blocks."""
-    k, dn = len(s.cg.kraus), s.d * n
-    return 16 * (rank * (s.D * n + 4 * k * dn) + 2 * k * dn * dn)
+def _state_first(s: Scenario, n: int, rank: int) -> bool:
+    """Whether factors G of this rank take the state order, which costs
+    fewer multiply-adds: forming rho = G G* ((D n)^2 r) and applying the two
+    d^2 x D^2 transfer matrices to it (2 d^2 D^2 n^2), against pushing G
+    through the 2 K Kraus operators (2 K d D n r) and forming the images'
+    Gram blocks (2 K (d n)^2 r)."""
+    k, d, big = len(s.cg.kraus), s.d, s.D
+    images = 2 * k * d * big * n * rank + 2 * k * (d * n) ** 2 * rank
+    states = (big * n) ** 2 * rank + 2 * (d * big * n) ** 2
+    return states < images
+
+
+def _factor_bytes(s: Scenario, n: int, rank: int, state_first: bool) -> int:
+    """Working set of one factor: G and, in the state order, conj(G), the
+    state and its reordered rows, and the two products with their reordered
+    copy; in the image order, G's Kraus images on both paths with their
+    conjugate, and the per-operator Gram blocks."""
+    k, dn, big_n = len(s.cg.kraus), s.d * n, s.D * n
+    if state_first:
+        return 16 * (2 * rank * big_n + 2 * big_n**2 + 4 * dn * dn)
+    return 16 * (rank * (big_n + 4 * k * dn) + 2 * k * dn * dn)
 
 
 def _coarse_grams(s: Scenario, n: int, ops: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Coarse-grained Gram matrices of stacked factors, before and after u.
+    """Coarse-grained Gram matrices of stacked factors, before and after u,
+    in the image order.
 
     ``ops`` stacks {M_k} over {M_k u} as (2 K d, D) and ``g`` is (m, D n, r).
     Returns (m, 2, d n, d n) holding ``sum_k (A_k x I_n) G G* (A_k x I_n)*``
@@ -363,14 +380,42 @@ def _coarse_grams(s: Scenario, n: int, ops: np.ndarray, g: np.ndarray) -> np.nda
     return grams.reshape(m, 2, k, dn, dn).sum(axis=2)
 
 
+def _state_grams(s: Scenario, n: int, g: np.ndarray) -> np.ndarray:
+    """The Gram matrices of ``_coarse_grams``, in the state order.
+
+    Forms rho^T = conj(G) G^T for the stacked factors ``g`` (m, D n, r),
+    whose entries, read in row-major order, give the column-stacked vec of
+    each (a, c) system block of rho (a view when n = 1).  These vecs, the
+    rows of an (m n^2, D^2) matrix, go through T_cg and through A in one
+    product each for the whole chunk; a product row is the column-stacked
+    vec of ``sum_k M_k rho_ac M_k*`` (or with M_k u), the (a, c) block of
+    the (d n, d n) Gram matrix.
+    """
+    m = len(g)
+    d, big = s.d, s.D
+    rho_t = np.matmul(g.conj(), g.swapaxes(-1, -2))
+    rows = rho_t.reshape(m, big, n, big, n).transpose(0, 4, 2, 1, 3).reshape(-1, big * big)
+    if len(rows) == 1:
+        # a single row would go through gemv, whose rounding differs from
+        # gemm's, and a factor's result must not depend on its chunk
+        rows = np.concatenate([rows, np.zeros_like(rows)])
+    y = np.stack([rows @ t.T for t in (s.cg.transfer_mat, s._image.a)], axis=1)
+    # (m, a, c) x (path, j', i') -> (m, path, i' a, j' c)
+    y = y[: m * n * n].reshape(m, n, n, 2, d, d).transpose(0, 3, 5, 1, 4, 2)
+    return y.reshape(m, 2, d * n, d * n)
+
+
 def _guessing_probs(s: Scenario, n: int, ops: np.ndarray, draws: _Draws) -> np.ndarray:
     """Helstrom guessing probabilities (b, 2), before and after u, of the
     coarse-grained ensembles of a batch of drawn trials.
 
     Factors of one kind are pushed through together, in chunks that fit
-    _WITNESS_BATCH_BYTES; each factor G then enters with weight p/||G||_F^2,
-    which normalizes pure and Wishart states alike, and all 2 b Helstrom
-    operators go through one stacked ``eigvalsh``.
+    _WITNESS_BATCH_BYTES, in the image order (``_coarse_grams``, through
+    the Kraus operators ``ops``) or the state order (``_state_grams``),
+    whichever ``_state_first`` finds cheaper for their shape.  Each factor
+    G then enters with weight p/||G||_F^2, which normalizes pure and
+    Wishart states alike, and all 2 b Helstrom operators go through one
+    stacked ``eigvalsh``.
     """
     dn = s.d * n
     grams = np.empty((draws.pure.size, 2, dn, dn), dtype=np.complex128)
@@ -379,9 +424,13 @@ def _guessing_probs(s: Scenario, n: int, ops: np.ndarray, draws: _Draws) -> np.n
         idx = np.flatnonzero(slots)
         re_im = g.view(np.float64)
         norms[idx] = np.einsum("mij,mij->m", re_im, re_im)
-        chunk = max(1, _WITNESS_BATCH_BYTES // _factor_bytes(s, n, g.shape[-1]))
+        state_first = _state_first(s, n, g.shape[-1])
+        chunk = max(1, _WITNESS_BATCH_BYTES // _factor_bytes(s, n, g.shape[-1], state_first))
         for lo in range(0, len(g), chunk):
-            grams[idx[lo : lo + chunk]] = _coarse_grams(s, n, ops, g[lo : lo + chunk])
+            part = g[lo : lo + chunk]
+            grams[idx[lo : lo + chunk]] = (
+                _state_grams(s, n, part) if state_first else _coarse_grams(s, n, ops, part)
+            )
     p = np.column_stack([draws.p0, 1.0 - draws.p0]).ravel()
     grams *= (p / norms)[:, None, None, None]
     helstrom = grams[0::2] - grams[1::2]
@@ -402,18 +451,22 @@ def search_witness(
     and after the unitary.  Returns the first violation found; absence
     proves nothing, the test is one-sided.
 
-    States stay in factor form, rho = G G*/tr, and the coarse image is
-    ``Y Y*`` with Y the stacked Kraus operators {M_k} (before) or {M_k u}
-    (after) applied to the system factor of G; no lifted operator and no
-    density matrix on the (D n)-dimensional space is built in the trial
-    loop.  Trials run in batches that grow geometrically from one trial up
-    to the _WITNESS_BATCH_BYTES working set (the drawn factors and the
-    Gram and Helstrom blocks), and each batch's Helstrom eigenvalues come
-    from one stacked ``eigvalsh``.  The search spawns three streams from
-    ``SeedSequence([seed, ancilla_dim])``: the weights p0, the pure-state
-    vectors and the Wishart factors.  Each is read in trial order, a batch
-    at a time, so the result does not depend on the batching; the states
-    of the returned trial are rebuilt from their factors.
+    States are drawn in factor form, rho = G G*/tr, and no lifted operator
+    is built.  Each kind of factor (pure vectors, Wishart matrices) takes
+    the contraction order with fewer multiply-adds for its shape
+    (D, d, n, K, r; see ``_state_first``): Kraus images first, G through
+    {M_k} (before) and {M_k u} (after) and then the images' Gram blocks
+    ``Y Y*``, or the state first, rho = G G* (the size of a Wishart
+    factor) through T_cg and the transfer matrix of {M_k u}, a chunk of
+    factors at a time.  Trials run in batches that grow geometrically from
+    one trial up to the _WITNESS_BATCH_BYTES working set (the drawn factors
+    and the Gram and Helstrom blocks), and each batch's Helstrom
+    eigenvalues come from one stacked ``eigvalsh``.  The search spawns
+    three streams from ``SeedSequence([seed, ancilla_dim])``: the weights
+    p0, the pure-state vectors and the Wishart factors.  Each is read in
+    trial order, a batch at a time, so the result does not depend on the
+    batching; the states of the returned trial are rebuilt from their
+    factors.
     """
     if trials < 1 or ancilla_dim < 1:
         raise ValueError("trials and ancilla_dim must be >= 1")
@@ -576,10 +629,17 @@ def construct_emergent(s: Scenario, sdp: Optional[SdpOutcome] = None) -> Optiona
 
 
 def diagram_distance(s: Scenario, gamma: KrausChannel) -> float:
-    """Choi-space distance between gamma(cg(.)) and cg(u . u*)."""
-    left = compose(gamma, s.cg)
-    right = compose(s.cg, unitary_channel(s.u))
-    return frob(left.choi.mat - right.choi.mat)
+    """Choi-space distance between gamma(cg(.)) and cg(u . u*).
+
+    A Choi matrix is a realignment of its transfer matrix, so the distance
+    is ``||T_gamma T_cg - A||_F`` with A the transfer matrix of {M_k u};
+    no composed channel is formed.
+    """
+    if (gamma.din, gamma.dout) != (s.d, s.d):
+        raise DimensionMismatch(
+            f"gamma must act on dimension {s.d}, got {gamma.din}->{gamma.dout}"
+        )
+    return frob(gamma.transfer_mat @ s.cg.transfer_mat - s._image.a)
 
 
 def verify_kraus_equivalence(

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import coarsekit as ck
 from coarsekit import compat
-from coarsekit.channel import KrausChannel, transfer_to_choi_mat, unitary_channel
+from coarsekit.channel import KrausChannel, compose, transfer_to_choi_mat, unitary_channel
 from coarsekit.errors import DimensionMismatch, NotEquivalent, NumericalFailure
-from coarsekit.linalg import frob, partial_trace
+from coarsekit.linalg import frob, partial_trace, vec
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 from coarsekit.scenarios import (
     emergent_spin_rotation,
@@ -65,7 +65,51 @@ class TestFiberPreservation:
         assert abs(res - res_remixed) < 1e-10
 
 
+def _dephasing(k, d=4, seed=0):
+    rng = np.random.default_rng(seed)
+    return example2(k, d, [haar_unitary(k, rng) for _ in range(d)], "none").scenario
+
+
+# scenarios of every kind the criteria meet: registry, planted, random,
+# rank-deficient dephasing with block and Haar unitaries, identity
+ORACLE_CASES = [
+    *(pytest.param(ns.scenario, id=name) for name, ns in REG.items()),
+    pytest.param(random_planted_scenario(2, 3, 0).scenario, id="planted-2-3"),
+    pytest.param(random_planted_scenario(4, 4, 1).scenario, id="planted-4-4"),
+    pytest.param(random_scenario(8, 2, 4, 0).scenario, id="random-8-2-4"),
+    pytest.param(random_scenario(16, 4, 4, 1).scenario, id="random-16-4-4"),
+    pytest.param(_dephasing(3), id="dephasing-3-4-block"),
+    pytest.param(
+        ck.Scenario(_dephasing(3).cg, haar_unitary(12, np.random.default_rng(1))),
+        id="dephasing-3-4-haar",
+    ),
+    pytest.param(identity_scenario(dim=3, seed=1), id="identity-3"),
+]
+
+
+def _kron_lstsq(s):
+    """The stacked column-stacking system (M_k^T x I_d) vec(V) = vec(M_k u)
+    over all k, with its joint residual and right-hand-side norm."""
+    d = s.d
+    mu = [m @ s.u for m in s.cg.kraus]
+    a = np.vstack([np.kron(m.T, np.eye(d)) for m in s.cg.kraus])
+    b = np.concatenate([vec(mu_k) for mu_k in mu])
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    v = x.reshape(d, d, order="F")
+    residual = np.sqrt(sum(frob(mu_k - v @ m) ** 2 for mu_k, m in zip(mu, s.cg.kraus)))
+    scale = np.sqrt(sum(frob(mu_k) ** 2 for mu_k in mu))
+    return v, residual, scale
+
+
 class TestAlgebraic:
+    @pytest.mark.parametrize("s", ORACLE_CASES)
+    def test_matches_the_kron_system(self, s):
+        v, residual, scale = compat._algebraic_lstsq(s)
+        v_ref, residual_ref, scale_ref = _kron_lstsq(s)
+        assert frob(v - v_ref) <= 1e-12 * max(1.0, frob(v_ref))
+        assert abs(residual - residual_ref) <= 1e-12 * scale_ref
+        assert abs(scale - scale_ref) <= 1e-12 * scale_ref
+
     def test_identity_cg_gives_v_equal_u(self):
         s = identity_scenario(dim=3, seed=1)
         v, res = compat.solve_algebraic_V(s)
@@ -138,6 +182,33 @@ class TestConstructEmergent:
             gamma = compat.construct_emergent(s)
             assert gamma is not None, name
             assert compat.diagram_distance(s, gamma) < 1e-6
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            *(pytest.param(REG[name].scenario, id=name)
+              for name in ("example1-compatible", "example2-compatible", "spin-d3")),
+            *(pytest.param(random_planted_scenario(d, e, seed).scenario, id=f"planted-{d}-{e}")
+              for d, e, seed in ((2, 3, 0), (3, 2, 1), (4, 4, 2))),
+        ],
+    )
+    def test_diagram_distance_matches_the_composed_channels(self, s):
+        def composed(gamma):
+            left = compose(gamma, s.cg)
+            right = compose(s.cg, unitary_channel(s.u))
+            return frob(left.choi.mat - right.choi.mat)
+
+        gamma = compat.construct_emergent(s)
+        # a channel that does not close the square is measured alike
+        other = KrausChannel(random_kraus_ops(s.d, s.d, 2, np.random.default_rng(s.D)))
+        assert composed(other) > 0.1
+        for g in (gamma, other):
+            assert abs(compat.diagram_distance(s, g) - composed(g)) <= 1e-12
+
+    def test_diagram_distance_dimension_check(self):
+        s = REG["spin-d3"].scenario
+        with pytest.raises(DimensionMismatch):
+            compat.diagram_distance(s, unitary_channel(np.eye(3)))
 
 
 def measure_prepare(states, u):
@@ -567,6 +638,26 @@ def test_witness_kraus_images_stay_within_the_batch_bytes():
     tracemalloc.start()
     try:
         assert compat.search_witness(s, 4, s.D, seed=0) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < factors + gram_blocks + 2 * compat._WITNESS_BATCH_BYTES
+
+
+def test_witness_states_stay_within_the_batch_bytes():
+    # dephasing at D = 32 with ancilla 1: every Wishart factor takes the
+    # state order, whose states (16 KiB each) are formed a chunk at a time
+    s = _dephasing(8)
+    assert compat._state_first(s, 1, s.D)
+    # the transfer matrices are the scenario's cached state, not the search's
+    s._image, s.cg.transfer_mat
+    # a batch holds at most this many trials: two factors and four Gram blocks each
+    batch = compat._WITNESS_BATCH_BYTES // (16 * (2 * s.D**2 + 6 * s.d**2))
+    factors = 2 * batch * 16 * s.D**2
+    gram_blocks = 4 * batch * 16 * s.d**2
+    tracemalloc.start()
+    try:
+        assert compat.search_witness(s, 8 * batch, 1, seed=0) is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

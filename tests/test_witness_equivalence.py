@@ -6,7 +6,10 @@ The reference is the plain trial-by-trial search: each state is built as a
 ``SeedSequence([seed, ancilla_dim])`` (weights, pure-state vectors, Wishart
 factors) in trial order; the reference draws one trial at a time, the search
 a batch at a time, so they must return the same trial with bit-identical
-states; guessing probabilities may differ by rounding.
+states; guessing probabilities may differ by rounding.  The search takes
+each kind of factor through the cheaper of two contraction orders (Kraus
+images first, or the state first through the transfer matrices); the two
+are also checked against each other.
 """
 
 import itertools
@@ -17,7 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsekit import compat
-from coarsekit.scenarios import _rotation, example1, random_scenario, registry
+from coarsekit.rand import haar_unitary
+from coarsekit.scenarios import (
+    _rotation,
+    example1,
+    example2,
+    random_planted_scenario,
+    random_scenario,
+    registry,
+)
 
 REG = registry()
 PG_TOL = 1e-12
@@ -157,9 +168,21 @@ def test_small_budget_full_search(monkeypatch, budget):
     assert_matches_dense(REG["example2-compatible"].scenario, 40, 4, seed=0)
 
 
-def test_every_trial_probability_matches_dense():
-    s = REG["example1-incompatible"].scenario
-    n, seed = s.d, 3
+def _dephasing(k=4, d=4):
+    # at ancilla 1 (D = 16, K = 16) every Wishart factor takes the state order
+    rng = np.random.default_rng(3)
+    return example2(k, d, [haar_unitary(k, rng) for _ in range(d)], "none").scenario
+
+
+@pytest.mark.parametrize(
+    "s,n",
+    [
+        pytest.param(REG["example1-incompatible"].scenario, 2, id="example1-incompatible-anc2"),
+        pytest.param(_dephasing(), 1, id="dephasing-4-4-anc1"),
+    ],
+)
+def test_every_trial_probability_matches_dense(s, n):
+    seed = 3
     ops = np.concatenate([*s.cg.kraus, *(m @ s.u for m in s.cg.kraus)])
     draws = compat._draw_batch(_search_streams(seed, n), s.D * n, 0, 24)
     pg = compat._guessing_probs(s, n, ops, draws)
@@ -188,6 +211,10 @@ def _batching_cases():
         yield pytest.param(REG[name].scenario, 300, n, seed, id=case.id)
     yield pytest.param(random_scenario(8, 2, 4, seed=0).scenario, 100, 2, 0, id="random-8-2-4")
     yield pytest.param(_near_compatible(), 200, 2, 1, id="near-compatible")
+    yield pytest.param(_dephasing(), 300, 1, 0, id="dephasing-4-4-anc1")
+    # the same coarse-graining after a Haar unitary: a witness at trial 6
+    haar = compat.Scenario(_dephasing().cg, haar_unitary(16, np.random.default_rng(1)))
+    yield pytest.param(haar, 300, 1, 2, id="dephasing-4-4-haar-anc1")
 
 
 def _outcome(w):
@@ -204,6 +231,53 @@ def test_witness_does_not_depend_on_batching(monkeypatch, s, trials, n, seed):
         monkeypatch.setattr(compat, "_WITNESS_BATCH_BYTES", budget)
         found.append(_outcome(compat.search_witness(s, trials, n, seed)))
     assert found.count(found[0]) == len(found)
+
+
+def _order_cases():
+    for name, ns in REG.items():
+        yield pytest.param(ns.scenario, id=name)
+    yield pytest.param(_dephasing(), id="dephasing-4-4")
+    yield pytest.param(random_scenario(8, 2, 4, seed=0).scenario, id="random-8-2-4")
+    yield pytest.param(random_planted_scenario(2, 3, 0).scenario, id="planted-2-3")
+
+
+@pytest.mark.parametrize("s", list(_order_cases()))
+def test_both_orders_give_the_same_grams(s):
+    rng = np.random.default_rng(0)
+    ops = np.concatenate([*s.cg.kraus, *(m @ s.u for m in s.cg.kraus)])
+    for n in sorted({1, 2, s.d, s.D}):
+        for rank in (1, s.D * n):
+            g = rng.standard_normal((3, s.D * n, 2 * rank)).view(np.complex128)
+            g /= np.linalg.norm(g, axis=(1, 2))[:, None, None]
+            images = compat._coarse_grams(s, n, ops, g)
+            states = compat._state_grams(s, n, g)
+            assert np.abs(images - states).max() <= 1e-12
+            # one factor alone gives the bits it gives in a chunk
+            assert np.array_equal(compat._state_grams(s, n, g[:1])[0], states[0])
+
+
+def test_order_follows_the_cost(monkeypatch):
+    k8 = _dephasing(8)  # D = 32, K = 32
+    assert compat._state_first(k8, 1, k8.D)
+    assert not compat._state_first(k8, 1, 1)
+    planted = random_planted_scenario(4, 8, 0).scenario  # D = 32, K = 8
+    assert not compat._state_first(planted, planted.D, planted.D**2)
+    # the search sends each kind of factor down the order chosen for it
+    ranks = {"state": set(), "image": set()}
+    state_grams, coarse_grams = compat._state_grams, compat._coarse_grams
+
+    def spy_state(s, n, g):
+        ranks["state"].add(g.shape[-1])
+        return state_grams(s, n, g)
+
+    def spy_image(s, n, ops, g):
+        ranks["image"].add(g.shape[-1])
+        return coarse_grams(s, n, ops, g)
+
+    monkeypatch.setattr(compat, "_state_grams", spy_state)
+    monkeypatch.setattr(compat, "_coarse_grams", spy_image)
+    compat.search_witness(k8, 8, 1, seed=0)
+    assert ranks == {"state": {k8.D}, "image": {1}}
 
 
 @settings(max_examples=40, deadline=None, database=None)
