@@ -91,7 +91,8 @@ class KrausChannel:
         if any(op.shape != (dout, din) for op in ops):
             raise DimensionMismatch("all Kraus operators must share one shape")
         if require_tp:
-            gram = sum(op.conj().T @ op for op in ops)
+            x = np.concatenate(ops)
+            gram = x.conj().T @ x
             err = frob(gram - np.eye(din))
             if err > tp_tol:
                 raise ValueError(f"not trace preserving: ||sum K*K - I|| = {err:.3e}")
@@ -241,10 +242,15 @@ def dual(ch: KrausChannel) -> KrausChannel:
 
 
 def channels_equal(a: KrausChannel, b: KrausChannel, tol: float = EQ_TOL) -> bool:
-    """True iff the Choi matrices agree within Frobenius distance tol."""
+    """True iff the Choi matrices agree within Frobenius distance tol.
+
+    The distance is taken between the transfer matrices, one product each:
+    a Choi matrix only permutes its transfer matrix's entries, so the
+    Frobenius distance is the same.
+    """
     if (a.din, a.dout) != (b.din, b.dout):
         raise DimensionMismatch("channels act between different spaces")
-    return frob(a.choi.mat - b.choi.mat) <= tol
+    return frob(a.transfer_mat - b.transfer_mat) <= tol
 
 
 def connecting_unitary(a: KrausChannel, b: KrausChannel, tol: float = EQ_TOL) -> np.ndarray:

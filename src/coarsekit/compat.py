@@ -33,14 +33,13 @@ from .channel import (
     ChoiMatrix,
     DensityMatrix,
     KrausChannel,
+    TP_TOL,
     choi_to_kraus,
     choi_to_transfer_mat,
     compose,
     connecting_unitary,
-    channels_equal,
     kraus_to_transfer_mat,
     transfer_to_choi_mat,
-    unitary_channel,
 )
 from .errors import (
     DimensionMismatch,
@@ -81,9 +80,10 @@ UNDECIDED = "undecided"
 
 class _Image(NamedTuple):
     """The coarse-graining's transfer matrix T_cg = U diag(sigma) V*, cut at
-    rank r, and the transfer matrix A of {M_k u} split along V: ``av = A V``
-    and the part of A outside the image, ``e = A - A V V*``; ``candidate``
-    is the effective transfer matrix ``(A V) diag(sigma)^-1 U*``."""
+    rank r and taken through a QR of T_cg* (see ``Scenario._image``), and
+    the transfer matrix A of {M_k u} split along V: ``av = A V`` and the
+    part of A outside the image, ``e = A - A V V*``; ``candidate`` is the
+    effective transfer matrix ``(A V) diag(sigma)^-1 U*``."""
 
     u: np.ndarray  # d^2 x r
     sigma: np.ndarray  # r
@@ -130,14 +130,20 @@ class Scenario:
     @cached_property
     def _image(self) -> _Image:
         """One thin SVD of T_cg, shared by kernel invariance, the SDP and
-        construction; computed on first use."""
+        construction; computed on first use.  It goes through a reduced QR
+        of the tall T_cg* = Q R and an SVD of the d^2 x d^2 factor
+        R* = U S W*, so V = Q W.  Both steps are backward stable, so the
+        rank cut sees the wide SVD's singular values; T_cg T_cg* would
+        lose those below sqrt(eps) S_0."""
         a = kraus_to_transfer_mat(self._kraus_after)
-        u, sigma, vh = np.linalg.svd(self.cg.transfer_mat, full_matrices=False)
+        q, r_fac = np.linalg.qr(self.cg.transfer_mat.conj().T)
+        u, sigma, wh = np.linalg.svd(r_fac.conj().T)
         r = int(np.sum(sigma > RANK_TOL * sigma[0]))
-        vh = vh[:r]
-        av = a @ vh.conj().T
-        # with a trivial kernel A lies in the image exactly
-        e = a - av @ vh if r < a.shape[1] else np.zeros_like(a)
+        w = wh[:r].conj().T
+        av = (a @ q) @ w
+        # with a trivial kernel A lies in the image exactly; V V* = Q W W* Q*
+        # needs no D^2 x r array V
+        e = a - (av @ w.conj().T) @ q.conj().T if r < a.shape[1] else np.zeros_like(a)
         u, sigma = u[:, :r], sigma[:r]
         return _Image(u, sigma, a, av, e, (av / sigma) @ u.conj().T)
 
@@ -219,10 +225,13 @@ def check_fiber_preservation(s: Scenario, tol: float = FIBER_TOL) -> tuple[bool,
 
     With the thin SVD T_cg = U S V* (rank r <= d^2), the kernel is the
     complement of V, and T_cg . T_u = A is the d^2 x D^2 transfer matrix of
-    {M_k u}, so the residual is ``||A - A V V*||_2``; no D^2 x D^2 array is
-    formed.
+    {M_k u}, so the residual is ``||E||_2`` with E = A - A V V*, taken as
+    sqrt(lambda_max(E E*)) from one d^2 x d^2 ``eigvalsh``: a Gram of E
+    alone keeps its largest singular value to a few ulps.  No D^2 x D^2
+    array is formed.
     """
-    residual = float(np.linalg.norm(s._image.e, 2))
+    e = s._image.e
+    residual = float(np.sqrt(max(np.linalg.eigvalsh(e @ e.conj().T)[-1], 0.0)))
     return residual <= tol, residual
 
 
@@ -265,7 +274,9 @@ def verify_dual_identity(s: Scenario, v) -> float:
     vm = asmatrix(v)
     if vm.shape != (s.d, s.d):
         raise DimensionMismatch(f"V must be {s.d}x{s.d}, got {vm.shape}")
-    rebuilt = sum(m.conj().T @ vm @ m for m in s.cg.kraus)
+    # with X the operators stacked as (K d, D), the sum is X* (V M_k stacked)
+    x = np.asarray(s.cg.kraus)
+    rebuilt = x.reshape(-1, s.D).conj().T @ (vm @ x).reshape(-1, s.D)
     return frob(s.u - rebuilt)
 
 
@@ -657,9 +668,8 @@ def verify_kraus_equivalence(
             f"gamma must act on dimension {s.d}, got {gamma.din}->{gamma.dout}"
         )
     upper = compose(gamma, s.cg)
-    lower = compose(s.cg, unitary_channel(s.u))
-    if not channels_equal(upper, lower, tol):
-        return False, None
+    # cg after u: the channel with Kraus operators M_k u
+    lower = KrausChannel(s._kraus_after, tp_tol=10 * TP_TOL)
     try:
         v = connecting_unitary(upper, lower, tol)
     except (NotEquivalent, NumericalFailure):

@@ -291,6 +291,24 @@ class TestEquivalence:
         flip = qc.unitary_channel(np.array([[0, 1], [1, 0]], dtype=complex))
         assert not qc.channels_equal(ident, flip)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distance_is_the_choi_distance(self, seed):
+        # the oracle: Choi matrices built from vec(K) outer products
+        def choi(ch):
+            return sum(np.outer(vec(op), vec(op).conj()) for op in ch.kraus)
+
+        din, dout = [(2, 2), (3, 2), (4, 3)][seed % 3]
+        a = rand_channel(din, dout, 2 + seed % 3, 400 + seed)
+        b = rand_channel(din, dout, 3, 500 + seed)
+        # a second pair a small step apart, so the distance lands near tol
+        near = qc.KrausChannel([np.sqrt(1 - 1e-9) * op for op in a.kraus]
+                               + [np.sqrt(1e-9) * op for op in b.kraus])
+        for x, y in ((a, b), (a, near)):
+            want = frob(choi(x) - choi(y))
+            assert abs(frob(x.transfer_mat - y.transfer_mat) - want) <= 1e-12
+            assert qc.channels_equal(x, y, tol=2 * want)
+            assert not qc.channels_equal(x, y, tol=want / 2)
+
     def test_equivalence_relation_properties(self):
         chans = [rand_channel(2, 2, 2, 50 + k) for k in range(4)]
         for ch in chans:

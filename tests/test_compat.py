@@ -414,6 +414,14 @@ class TestKrausEquivalence:
             assert not ok
             assert v is None
 
+    def test_gamma_that_misses_the_square_is_rejected(self):
+        # spin-d3 is compatible, with the rotation by pi/2; the rotation by
+        # pi/3 is a channel, but not the one that closes the square
+        s = REG["spin-d3"].scenario
+        gamma = unitary_channel(emergent_spin_rotation(np.pi / 3, (0, 0, 1)))
+        assert compat.diagram_distance(s, gamma) > 1e-2
+        assert compat.verify_kraus_equivalence(s, gamma) == (False, None)
+
     @pytest.mark.parametrize("error", [NotEquivalent("differ"), NumericalFailure("residual")])
     def test_connecting_unitary_failure_rejects(self, monkeypatch, error):
         def fail(*args, **kwargs):

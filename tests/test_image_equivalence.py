@@ -24,10 +24,11 @@ from coarsekit.channel import (
     KrausChannel,
     choi_to_kraus,
     choi_to_transfer_mat,
+    kraus_to_transfer_mat,
     transfer_to_choi_mat,
 )
-from coarsekit.linalg import frob, hermitize, kernel_basis, partial_trace, pinv
-from coarsekit.rand import haar_unitary
+from coarsekit.linalg import RANK_TOL, frob, hermitize, kernel_basis, partial_trace, pinv
+from coarsekit.rand import haar_unitary, random_kraus_ops
 from coarsekit.scenarios import (
     example2,
     random_planted_scenario,
@@ -252,3 +253,58 @@ def test_cases_cover_both_sides_of_the_rank_question():
     ranks = {case: CASES[case]()._image.sigma.size for case in CASES}
     assert ranks["dephasing-block"] == ranks["dephasing-haar"] == 2
     assert ranks["random-D4-s0"] == 4
+
+
+def _noisy_dephasing(eps):
+    """(1 - eps) times a rank-4 dephasing of D = 8 onto d = 4 (example2 with
+    no coherences), mixed with eps times a random full-rank channel: T_cg
+    has 4 singular values of order 1 and 12 of order eps."""
+    rng = np.random.default_rng(3)
+    named = example2(2, 4, [haar_unitary(2, rng) for _ in range(4)], "none")
+    noise = random_kraus_ops(8, 4, 4, rng)
+    ops = [np.sqrt(1 - eps) * m for m in named.scenario.cg.kraus]
+    ops += [np.sqrt(eps) * m for m in noise]
+    return compat.Scenario(KrausChannel(ops), named.scenario.u)
+
+
+@pytest.mark.parametrize("eps, rank", [(1e-6, 16), (1e-9, 16), (1e-11, 4), (1e-13, 4)])
+def test_image_resolves_the_rank_of_the_wide_svd(eps, rank):
+    s = _noisy_dephasing(eps)
+    t_cg = s.cg.transfer_mat
+    u, sigma, vh = np.linalg.svd(t_cg, full_matrices=False)
+    r = int(np.sum(sigma > RANK_TOL * sigma[0]))
+    assert r == rank
+    u, sigma, vh = u[:, :r], sigma[:r], vh[:r]
+    a = kraus_to_transfer_mat(s._kraus_after)
+    av = a @ vh.conj().T
+    candidate = (av / sigma) @ u.conj().T
+    img = s._image
+    assert img.sigma.size == r
+    assert np.abs(img.sigma - sigma).max() <= TOL
+    assert frob(img.av @ img.av.conj().T - av @ av.conj().T) <= TOL
+    # the candidate is determined to eps sigma_0 / sigma_r off the image, by
+    # either SVD, and to rounding on it
+    assert frob((img.candidate - candidate) @ t_cg) <= TOL
+    assert frob(img.candidate - candidate) <= TOL * sigma[0] / sigma[-1]
+    _, residual = compat.check_fiber_preservation(s)
+    assert abs(residual - np.linalg.norm(a - av @ vh, 2)) <= TOL
+    # the Gram route squares the singular values: those of order eps fall
+    # under rounding, so its rank is wrong whenever they are near the cut
+    gram = np.linalg.eigvalsh(t_cg @ t_cg.conj().T)
+    gram_rank = int(np.sum(gram > (RANK_TOL * sigma[0]) ** 2))
+    assert (gram_rank == r) == (eps == 1e-6)
+
+
+@pytest.mark.parametrize("name", [n for n, e in registry().items() if e.expected == "compatible"])
+def test_kernel_residual_is_the_spectral_norm(name):
+    # along u exp(i eps H) the residual runs from rounding to order one
+    s = registry()[name].scenario
+    rng = np.random.default_rng(1)
+    g = rng.normal(size=(s.D, s.D)) + 1j * rng.normal(size=(s.D, s.D))
+    w, v = np.linalg.eigh(g + g.conj().T)
+    w /= np.abs(w).max()
+    for eps in np.logspace(-14, -1, 27):
+        perturbed = compat.Scenario(s.cg, s.u @ (v * np.exp(1j * eps * w)) @ v.conj().T)
+        _, residual = compat.check_fiber_preservation(perturbed)
+        want = np.linalg.norm(perturbed._image.e, 2)
+        assert abs(residual - want) <= TOL * want
