@@ -65,8 +65,8 @@ def _load_json(path: str) -> dict:
 
 def _resolve_input(name_or_path: str) -> tuple[Scenario, str, Optional[dict]]:
     """Registry name or scenario file -> (scenario, label, raw document)."""
-    reg = registry()
-    if name_or_path in reg:
+    reg = registry(name_or_path)
+    if reg:
         return reg[name_or_path].scenario, name_or_path, None
     doc = _load_json(name_or_path)
     return scenario_from_json(doc), name_or_path, doc
@@ -148,7 +148,9 @@ def cmd_check(args) -> int:
         print(f"  dual-identity residual : {_e(report.dual_identity_residual)}")
         print(f"  sdp feasibility : {report.sdp.status}"
               f"   residual {_e(report.sdp.residual)}   iterations {report.sdp.iterations}")
-        if report.witness is None:
+        if report.emergent is not None:
+            print("  witness search : skipped (the effective channel closes the square)")
+        elif report.witness is None:
             print(f"  witness search : none found"
                   f"   (trials={cfg.witness_trials}, ancillas={cfg.resolved_ancillas(scenario)})")
         else:
@@ -265,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="override the decision tolerances of all criteria")
         p.add_argument("--trials", type=int, default=None,
-                       help="witness-search trials per ancilla dimension (0 disables)")
+                       help="witness-search trials per ancilla dimension, spent only when "
+                       "no effective channel is built (0 disables)")
         p.add_argument("--ancilla", type=int, default=None,
                        help="restrict the witness search to one ancilla dimension")
         p.add_argument("--max-iter", type=int, default=None, dest="max_iter",

@@ -275,8 +275,12 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
-def registry() -> dict[str, NamedScenario]:
-    """The built-in named scenarios, keyed by their CLI identifiers."""
+def registry(name: str | None = None) -> dict[str, NamedScenario]:
+    """The built-in named scenarios, keyed by their CLI identifiers.
+
+    With ``name``, only that entry is built and returned (an empty dict
+    when no entry has that name).
+    """
     s2 = np.sqrt(2.0)
     hadamard = np.array([[1, 1], [1, -1]], dtype=np.complex128) / s2
 
@@ -289,13 +293,13 @@ def registry() -> dict[str, NamedScenario]:
     block = _rotation(0.4)
     block_off = f2 @ _rotation(np.pi / 3) @ f2.conj().T @ block
 
-    entries = [
-        example1(u2_ok, name="example1-compatible"),
-        example1(u2_bad, name="example1-incompatible"),
-        example2(2, 2, [block, block], "full", name="example2-compatible"),
-        example2(2, 2, [block, block_off], "full", name="example2-incompatible"),
-        spin_dichotomization(3, np.pi / 2, (0.0, 0.0, 1.0), name="spin-d3"),
-    ]
-    out = {e.name: e for e in entries}
-    assert len(out) == len(entries), "registry names must be unique"
-    return out
+    builders = {
+        "example1-compatible": lambda n: example1(u2_ok, name=n),
+        "example1-incompatible": lambda n: example1(u2_bad, name=n),
+        "example2-compatible": lambda n: example2(2, 2, [block, block], "full", name=n),
+        "example2-incompatible": lambda n: example2(2, 2, [block, block_off], "full", name=n),
+        "spin-d3": lambda n: spin_dichotomization(3, np.pi / 2, (0.0, 0.0, 1.0), name=n),
+    }
+    if name is not None:
+        builders = {name: builders[name]} if name in builders else {}
+    return {n: build(n) for n, build in builders.items()}

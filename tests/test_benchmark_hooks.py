@@ -39,3 +39,18 @@ def test_run_all_constructs_through_the_wrapped_name(monkeypatch):
     assert len(calls) == 1
     assert any(arg is report.sdp for arg in calls[0])
     assert report.emergent is not None
+
+
+def test_check_resolves_registry_names_through_the_wrapped_name(monkeypatch, capsys):
+    # the scenarios.generate span wraps cli.registry; a check of a registry
+    # name must build its scenario through it, and only that one
+    calls = []
+    real = cli.registry
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "registry", spy)
+    assert cli.main(["check", "spin-d3", "--trials", "0"]) == 0
+    assert calls == [("spin-d3",)]

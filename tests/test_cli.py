@@ -121,6 +121,41 @@ class TestCheck:
         assert doc["witness"] is not None
         assert doc["witness"]["pg_after"] > doc["witness"]["pg_before"]
 
+    def test_compatible_check_says_the_search_was_skipped(self, capsys):
+        assert main(["check", "spin-d3"]) == 0
+        out = capsys.readouterr().out
+        assert "witness search : skipped (the effective channel closes the square)" in out
+        assert "none found" not in out
+
+    def test_undecided_check_says_none_found(self, tmp_path, capsys):
+        path = tmp_path / "almost.json"
+        write_json(path, almost_compatible_doc())
+        assert main(["check", str(path), "--trials", "0"]) == 2
+        assert "witness search : none found   (trials=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name", [n for n, e in registry().items() if e.expected == "compatible"]
+    )
+    def test_compatible_report_does_not_depend_on_the_budget(self, name, tmp_path, capsys):
+        # the search is skipped, so only the echoed budget differs
+        default, zero = tmp_path / "default.json", tmp_path / "zero.json"
+        assert main(["check", name, "--json", str(default)]) == 0
+        assert main(["check", name, "--json", str(zero), "--trials", "0"]) == 0
+        a = json.loads(default.read_text(encoding="utf-8"))
+        b = json.loads(zero.read_text(encoding="utf-8"))
+        assert (a["config"].pop("witness_trials"), b["config"].pop("witness_trials")) == (1000, 0)
+        assert a == b
+
+    def test_registry_name_builds_only_its_scenario(self, monkeypatch, capsys):
+        from coarsekit import scenarios
+
+        def boom(*args, **kwargs):
+            raise AssertionError("built a scenario that was not asked for")
+
+        monkeypatch.setattr(scenarios, "example1", boom)
+        monkeypatch.setattr(scenarios, "example2", boom)
+        assert main(["check", "spin-d3", "--trials", "0"]) == 0
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COARSEKIT_SEED", "17")
         report_path = tmp_path / "env.json"

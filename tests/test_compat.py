@@ -477,6 +477,101 @@ class TestRunAll:
         assert report.verdict == "compatible"
 
 
+COMPATIBLE_NAMES = [n for n, e in REG.items() if e.expected == "compatible"]
+
+
+class TestWitnessSkip:
+    """run_all searches for a witness only when no channel closes the square."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        real = compat.search_witness
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(compat, "search_witness", spy)
+        return calls
+
+    @pytest.mark.parametrize("name", COMPATIBLE_NAMES)
+    def test_compatible_decision_does_not_search(self, monkeypatch, name):
+        calls = self.spy(monkeypatch)
+        report = compat.run_all(REG[name].scenario)
+        assert report.verdict == "compatible"
+        assert calls == []
+        assert report.witness is None
+        assert report.method_agreement["witness_implies_no_emergent"]
+
+    def test_incompatible_decision_searches(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        report = compat.run_all(REG["example1-incompatible"].scenario)
+        assert report.verdict == "incompatible"
+        assert len(calls) >= 1
+        assert report.witness is not None
+
+
+def _witness_bound(s, diagram_residual):
+    """The largest guessing-probability gain any ensemble can show when a
+    channel closes the square to ``diagram_residual``: sqrt(d D) delta / 2."""
+    return 0.5 * np.sqrt(s.d * s.D) * diagram_residual
+
+
+@st.composite
+def compatible_scenarios(draw):
+    if draw(st.booleans()):
+        return REG[draw(st.sampled_from(COMPATIBLE_NAMES))].scenario
+    d = draw(st.integers(2, 3))
+    env = draw(st.integers(1, 12 // d))
+    return random_planted_scenario(d, env, draw(st.integers(0, 2**31 - 1))).scenario
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(s=compatible_scenarios(), which=st.integers(0, 2), seed=st.integers(0, 2**31 - 1))
+def test_no_witness_beats_the_diagram_bound(s, which, seed):
+    report = compat.run_all(s, compat.CheckConfig(witness_trials=0))
+    assert report.verdict == "compatible"
+    ancilla = (1, s.d, s.D)[which]
+    w = compat.search_witness(s, 16, ancilla, seed)
+    assert w is None or w.gap <= _witness_bound(s, report.diagram_residual)
+
+
+def _lifted(kraus, x, n):
+    ops = [np.kron(k, np.eye(n)) for k in kraus]
+    return sum(k @ x @ k.conj().T for k in ops)
+
+
+def _trace_norm(x):
+    return float(np.abs(np.linalg.eigvalsh(x)).sum())
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    s=compatible_scenarios(),
+    which=st.integers(0, 2),
+    mix=st.floats(1e-6, 0.5),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_the_bound_holds_for_a_channel_off_the_square(s, which, mix, seed):
+    # the derivation in run_all's docstring, for a gamma that misses the
+    # square by a non-trivial delta: the two paths' guessing probabilities
+    # differ by at most sqrt(d D) delta / 2 on every ensemble
+    rng = np.random.default_rng(seed)
+    gamma = compat.construct_emergent(s)
+    noise = random_kraus_ops(s.d, s.d, 2, rng)
+    mixed = KrausChannel([np.sqrt(1 - mix) * k for k in gamma.kraus]
+                         + [np.sqrt(mix) * k for k in noise])
+    bound = _witness_bound(s, compat.diagram_distance(s, mixed))
+    upper = [g @ m for g in mixed.kraus for m in s.cg.kraus]
+    n = (1, s.d, s.D)[which]
+    for _ in range(4):
+        p0 = rng.uniform(0.2, 0.8)
+        x = p0 * random_density_mat(s.D * n, rng) - (1 - p0) * random_density_mat(s.D * n, rng)
+        gap = 0.5 * (_trace_norm(_lifted(s._kraus_after, x, n)) - _trace_norm(_lifted(upper, x, n)))
+        assert abs(gap) <= bound + 1e-12
+
+
 def test_fiber_vs_sdp_cooccurrence_recorded():
     """Only the proven direction is asserted (feasible => fiber preserved).
 

@@ -251,6 +251,20 @@ class TestRegistry:
             "spin-d3",
         }
 
+    def test_one_name_builds_that_entry(self):
+        every = registry()
+        for name, ns in every.items():
+            one = registry(name)
+            assert list(one) == [name]
+            got = one[name]
+            assert (got.name, got.expected, got.notes) == (ns.name, ns.expected, ns.notes)
+            assert np.array_equal(got.scenario.u, ns.scenario.u)
+            for a, b in zip(got.scenario.cg.kraus, ns.scenario.cg.kraus, strict=True):
+                assert np.array_equal(a, b)
+
+    def test_unknown_name_gives_no_entry(self):
+        assert registry("no-such-scenario") == {}
+
     def test_expected_verdicts_hold(self):
         cfg = compat.CheckConfig(witness_trials=150)
         for name, ns in registry().items():
