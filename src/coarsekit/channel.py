@@ -8,8 +8,8 @@ Conventions, fixed package-wide:
   (input x output) with the input factor as the major index, hence trace
   preservation reads ``partial_trace(choi, (din, dout), keep="A") == I``.
 
-Channels are stored as Kraus lists; the other two forms are derived on
-demand and cached.  All values are immutable after construction.
+Channels are stored as one read-only (K, dout, din) Kraus stack; the other
+two forms are derived on demand and cached.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     NotUnitary,
     NumericalFailure,
 )
-from .linalg import RANK_TOL, asmatrix, frob, hermitize, partial_trace, pinv, unvec, vec
+from .linalg import RANK_TOL, asmatrix, frob, hermitize, partial_trace, pinv
 
 TP_TOL = 1e-9
 CP_TOL = 1e-8
@@ -37,7 +37,7 @@ PHASE_TIE_RTOL = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.complex128, copy=True)
+    out = np.array(a, dtype=np.complex128, order="C")
     out.setflags(write=False)
     return out
 
@@ -77,23 +77,32 @@ class DensityMatrix:
 
 
 class KrausChannel:
-    """A linear map given by a Kraus list, trace preserving by default.
+    """A linear map given by Kraus operators, trace preserving by default.
 
+    ``kraus`` is a read-only, C-contiguous (K, dout, din) complex copy of
+    the operators given (an iterable of matrices or a 3-D array).
     ``require_tp=False`` admits non-TP Kraus maps (used for channel duals,
     which are unital instead).
     """
 
     def __init__(self, kraus, *, require_tp: bool = True, tp_tol: float = TP_TOL):
-        ops = tuple(_freeze(asmatrix(k)) for k in kraus)
-        if not ops:
+        kraus = kraus if isinstance(kraus, np.ndarray) else list(kraus)
+        if len(kraus) == 0:
             raise ValueError("at least one Kraus operator required")
-        dout, din = ops[0].shape
-        if any(op.shape != (dout, din) for op in ops):
-            raise DimensionMismatch("all Kraus operators must share one shape")
+        try:
+            ops = _freeze(kraus)
+        except ValueError as exc:
+            if len({np.shape(k) for k in kraus}) > 1:
+                raise DimensionMismatch("all Kraus operators must share one shape") from exc
+            raise
+        if ops.ndim != 3:
+            raise DimensionMismatch(f"Kraus operators must be matrices, got ndim={ops.ndim - 1}")
+        if not np.isfinite(ops).all():
+            raise ValueError("Kraus operators contain NaN or Inf entries")
+        _, dout, din = ops.shape
         if require_tp:
-            x = np.concatenate(ops)
-            gram = x.conj().T @ x
-            err = frob(gram - np.eye(din))
+            x = ops.reshape(-1, din)
+            err = frob(x.conj().T @ x - np.eye(din))
             if err > tp_tol:
                 raise ValueError(f"not trace preserving: ||sum K*K - I|| = {err:.3e}")
         self.kraus = ops
@@ -144,7 +153,7 @@ def apply(ch: KrausChannel, rho):
     raw = rho.mat if isinstance(rho, DensityMatrix) else asmatrix(rho)
     if raw.shape != (ch.din, ch.din):
         raise DimensionMismatch(f"state has dim {raw.shape}, channel expects {ch.din}")
-    out = sum(op @ raw @ op.conj().T for op in ch.kraus)
+    out = (ch.kraus @ raw @ ch.kraus.conj().swapaxes(1, 2)).sum(axis=0)
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(out)
     return out
@@ -160,54 +169,50 @@ def unitary_channel(u, tol: float = 1e-9) -> KrausChannel:
     return KrausChannel([m])
 
 
+def _vecs(ops: np.ndarray) -> np.ndarray:
+    """The column-stacked vecs of a (K, dout, din) stack, as K rows."""
+    return ops.swapaxes(1, 2).reshape(len(ops), -1)
+
+
 def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
-    n = ch.din * ch.dout
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for op in ch.kraus:
-        v = vec(op)
-        mat += np.outer(v, v.conj())
-    return ChoiMatrix(ch.din, ch.dout, mat)
+    """``sum_k vec(K_k) vec(K_k)*``, one product of the stacked vecs."""
+    x = _vecs(ch.kraus)
+    return ChoiMatrix(ch.din, ch.dout, x.T @ x.conj())
 
 
-def kraus_to_transfer_mat(ops) -> np.ndarray:
-    """Transfer matrix ``sum_k kron(K_k.conj(), K_k)`` of dout x din Kraus
-    operators, as one product: with X the operators flattened to rows
+def kraus_to_transfer_mat(ops: np.ndarray) -> np.ndarray:
+    """Transfer matrix ``sum_k kron(K_k.conj(), K_k)`` of a (K, dout, din)
+    stack, as one product: with X the operators flattened to rows
     (K, dout din), ``conj(X)^T X`` holds conj(K[a, i]) K[b, j] at
     ((a, i), (b, j)), which realigns to ((a, b), (i, j))."""
-    x = np.asarray(ops)
-    k, dout, din = x.shape
-    x = x.reshape(k, dout * din)
+    k, dout, din = ops.shape
+    x = ops.reshape(k, dout * din)
     p = (x.conj().T @ x).reshape(dout, din, dout, din)
     return p.transpose(0, 2, 1, 3).reshape(dout * dout, din * din)
-
-
-def _fix_phase(op: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the pivot is real >= 0: the first entry, in
-    flat (row-major) order, whose modulus is within a relative PHASE_TIE_RTOL
-    of the largest, so rounding cannot choose among tied entries."""
-    mod = np.abs(op).ravel()
-    if mod.max() == 0:
-        return op
-    pivot = op.flat[np.argmax(mod >= (1 - PHASE_TIE_RTOL) * mod.max())]
-    return op * (pivot.conjugate() / abs(pivot))
 
 
 def choi_to_kraus(c: ChoiMatrix, rank_tol: float = RANK_TOL) -> KrausChannel:
     """Kraus operators from the Choi eigendecomposition.
 
-    One operator per eigenvalue above ``rank_tol * max_eigenvalue``; each is
-    phase-fixed so tests are deterministic.  Raises NotCP on eigenvalues
-    below ``-1e-8``.
+    One operator per eigenvalue above ``rank_tol * max_eigenvalue`` (so
+    none is zero); each is phase-fixed so tests are deterministic: its pivot,
+    the first entry in flat (row-major) order whose modulus is within a
+    relative PHASE_TIE_RTOL of the largest, is made real >= 0, so rounding
+    cannot choose among tied entries.  Raises NotCP below ``-1e-8``.
     """
     w, v = np.linalg.eigh(hermitize(c.mat))
     if w.min() < -CP_TOL:
         raise NotCP(f"Choi eigenvalue {w.min():.3e} < -{CP_TOL}")
-    cutoff = rank_tol * max(w.max(), 0.0)
-    ops = [
-        _fix_phase(unvec(np.sqrt(lam) * v[:, k], c.dout, c.din))
-        for k, lam in enumerate(w)
-        if lam > cutoff
-    ]
+    keep = w > rank_tol * max(w.max(), 0.0)
+    # column k of v is vec(K_k), the column-stacking of a dout x din operator
+    cols = v[:, keep] * np.sqrt(w[keep])
+    flat = cols.T.reshape(-1, c.din, c.dout).swapaxes(1, 2).reshape(len(cols.T), -1)
+    mod = np.abs(flat)
+    pivot_at = np.argmax(mod >= (1 - PHASE_TIE_RTOL) * mod.max(axis=1, keepdims=True), axis=1)
+    pivot = flat[np.arange(len(flat)), pivot_at]
+    # hypot rounds as abs() of one complex scalar does; np.abs of an array may not
+    phase = pivot.conj() / np.hypot(pivot.real, pivot.imag)
+    ops = (flat * phase[:, None]).reshape(-1, c.dout, c.din)
     # eigendecomposition reproduces TP only as well as the Choi satisfied it
     return KrausChannel(ops, tp_tol=10 * CHOI_TP_TOL)
 
@@ -230,15 +235,13 @@ def compose(later: KrausChannel, earlier: KrausChannel) -> KrausChannel:
         raise DimensionMismatch(
             f"cannot compose: earlier.dout={earlier.dout}, later.din={later.din}"
         )
-    ops = [lo @ eo for lo in later.kraus for eo in earlier.kraus]
-    return KrausChannel(ops, tp_tol=10 * TP_TOL)
+    ops = later.kraus[:, None] @ earlier.kraus[None]
+    return KrausChannel(ops.reshape(-1, later.dout, earlier.din), tp_tol=10 * TP_TOL)
 
 
 def dual(ch: KrausChannel) -> KrausChannel:
     """Heisenberg-picture adjoint, Kraus set {K*}; unital rather than TP."""
-    return KrausChannel(
-        [op.conj().T for op in ch.kraus], require_tp=False
-    )
+    return KrausChannel(ch.kraus.conj().swapaxes(1, 2), require_tp=False)
 
 
 def channels_equal(a: KrausChannel, b: KrausChannel, tol: float = EQ_TOL) -> bool:
@@ -268,9 +271,8 @@ def connecting_unitary(a: KrausChannel, b: KrausChannel, tol: float = EQ_TOL) ->
     if not channels_equal(a, b, tol):
         raise NotEquivalent("channels differ; no connecting unitary exists")
     n = max(len(a.kraus), len(b.kraus))
-    va, vb = (np.column_stack([vec(op) for op in ch.kraus]) for ch in (a, b))
     # zero columns stand for the zero operators that pad the shorter list
-    va, vb = (np.pad(v, ((0, 0), (0, n - v.shape[1]))) for v in (va, vb))
+    va, vb = (np.pad(_vecs(ch.kraus).T, ((0, 0), (0, n - len(ch)))) for ch in (a, b))
     wt = pinv(vb) @ va
     p, _, qh = np.linalg.svd(wt)
     w = (p @ qh).T

@@ -124,9 +124,11 @@ class Scenario:
         return self.cg.dout
 
     @cached_property
-    def _kraus_after(self) -> tuple[np.ndarray, ...]:
-        """The Kraus operators {M_k u} of the coarse-graining after u."""
-        return tuple(m @ self.u for m in self.cg.kraus)
+    def _kraus_after(self) -> np.ndarray:
+        """The coarse-graining after u: the read-only (K, d, D) stack {M_k u}."""
+        ops = self.cg.kraus @ self.u
+        ops.setflags(write=False)
+        return ops
 
     @cached_property
     def _image(self) -> _Image:
@@ -246,8 +248,7 @@ def _algebraic_lstsq(s: Scenario) -> tuple[np.ndarray, float, float]:
     ``||B - V M||_F`` and the norm ``||B||_F`` of the right-hand side that
     the residual is judged against.
     """
-    m_cat = np.hstack(s.cg.kraus)
-    b_cat = np.hstack(s._kraus_after)
+    m_cat, b_cat = (x.transpose(1, 0, 2).reshape(s.d, -1) for x in (s.cg.kraus, s._kraus_after))
     vt, *_ = np.linalg.lstsq(m_cat.T, b_cat.T, rcond=None)
     v = vt.T
     return v, frob(b_cat - v @ m_cat), frob(b_cat)
@@ -276,8 +277,7 @@ def verify_dual_identity(s: Scenario, v) -> float:
     if vm.shape != (s.d, s.d):
         raise DimensionMismatch(f"V must be {s.d}x{s.d}, got {vm.shape}")
     # with X the operators stacked as (K d, D), the sum is X* (V M_k stacked)
-    x = np.asarray(s.cg.kraus)
-    rebuilt = x.reshape(-1, s.D).conj().T @ (vm @ x).reshape(-1, s.D)
+    rebuilt = s.cg.kraus.reshape(-1, s.D).conj().T @ (vm @ s.cg.kraus).reshape(-1, s.D)
     return frob(s.u - rebuilt)
 
 
@@ -484,7 +484,7 @@ def search_witness(
         raise ValueError("trials and ancilla_dim must be >= 1")
     n = ancilla_dim
     dim = s.D * n
-    ops = np.concatenate([*s.cg.kraus, *s._kraus_after])
+    ops = np.concatenate([s.cg.kraus, s._kraus_after]).reshape(-1, s.D)
     streams = [
         np.random.default_rng(child)
         for child in np.random.SeedSequence([seed, ancilla_dim]).spawn(3)
@@ -645,13 +645,16 @@ def diagram_distance(s: Scenario, gamma: KrausChannel) -> float:
 
     A Choi matrix is a realignment of its transfer matrix, so the distance
     is ``||T_gamma T_cg - A||_F`` with A the transfer matrix of {M_k u};
-    no composed channel is formed.
+    no composed channel is formed.  With T_cg = U S V*, the rows of
+    E = A - A V V* are orthogonal to V, so the square distance is
+    ``||T_gamma U S - A V||_F^2 + ||E||_F^2``: no d^2 x D^2 product either.
     """
     if (gamma.din, gamma.dout) != (s.d, s.d):
         raise DimensionMismatch(
             f"gamma must act on dimension {s.d}, got {gamma.din}->{gamma.dout}"
         )
-    return frob(gamma.transfer_mat @ s.cg.transfer_mat - s._image.a)
+    img = s._image
+    return float(np.hypot(frob(gamma.transfer_mat @ (img.u * img.sigma) - img.av), frob(img.e)))
 
 
 def verify_kraus_equivalence(

@@ -24,25 +24,30 @@ class ParseError(ValueError):
     """Malformed input file: bad JSON, missing keys, wrong shapes."""
 
 
-def complex_to_json(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [[complex_to_json(z) for z in row] for row in np.asarray(m)]
+def matrix_to_json(m: np.ndarray) -> list:
+    """Entries as [re, im] pairs; a (K, rows, cols) stack gives K matrices."""
+    a = np.asarray(m, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def real_matrix_to_json(m: np.ndarray) -> list[list[float]]:
     return [[float(x) for x in row] for row in np.asarray(m)]
 
 
+def _complex_from_json(entry: Any) -> complex:
+    """An ``[re, im]`` pair of two real numbers; a bool is not a number here."""
+    if not isinstance(entry, list) or len(entry) != 2 or any(
+        isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry
+    ):
+        raise ValueError(f"not an [re, im] pair: {entry!r}")
+    return complex(*entry)
+
+
 def matrix_from_json(data: Any, what: str = "matrix") -> np.ndarray:
     try:
-        rows = []
-        for row in data:
-            rows.append([complex(entry[0], entry[1]) for entry in row])
-        m = np.array(rows, dtype=np.complex128)
-    except (TypeError, IndexError, ValueError) as exc:
+        m = np.array([[_complex_from_json(entry) for entry in row] for row in data],
+                     dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what}: expected nested rows of [re, im] pairs") from exc
     if m.ndim != 2:
         raise ParseError(f"{what}: not a matrix")
@@ -68,7 +73,7 @@ def scenario_to_json(s: Scenario, name: Optional[str] = None) -> dict:
         "version": FORMAT_VERSION,
         "D": s.D,
         "d": s.d,
-        "kraus": [matrix_to_json(k) for k in s.cg.kraus],
+        "kraus": matrix_to_json(s.cg.kraus),
         "unitary": matrix_to_json(s.u),
     }
     if name:
@@ -169,7 +174,7 @@ def report_to_json(report: CompatReport, scenario_label: str, config: dict) -> d
         "witness": None if report.witness is None else witness_to_json(report.witness),
         "emergent": None
         if report.emergent is None
-        else {"kraus": [matrix_to_json(k) for k in report.emergent.kraus]},
+        else {"kraus": matrix_to_json(report.emergent.kraus)},
         "diagram_residual": report.diagram_residual,
         "method_agreement": dict(report.method_agreement),
     }
@@ -180,5 +185,5 @@ def channel_to_json(ch: KrausChannel) -> dict:
         "version": FORMAT_VERSION,
         "din": ch.din,
         "dout": ch.dout,
-        "kraus": [matrix_to_json(k) for k in ch.kraus],
+        "kraus": matrix_to_json(ch.kraus),
     }

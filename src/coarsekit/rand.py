@@ -39,8 +39,9 @@ def random_density_mat(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_kraus_ops(
     din: int, dout: int, kraus_count: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Kraus operators of a random CPTP map via a Haar isometry.
+) -> np.ndarray:
+    """Kraus operators of a random CPTP map via a Haar isometry, as a
+    (kraus_count, dout, din) stack.
 
     Embeds the input into output x environment with a Haar-random isometry
     and traces out a ``kraus_count``-dimensional environment.
@@ -54,4 +55,4 @@ def random_kraus_ops(
         )
     big = haar_unitary(dout * kraus_count, rng)
     isometry = big[:, :din]
-    return [isometry[k * dout : (k + 1) * dout, :] for k in range(kraus_count)]
+    return isometry.reshape(kraus_count, dout, din)

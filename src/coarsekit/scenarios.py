@@ -112,19 +112,12 @@ def example2(
     for j, blk in enumerate(blocks):
         u[j * k : (j + 1) * k, j * k : (j + 1) * k] = blk
 
-    # bras of the local Fourier vectors, one per (row i, block j)
-    def bra(i, j):
-        row = np.zeros(big, dtype=np.complex128)
-        row[j * k : (j + 1) * k] = f[:, i].conj()
-        return row
-
+    # row j of an operator reads block j through the bra of local Fourier
+    # vector i: one operator per i, or per (i, j) when coherences are cut
+    levels = np.arange(d)
     if coherence_mode == "full":
-        ops = []
-        for i in range(k):
-            op = np.zeros((d, big), dtype=np.complex128)
-            for j in range(d):
-                op[j, :] = bra(i, j)
-            ops.append(op)
+        ops = np.zeros((k, d, d, k), dtype=np.complex128)
+        ops[:, levels, levels] = f.conj().T[:, None]
         in_fourier = [f.conj().T @ blk @ f for blk in blocks]
         ref = in_fourier[0]
         ok = True
@@ -137,18 +130,14 @@ def example2(
         expected = COMPATIBLE if ok else INCOMPATIBLE
         notes = "compatible iff all blocks coincide in their local Fourier bases up to a phase"
     else:
-        ops = []
-        for i in range(k):
-            for j in range(d):
-                op = np.zeros((d, big), dtype=np.complex128)
-                op[j, :] = bra(i, j)
-                ops.append(op)
+        ops = np.zeros((k, d, d, d, k), dtype=np.complex128)
+        ops[:, levels, levels, levels] = f.conj().T[:, None]
         expected = COMPATIBLE
         notes = "decohered image keeps only block populations; any block-diagonal unitary passes"
 
     return NamedScenario(
         name=name,
-        scenario=Scenario(KrausChannel(ops), u),
+        scenario=Scenario(KrausChannel(ops.reshape(-1, d, big)), u),
         expected=expected,
         notes=notes,
     )
@@ -260,7 +249,7 @@ def random_planted_scenario(
     rng = np.random.default_rng(seed)
     w = haar_unitary(big_dim, rng)
     v = haar_unitary(small_dim, rng)
-    ops = [w[k::env_dim, :] for k in range(env_dim)]
+    ops = w.reshape(small_dim, env_dim, big_dim).swapaxes(0, 1)
     u = w.conj().T @ np.kron(v, np.eye(env_dim)) @ w
     return NamedScenario(
         name=name or f"planted-d{small_dim}-e{env_dim}-s{seed}",

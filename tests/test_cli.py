@@ -68,6 +68,19 @@ class TestCheck:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["check", str(bad)]) == 64
 
+    @pytest.mark.parametrize(
+        "entry",
+        [[1, 0, 7], [True, False], [1, True], [1], [], ["1", "0"], [1, None], 1, "1"],
+        ids=repr,
+    )
+    def test_complex_entry_not_a_real_pair_exit_64(self, entry, tmp_path):
+        # the first entry of the identity read as 1 would pass every check
+        doc = scenario_doc([np.eye(2)], np.eye(2))
+        doc["unitary"][0][0] = entry
+        path = tmp_path / "entry.json"
+        write_json(path, doc)
+        assert main(["check", str(path)]) == 64
+
     def test_invariant_violation_exit_65(self, tmp_path):
         doc = scenario_doc([np.eye(2) * 0.5], np.eye(2))
         path = tmp_path / "non_tp.json"

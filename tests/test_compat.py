@@ -190,6 +190,12 @@ class TestConstructEmergent:
               for name in ("example1-compatible", "example2-compatible", "spin-d3")),
             *(pytest.param(random_planted_scenario(d, e, seed).scenario, id=f"planted-{d}-{e}")
               for d, e, seed in ((2, 3, 0), (3, 2, 1), (4, 4, 2))),
+            # rank-deficient with a kernel that u does not keep: no channel,
+            # and the part of A outside the image is not zero
+            pytest.param(
+                ck.Scenario(_dephasing(3).cg, haar_unitary(12, np.random.default_rng(1))),
+                id="dephasing-3-4-haar",
+            ),
         ],
     )
     def test_diagram_distance_matches_the_composed_channels(self, s):
@@ -198,12 +204,18 @@ class TestConstructEmergent:
             right = compose(s.cg, unitary_channel(s.u))
             return frob(left.choi.mat - right.choi.mat)
 
+        def product(gamma):
+            # the distance as the full d^2 x D^2 product of transfer matrices
+            return frob(gamma.transfer_mat @ s.cg.transfer_mat - s._image.a)
+
         gamma = compat.construct_emergent(s)
         # a channel that does not close the square is measured alike
         other = KrausChannel(random_kraus_ops(s.d, s.d, 2, np.random.default_rng(s.D)))
         assert composed(other) > 0.1
-        for g in (gamma, other):
-            assert abs(compat.diagram_distance(s, g) - composed(g)) <= 1e-12
+        for g in (other,) if gamma is None else (gamma, other):
+            got = compat.diagram_distance(s, g)
+            assert abs(got - composed(g)) <= 1e-12
+            assert abs(got - product(g)) <= 1e-12 * max(1.0, product(g))
 
     def test_diagram_distance_dimension_check(self):
         s = REG["spin-d3"].scenario
