@@ -24,10 +24,9 @@ from .errors import (
     NotCP,
     NotEquivalent,
     NotHermitian,
-    NotUnitary,
     NumericalFailure,
 )
-from .linalg import RANK_TOL, asmatrix, frob, hermitize, partial_trace, pinv
+from .linalg import RANK_TOL, asmatrix, frob, hermitize, partial_trace, pinv, require_unitary
 
 TP_TOL = 1e-9
 CP_TOL = 1e-8
@@ -70,10 +69,6 @@ class DensityMatrix:
         v = np.asarray(state, dtype=np.complex128).ravel()
         v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim) / dim)
 
 
 class KrausChannel:
@@ -159,14 +154,9 @@ def apply(ch: KrausChannel, rho):
     return out
 
 
-def unitary_channel(u, tol: float = 1e-9) -> KrausChannel:
+def unitary_channel(u) -> KrausChannel:
     """Channel rho -> u rho u* for a unitary u."""
-    m = asmatrix(u)
-    if m.shape[0] != m.shape[1]:
-        raise NotUnitary(f"unitary must be square, got {m.shape}")
-    if frob(m.conj().T @ m - np.eye(m.shape[0])) > tol:
-        raise NotUnitary("u*u deviates from the identity")
-    return KrausChannel([m])
+    return KrausChannel([require_unitary(u, "u")])
 
 
 def _vecs(ops: np.ndarray) -> np.ndarray:
@@ -198,11 +188,9 @@ def choi_to_kraus(c: ChoiMatrix, rank_tol: float = RANK_TOL) -> KrausChannel:
     none is zero); each is phase-fixed so tests are deterministic: its pivot,
     the first entry in flat (row-major) order whose modulus is within a
     relative PHASE_TIE_RTOL of the largest, is made real >= 0, so rounding
-    cannot choose among tied entries.  Raises NotCP below ``-1e-8``.
+    cannot choose among tied entries.  ``c`` is CP by construction.
     """
     w, v = np.linalg.eigh(hermitize(c.mat))
-    if w.min() < -CP_TOL:
-        raise NotCP(f"Choi eigenvalue {w.min():.3e} < -{CP_TOL}")
     keep = w > rank_tol * max(w.max(), 0.0)
     # column k of v is vec(K_k), the column-stacking of a dout x din operator
     cols = v[:, keep] * np.sqrt(w[keep])

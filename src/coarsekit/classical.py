@@ -172,12 +172,10 @@ def observational_vs_do(m: DoModel, x: int) -> tuple[np.ndarray, np.ndarray]:
     The two differ exactly when A confounds X and B; conditioning keeps the
     backdoor path open while intervening severs it.
     """
-    if not 0 <= x < m.n_x:
-        raise IndexOutOfRange(f"x={x} outside alphabet of size {m.n_x}")
+    do = do_intervention(m, x)  # checks that x lies in the alphabet
     px = m.pX_given_A.p @ m.pA
     if px[x] <= 0.0:
         raise ZeroMarginal(f"P(X={x}) = 0; conditional undefined")
     p_a_given_x = m.pX_given_A.p[x, :] * m.pA / px[x]
     cols = m.pB_given_AX.p[:, np.arange(m.pA.size) * m.n_x + x]
-    obs = m.pY_given_B.p @ (cols @ p_a_given_x)
-    return obs, do_intervention(m, x)
+    return m.pY_given_B.p @ (cols @ p_a_given_x), do

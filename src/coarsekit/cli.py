@@ -12,6 +12,7 @@ physical invariant, 70 internal criteria disagreement.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -82,42 +83,44 @@ def _default_seed() -> int:
         raise ParseError(f"COARSEKIT_SEED must be an integer, got {env!r}") from exc
 
 
+def _settings(args, doc: Optional[dict]) -> dict:
+    """The settings given, each by its flag or else by the scenario file's
+    config block, which must be an object; there ``tol`` is a real number
+    and the other keys integers, none of them a bool."""
+    block = (doc or {}).get("config", {})
+    if not isinstance(block, dict):
+        raise ParseError("'config' must be a JSON object")
+    given = {}
+    for key in ("tol", "seed", "trials", "max_iter", "ancilla"):
+        value = block.get(key)
+        kinds = (int, float) if key == "tol" else int
+        if key in block and (isinstance(value, bool) or not isinstance(value, kinds)):
+            kind = "a real number" if key == "tol" else "an integer"
+            raise ParseError(f"config '{key}' must be {kind}, got {value!r}")
+        flag = getattr(args, key, None)
+        if flag is not None or key in block:
+            given[key] = flag if flag is not None else value
+    return given
+
+
 def _build_config(args, doc: Optional[dict]) -> CheckConfig:
-    """Defaults, overridden by the file's config block, then by flags."""
-    file_cfg = (doc or {}).get("config", {})
+    """Defaults, overridden by the file's config block, then by flags;
+    COARSEKIT_SEED is read only when neither sets the seed."""
+    given = _settings(args, doc)
     defaults = CheckConfig()
-
-    def pick(flag_value, file_key, default):
-        if flag_value is not None:
-            return flag_value
-        if file_key in file_cfg:
-            return file_cfg[file_key]
-        return default
-
-    tol = pick(args.tol, "tol", None)
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", _default_seed())
-    ancilla = pick(getattr(args, "ancilla", None), "ancilla", None)
+    tol = given.get("tol")
+    tols = {} if tol is None else {"fiber_tol": tol, "algebraic_rel_tol": tol, "sdp_tol": tol}
     return CheckConfig(
-        fiber_tol=tol if tol is not None else defaults.fiber_tol,
-        algebraic_rel_tol=tol if tol is not None else defaults.algebraic_rel_tol,
-        sdp_tol=tol if tol is not None else defaults.sdp_tol,
-        sdp_max_iter=int(pick(args.max_iter, "max_iter", defaults.sdp_max_iter)),
-        witness_trials=int(pick(args.trials, "trials", defaults.witness_trials)),
-        ancilla_dims=None if ancilla is None else (int(ancilla),),
-        seed=int(seed),
+        **tols,
+        sdp_max_iter=given.get("max_iter", defaults.sdp_max_iter),
+        witness_trials=given.get("trials", defaults.witness_trials),
+        ancilla_dims=(given["ancilla"],) if "ancilla" in given else None,
+        seed=given["seed"] if "seed" in given else _default_seed(),
     )
 
 
 def _config_echo(cfg: CheckConfig, s: Scenario) -> dict:
-    return {
-        "fiber_tol": cfg.fiber_tol,
-        "algebraic_rel_tol": cfg.algebraic_rel_tol,
-        "sdp_tol": cfg.sdp_tol,
-        "sdp_max_iter": cfg.sdp_max_iter,
-        "witness_trials": cfg.witness_trials,
-        "ancilla_dims": list(cfg.resolved_ancillas(s)),
-        "seed": cfg.seed,
-    }
+    return {**dataclasses.asdict(cfg), "ancilla_dims": list(cfg.resolved_ancillas(s))}
 
 
 def _e(x: float) -> str:
@@ -168,8 +171,11 @@ def cmd_check(args) -> int:
 
 def cmd_construct(args) -> int:
     scenario, label, doc = _resolve_input(args.input)
-    cfg = _build_config(args, doc)
-    gamma = construct_emergent(scenario, sdp_feasibility(scenario, cfg.sdp_max_iter, cfg.sdp_tol))
+    given = _settings(args, doc)
+    defaults = CheckConfig()
+    max_iter = given.get("max_iter", defaults.sdp_max_iter)
+    sdp = sdp_feasibility(scenario, max_iter, given.get("tol", defaults.sdp_tol))
+    gamma = construct_emergent(scenario, sdp)
     if gamma is None:
         print(f"{label}: no CPTP effective dynamics exists for this scenario",
               file=sys.stderr)
@@ -261,23 +267,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"coarsekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (fallback: COARSEKIT_SEED, then 0)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the decision tolerances of all criteria")
-        p.add_argument("--trials", type=int, default=None,
-                       help="witness-search trials per ancilla dimension, spent only when "
-                       "no effective channel is built (0 disables)")
-        p.add_argument("--ancilla", type=int, default=None,
-                       help="restrict the witness search to one ancilla dimension")
+    def add_sdp(p, tol_help):
+        p.add_argument("--tol", type=float, default=None, help=tol_help)
         p.add_argument("--max-iter", type=int, default=None, dest="max_iter",
                        help="iteration cap for the feasibility SDP's loop (r < d^2 only)")
 
     p_check = sub.add_parser("check", help="run all four compatibility criteria")
     p_check.add_argument("input", help="registry name or scenario file")
     p_check.add_argument("--json", metavar="PATH", help="write a machine-readable report")
-    add_common(p_check)
+    p_check.add_argument("--seed", type=int, default=None,
+                         help="RNG seed (fallback: the file's, then COARSEKIT_SEED, then 0)")
+    add_sdp(p_check, "override the decision tolerances of all criteria")
+    p_check.add_argument("--trials", type=int, default=None,
+                         help="witness-search trials per ancilla dimension, spent only when "
+                         "no effective channel is built (0 disables)")
+    p_check.add_argument("--ancilla", type=int, default=None,
+                         help="restrict the witness search to one ancilla dimension")
     p_check.set_defaults(func=cmd_check)
 
     p_cons = sub.add_parser(
@@ -287,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cons.add_argument("input", help="registry name or scenario file")
     p_cons.add_argument("--out", metavar="PATH", help="write the channel here (default: stdout)")
-    add_common(p_cons)
+    add_sdp(p_cons, "override the SDP's tolerance")
     p_cons.set_defaults(func=cmd_construct)
 
     p_cls = sub.add_parser("classical", help="classical chain: effective table or intervention")

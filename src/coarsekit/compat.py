@@ -45,12 +45,10 @@ from .channel import (
 from .errors import (
     DimensionMismatch,
     MethodDisagreement,
-    NotCP,
     NotEquivalent,
-    NotUnitary,
     NumericalFailure,
 )
-from .linalg import RANK_TOL, asmatrix, frob, hermitize, partial_trace
+from .linalg import RANK_TOL, asmatrix, frob, hermitize, partial_trace, require_unitary
 from .rand import state_from_factor
 
 # No criterion calls these four; they stay importable from this module
@@ -103,12 +101,12 @@ class Scenario:
 
     def __post_init__(self):
         m = asmatrix(self.u)
-        if m.shape != (self.cg.din, self.cg.din):
+        # a square u of the wrong size is a mismatch; a non-square one is not unitary
+        if m.shape[0] != self.cg.din:
             raise DimensionMismatch(
                 f"unitary is {m.shape}, coarse-graining expects {self.cg.din}"
             )
-        if frob(m.conj().T @ m - np.eye(m.shape[0])) > 1e-9:
-            raise NotUnitary("microscopic dynamics must be unitary")
+        require_unitary(m, "microscopic dynamics")
         if self.cg.dout > self.cg.din:
             raise DimensionMismatch("coarse-graining must not increase dimension")
         mm = m.astype(np.complex128)
@@ -526,7 +524,7 @@ def _channel(psd: np.ndarray, d: int) -> Optional[ChoiMatrix]:
     r = np.kron((vecs / np.sqrt(w)) @ vecs.conj().T, np.eye(d))
     try:
         return ChoiMatrix(d, d, hermitize(r @ psd @ r))
-    except (NotCP, ValueError):
+    except ValueError:  # NotCP included
         return None
 
 
@@ -640,6 +638,13 @@ def construct_emergent(s: Scenario, sdp: Optional[SdpOutcome] = None) -> Optiona
     return None if sdp.choi is None else choi_to_kraus(sdp.choi)
 
 
+def _require_effective(s: Scenario, gamma: KrausChannel) -> None:
+    if (gamma.din, gamma.dout) != (s.d, s.d):
+        raise DimensionMismatch(
+            f"gamma must act on dimension {s.d}, got {gamma.din}->{gamma.dout}"
+        )
+
+
 def diagram_distance(s: Scenario, gamma: KrausChannel) -> float:
     """Choi-space distance between gamma(cg(.)) and cg(u . u*).
 
@@ -649,10 +654,7 @@ def diagram_distance(s: Scenario, gamma: KrausChannel) -> float:
     E = A - A V V* are orthogonal to V, so the square distance is
     ``||T_gamma U S - A V||_F^2 + ||E||_F^2``: no d^2 x D^2 product either.
     """
-    if (gamma.din, gamma.dout) != (s.d, s.d):
-        raise DimensionMismatch(
-            f"gamma must act on dimension {s.d}, got {gamma.din}->{gamma.dout}"
-        )
+    _require_effective(s, gamma)
     img = s._image
     return float(np.hypot(frob(gamma.transfer_mat @ (img.u * img.sigma) - img.av), frob(img.e)))
 
@@ -667,10 +669,7 @@ def verify_kraus_equivalence(
     other.  Returns (True, V) with the mixing matrix on success; the per-
     operator reconstruction residual is bounded by 10*tol.
     """
-    if (gamma.din, gamma.dout) != (s.d, s.d):
-        raise DimensionMismatch(
-            f"gamma must act on dimension {s.d}, got {gamma.din}->{gamma.dout}"
-        )
+    _require_effective(s, gamma)
     upper = compose(gamma, s.cg)
     # cg after u: the channel with Kraus operators M_k u
     lower = KrausChannel(s._kraus_after, tp_tol=10 * TP_TOL)
@@ -697,8 +696,11 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
     ``||Delta||_<> <= tr P + tr Q = ||J(Delta)||_1`` (Watrous 2018, ch. 3),
     and J(Delta) is dD x dD, so ``||J(Delta)||_1 <= sqrt(d D)
     ||J(Delta)||_F``, which is delta (``diagram_distance``).  A compatible
-    report therefore carries no witness, and ``witness_implies_no_emergent``
-    holds by construction.
+    report therefore carries no witness.
+
+    ``method_agreement`` holds the cross-checks that can fail: an intertwiner
+    or a feasible SDP each implies that the kernel check holds.  The SDP is
+    feasible exactly when it yields the channel, so no witness meets either.
 
     Raises MethodDisagreement when the verdicts are logically inconsistent
     (a bug or a tolerance pathology; never ignored silently).
@@ -733,18 +735,12 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
     flags = {
         "algebraic_implies_fiber": v_opt is None or fiber_ok,
         "sdp_feasible_implies_fiber": sdp.status != FEASIBLE or fiber_ok,
-        "witness_implies_not_feasible": witness is None or sdp.status != FEASIBLE,
-        "witness_implies_no_emergent": witness is None or emergent is None,
-        "emergent_implies_fiber": emergent is None or fiber_ok,
-        "emergent_implies_sdp_not_infeasible": emergent is None or sdp.status != INFEASIBLE,
     }
     if not all(flags.values()):
         failed = sorted(k for k, ok in flags.items() if not ok)
         raise MethodDisagreement(
-            f"criteria disagree ({', '.join(failed)}); "
-            f"fiber={fiber_ok} residual={fiber_res:.3e}, sdp={sdp.status}, "
-            f"witness={'found' if witness else 'none'}, "
-            f"emergent={'yes' if emergent else 'no'}"
+            f"criteria disagree ({', '.join(failed)}); fiber={fiber_ok} "
+            f"residual={fiber_res:.3e}, algebraic residual={alg_res:.3e}, sdp={sdp.status}"
         )
 
     if emergent is not None:

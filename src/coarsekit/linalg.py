@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotUnitary
 
 # Relative threshold below which a singular value counts as zero.
 RANK_TOL = 1e-10
+# Frobenius bound on M*M - I for a matrix to count as unitary.
+UNITARY_TOL = 1e-9
 
 
 def asmatrix(a) -> np.ndarray:
@@ -39,14 +41,13 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).flatten(order="F")
 
 
-def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    if cols is None:
-        cols = rows
-    v = np.asarray(v)
-    if v.size != rows * cols:
-        raise DimensionMismatch(f"cannot reshape length {v.size} into {rows}x{cols}")
-    return v.reshape(rows, cols, order="F")
+def require_unitary(m, what: str) -> np.ndarray:
+    """``m`` as a complex matrix; NotUnitary unless it is square with
+    ``||M*M - I||_F <= UNITARY_TOL``."""
+    m = asmatrix(m)
+    if m.shape[0] != m.shape[1] or frob(m.conj().T @ m - np.eye(m.shape[0])) > UNITARY_TOL:
+        raise NotUnitary(f"{what} must be unitary")
+    return m
 
 
 def pinv(a, rank_tol: float = RANK_TOL) -> np.ndarray:

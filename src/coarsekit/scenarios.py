@@ -20,8 +20,8 @@ import numpy as np
 
 from .channel import ChoiMatrix, KrausChannel, choi_to_kraus, transfer_to_choi_mat
 from .compat import Scenario
-from .errors import DimensionMismatch, NotCP, NotUnitary
-from .linalg import asmatrix, frob, hermitize, vec
+from .errors import DimensionMismatch
+from .linalg import frob, hermitize, require_unitary, vec
 from .rand import haar_unitary, random_kraus_ops
 
 COMPATIBLE = "compatible"
@@ -37,13 +37,6 @@ class NamedScenario:
     notes: str = ""
 
 
-def _require_unitary(m: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
-    m = asmatrix(m)
-    if m.shape[0] != m.shape[1] or frob(m.conj().T @ m - np.eye(m.shape[0])) > tol:
-        raise NotUnitary(f"{what} must be unitary")
-    return m
-
-
 def example1(u2, name: str = "example1") -> NamedScenario:
     """Qutrit-to-qubit coarse-graining keeping a single coherence.
 
@@ -53,7 +46,7 @@ def example1(u2, name: str = "example1") -> NamedScenario:
     ``u2`` on span{|1>,|2>}; the effective dynamics is well defined exactly
     when (|1>+|2>) and (|1>-|2>) are eigenvectors of ``u2``.
     """
-    u2 = _require_unitary(u2, "u2")
+    u2 = require_unitary(u2, "u2")
     if u2.shape != (2, 2):
         raise DimensionMismatch("u2 must be 2x2")
     s2 = np.sqrt(2.0)
@@ -99,7 +92,7 @@ def example2(
     their local Fourier bases up to a global phase; with no coherences any
     block-diagonal unitary is compatible.
     """
-    blocks = [_require_unitary(b, "block") for b in blocks]
+    blocks = [require_unitary(b, "block") for b in blocks]
     if len(blocks) != d:
         raise DimensionMismatch(f"need {d} blocks, got {len(blocks)}")
     if any(b.shape != (k, k) for b in blocks):
@@ -181,8 +174,8 @@ def spin_dichotomization(dim: int, alpha: float, n, name: str = "spin") -> Named
     expectations rotate as a vector, the induced qubit dynamics is the
     rotation by the same angle, exp(-i (alpha/2) <sigma, n>).
 
-    Complete positivity of the dichotomization is checked at construction
-    and surfaced as NotCP when it fails for the requested dimension.
+    ChoiMatrix checks complete positivity of the dichotomization and raises
+    NotCP when it fails for the requested dimension.
     """
     n_vec = np.asarray(n, dtype=np.float64).ravel()
     if n_vec.size != 3 or abs(np.linalg.norm(n_vec) - 1.0) > 1e-12:
@@ -197,12 +190,6 @@ def spin_dichotomization(dim: int, alpha: float, n, name: str = "spin") -> Named
         * sum(np.outer(vec(s), vec(j).conj()) for s, j in zip(_PAULI, (jx, jy, jz)))
     )
     choi_raw = transfer_to_choi_mat(t_cg, dim, 2)
-    w_min = float(np.linalg.eigvalsh(hermitize(choi_raw)).min())
-    if w_min < -1e-8:
-        raise NotCP(
-            f"dichotomization is not completely positive for dim={dim} "
-            f"(Choi eigenvalue {w_min:.3e})"
-        )
     cg = choi_to_kraus(ChoiMatrix(dim, 2, hermitize(choi_raw)))
     u = _expm_hermitian_generator(alpha * (n_vec[0] * jx + n_vec[1] * jy + n_vec[2] * jz))
     return NamedScenario(

@@ -228,6 +228,79 @@ class TestConstruct:
         assert "no CPTP" in capsys.readouterr().err
 
 
+class TestConfigBlock:
+    """The scenario file's config block is checked before any criterion runs;
+    a bad one is unreadable input (exit 64) for both check and construct."""
+
+    @staticmethod
+    def write(tmp_path, config):
+        path = tmp_path / "scenario.json"
+        write_json(path, scenario_doc([np.eye(2)], np.diag([1.0, 1j]), config=config))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["check", "construct"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            [1, 2],
+            "tol",
+            {"tol": "1e-6"},
+            {"tol": True},
+            {"tol": None},
+            {"seed": "abc"},
+            {"seed": 3.0},
+            {"trials": 2.7},
+            {"trials": False},
+            {"max_iter": "10"},
+            {"ancilla": [2]},
+        ],
+        ids=repr,
+    )
+    def test_bad_config_exit_64(self, command, config, tmp_path, capsys):
+        assert main([command, self.write(tmp_path, config)]) == 64
+        assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "construct"])
+    def test_good_config_is_read(self, command, tmp_path, capsys):
+        config = {"tol": 1, "seed": 3, "trials": 0, "max_iter": 5, "ancilla": 2, "note": "x"}
+        assert main([command, self.write(tmp_path, config)]) == 0
+
+    def test_config_values_reach_the_report(self, tmp_path, capsys):
+        config = {"tol": 1e-7, "seed": 3, "trials": 7, "max_iter": 5, "ancilla": 2}
+        report_path = tmp_path / "report.json"
+        assert main(["check", self.write(tmp_path, config), "--json", str(report_path)]) == 0
+        echo = json.loads(report_path.read_text(encoding="utf-8"))["config"]
+        assert echo == {
+            "fiber_tol": 1e-7,
+            "algebraic_rel_tol": 1e-7,
+            "sdp_tol": 1e-7,
+            "sdp_max_iter": 5,
+            "witness_trials": 7,
+            "ancilla_dims": [2],
+            "seed": 3,
+        }
+
+    def test_construct_reads_the_sdp_settings(self, tmp_path, capsys):
+        # an iteration cap of 0 reaches the SDP, which rejects it
+        assert main(["construct", self.write(tmp_path, {"max_iter": 0})]) == 65
+
+    @pytest.mark.parametrize("flag", ["--seed", "--trials", "--ancilla"])
+    def test_construct_takes_no_search_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "spin-d3", flag, "3"])
+        assert exc.value.code == 2
+
+    def test_construct_does_not_read_the_env_seed(self, monkeypatch, capsys):
+        monkeypatch.setenv("COARSEKIT_SEED", "abc")
+        assert main(["construct", "spin-d3"]) == 0
+
+    def test_env_seed_read_only_when_no_seed_is_given(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COARSEKIT_SEED", "abc")
+        assert main(["check", self.write(tmp_path, {"seed": 3})]) == 0
+        assert main(["check", "spin-d3", "--seed", "3", "--trials", "0"]) == 0
+        assert main(["check", "spin-d3", "--trials", "0"]) == 64
+
+
 class TestClassical:
     @pytest.fixture
     def model_file(self, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import coarsekit as ck
 from coarsekit import compat
 from coarsekit.channel import KrausChannel, compose, transfer_to_choi_mat, unitary_channel
-from coarsekit.errors import DimensionMismatch, NotEquivalent, NumericalFailure
+from coarsekit.errors import DimensionMismatch, MethodDisagreement, NotEquivalent, NumericalFailure
 from coarsekit.linalg import frob, partial_trace, vec
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 from coarsekit.scenarios import (
@@ -482,6 +482,24 @@ class TestRunAll:
         assert report.emergent is None
         assert report.witness is not None or report.sdp.status == compat.INFEASIBLE
 
+    @pytest.mark.parametrize("name", sorted(REG))
+    def test_method_agreement_holds_the_checks_that_can_fail(self, name):
+        report = compat.run_all(REG[name].scenario, compat.CheckConfig(witness_trials=10))
+        assert report.method_agreement == {
+            "algebraic_implies_fiber": True,
+            "sdp_feasible_implies_fiber": True,
+        }
+
+    def test_feasible_sdp_with_a_failed_kernel_check_disagrees(self):
+        # a slightly mixing u2: the kernel residual is 1e-6, above the fiber
+        # tolerance, while an SDP at tolerance 1e-4 finds a channel
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        c, s = np.cos(1e-6), np.sin(1e-6)
+        u2 = hadamard @ np.array([[c, -s], [s, c]]) @ hadamard
+        cfg = compat.CheckConfig(sdp_tol=1e-4, witness_trials=0)
+        with pytest.raises(MethodDisagreement, match="sdp_feasible_implies_fiber"):
+            compat.run_all(example1(u2).scenario, cfg)
+
     def test_witness_disabled_by_zero_trials(self):
         report = compat.run_all(REG["spin-d3"].scenario,
                                 compat.CheckConfig(witness_trials=0))
@@ -514,7 +532,6 @@ class TestWitnessSkip:
         assert report.verdict == "compatible"
         assert calls == []
         assert report.witness is None
-        assert report.method_agreement["witness_implies_no_emergent"]
 
     def test_incompatible_decision_searches(self, monkeypatch):
         calls = self.spy(monkeypatch)

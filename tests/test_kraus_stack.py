@@ -7,7 +7,7 @@ import pytest
 
 from coarsekit import channel as qc
 from coarsekit.errors import DimensionMismatch
-from coarsekit.linalg import RANK_TOL, hermitize, pinv, unvec, vec
+from coarsekit.linalg import RANK_TOL, hermitize, pinv, vec
 from coarsekit.rand import haar_unitary, random_kraus_ops
 
 # stacked products add the same terms in another order, so results that are
@@ -56,7 +56,7 @@ def _loop_choi_to_kraus(c, rank_tol=RANK_TOL):
     w, v = np.linalg.eigh(hermitize(c.mat))
     cutoff = rank_tol * max(w.max(), 0.0)
     return [
-        _loop_fix_phase(unvec(np.sqrt(lam) * v[:, k], c.dout, c.din))
+        _loop_fix_phase((np.sqrt(lam) * v[:, k]).reshape(c.dout, c.din, order="F"))
         for k, lam in enumerate(w)
         if lam > cutoff
     ]

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from coarsekit import linalg
-from coarsekit.errors import DimensionMismatch
+from coarsekit.channel import KrausChannel, unitary_channel
+from coarsekit.compat import Scenario
+from coarsekit.errors import DimensionMismatch, NotUnitary
+from coarsekit.scenarios import example1, example2
 
 
 def rand_complex(rng, rows, cols=None):
@@ -22,14 +25,6 @@ def test_vec_convention():
     lhs = linalg.vec(a @ x @ b)
     rhs = np.kron(b.T, a) @ linalg.vec(x)
     assert np.linalg.norm(lhs - rhs) < 1e-12
-
-
-def test_unvec_roundtrip():
-    rng = np.random.default_rng(1)
-    m = rand_complex(rng, 2, 5)
-    assert np.array_equal(linalg.unvec(linalg.vec(m), 2, 5), m)
-    with pytest.raises(DimensionMismatch):
-        linalg.unvec(np.arange(5), 2, 2)
 
 
 class TestPinv:
@@ -100,3 +95,44 @@ def test_kernel_basis():
     assert np.linalg.norm(a @ ker) < 1e-10
     assert linalg.frob(ker.conj().T @ ker - np.eye(3)) < 1e-10
     assert linalg.kernel_basis(np.eye(4)).shape == (4, 0)
+
+
+
+# every constructor that takes a unitary, and the name it gives the matrix
+UNITARY_TAKERS = {
+    "Scenario": (lambda u: Scenario(KrausChannel([np.eye(2)]), u), "microscopic dynamics"),
+    "unitary_channel": (unitary_channel, "u"),
+    "example1": (example1, "u2"),
+    "example2": (lambda u: example2(2, 2, [np.eye(2), u]), "block"),
+}
+
+
+class TestRequireUnitary:
+    """``require_unitary`` is the one unitarity check; every constructor that
+    takes a unitary goes through it and names the matrix it rejects."""
+
+    @pytest.mark.parametrize("bad", [np.diag([1.0, 0.5]), np.eye(2, 3)],
+                             ids=["non-unitary", "non-square"])
+    @pytest.mark.parametrize("taker", sorted(UNITARY_TAKERS))
+    def test_rejects_and_names_the_matrix(self, taker, bad):
+        build, what = UNITARY_TAKERS[taker]
+        with pytest.raises(NotUnitary, match=f"^{what} must be unitary$"):
+            build(bad)
+
+    @pytest.mark.parametrize("taker", sorted(UNITARY_TAKERS))
+    def test_accepts_a_unitary(self, taker):
+        build, _ = UNITARY_TAKERS[taker]
+        build(np.array([[0, 1j], [1j, 0]]))
+
+    def test_scenario_size_mismatch_comes_first(self):
+        # a square u of the wrong size, and not unitary either
+        with pytest.raises(DimensionMismatch):
+            Scenario(KrausChannel([np.eye(2)]), 2 * np.eye(3))
+
+    def test_tolerance(self):
+        u = np.diag([1.0, np.exp(0.3j)])
+        assert np.array_equal(linalg.require_unitary(u, "u"), u)
+        # stretching one column by 1 + e moves ||u*u - I||_F by about 2 e
+        linalg.require_unitary(u @ np.diag([1 + 0.4 * linalg.UNITARY_TOL, 1.0]), "u")
+        with pytest.raises(NotUnitary):
+            linalg.require_unitary(u @ np.diag([1 + 0.6 * linalg.UNITARY_TOL, 1.0]), "u")
