@@ -11,7 +11,8 @@ the constructed channel closes the square, no witness search is needed.
 
 import numpy as np
 
-from coarsekit import CheckConfig, run_all, unitary_channel
+from coarsekit import CheckConfig, run_all
+from coarsekit.channel import unitary_channel
 from coarsekit.linalg import frob
 from coarsekit.scenarios import emergent_spin_rotation, spin_dichotomization
 

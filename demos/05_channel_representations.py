@@ -7,7 +7,7 @@ lists, and the Heisenberg-picture dual.
 
 import numpy as np
 
-from coarsekit import (
+from coarsekit.channel import (
     KrausChannel,
     channels_equal,
     choi_to_kraus,

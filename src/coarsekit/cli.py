@@ -27,9 +27,12 @@ from .classical import emergent_channel, observational_vs_do, verify_total_proba
 from .compat import CheckConfig, Scenario, construct_emergent, run_all, sdp_feasibility
 from .errors import CoarsekitError, MethodDisagreement, ZeroMarginal
 from .io import (
+    CONFIG_KINDS,
     ParseError,
     chain_model_from_json,
     channel_to_json,
+    classical_block_from_json,
+    config_from_json,
     do_model_from_json,
     dumps,
     real_matrix_to_json,
@@ -85,21 +88,12 @@ def _default_seed() -> int:
 
 def _settings(args, doc: Optional[dict]) -> dict:
     """The settings given, each by its flag or else by the scenario file's
-    config block, which must be an object; there ``tol`` is a real number
-    and the other keys integers, none of them a bool."""
-    block = (doc or {}).get("config", {})
-    if not isinstance(block, dict):
-        raise ParseError("'config' must be a JSON object")
-    given = {}
-    for key in ("tol", "seed", "trials", "max_iter", "ancilla"):
-        value = block.get(key)
-        kinds = (int, float) if key == "tol" else int
-        if key in block and (isinstance(value, bool) or not isinstance(value, kinds)):
-            kind = "a real number" if key == "tol" else "an integer"
-            raise ParseError(f"config '{key}' must be {kind}, got {value!r}")
+    config block."""
+    given = config_from_json(doc) if doc is not None else {}
+    for key in CONFIG_KINDS:
         flag = getattr(args, key, None)
-        if flag is not None or key in block:
-            given[key] = flag if flag is not None else value
+        if flag is not None:
+            given[key] = flag
     return given
 
 
@@ -191,10 +185,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_classical(args) -> int:
-    doc = _load_json(args.input)
-    block = doc.get("classical")
-    if not isinstance(block, dict):
-        raise ParseError(f"{args.input} has no 'classical' block")
+    block = classical_block_from_json(_load_json(args.input))
 
     if args.emergent:
         if "chain" not in block:

@@ -161,6 +161,18 @@ class CheckConfig:
     ancilla_dims: Optional[tuple[int, ...]] = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # a NaN tolerance fails `t > 0` too
+        tols = (self.fiber_tol, self.algebraic_rel_tol, self.sdp_tol)
+        if not all(t > 0 for t in tols):
+            raise ValueError(f"tolerances must be > 0, got {tols}")
+        if self.sdp_max_iter < 1:
+            raise ValueError(f"sdp_max_iter must be >= 1, got {self.sdp_max_iter}")
+        if self.witness_trials < 0:
+            raise ValueError(f"witness_trials must be >= 0, got {self.witness_trials}")
+        if self.ancilla_dims is not None and any(n < 1 for n in self.ancilla_dims):
+            raise ValueError(f"ancilla dimensions must be >= 1, got {self.ancilla_dims}")
+
     def resolved_ancillas(self, s: "Scenario") -> tuple[int, ...]:
         if self.ancilla_dims is not None:
             return self.ancilla_dims

@@ -1,7 +1,8 @@
 """JSON file formats: scenarios in, reports and channels out.
 
 Complex numbers are two-element arrays ``[re, im]``; matrices are row-major
-nested lists.  Classical probability tables are plain float matrices.  Every
+nested lists.  Classical probability tables are matrices of real numbers.
+Every numeric field holds a JSON number of its kind, never a bool.  Every
 file carries ``"version": 1``.  Serialization is deterministic (sorted keys,
 no timestamps), so identical inputs and seeds give byte-identical reports.
 """
@@ -34,11 +35,14 @@ def real_matrix_to_json(m: np.ndarray) -> list[list[float]]:
     return [[float(x) for x in row] for row in np.asarray(m)]
 
 
+def _is_number(x: Any, kinds: type | tuple[type, ...] = (int, float)) -> bool:
+    """A JSON number of these kinds; a bool is never a number here."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def _complex_from_json(entry: Any) -> complex:
-    """An ``[re, im]`` pair of two real numbers; a bool is not a number here."""
-    if not isinstance(entry, list) or len(entry) != 2 or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry
-    ):
+    """An ``[re, im]`` pair of two real numbers."""
+    if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
         raise ValueError(f"not an [re, im] pair: {entry!r}")
     return complex(*entry)
 
@@ -54,14 +58,15 @@ def matrix_from_json(data: Any, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def real_matrix_from_json(data: Any, what: str = "table") -> np.ndarray:
+def real_array_from_json(data: Any, what: str, ndim: int = 2) -> np.ndarray:
+    """Nested lists of real numbers, ``ndim`` deep and rectangular."""
+    m = np.array(data, dtype=object)
+    if m.ndim != ndim or not all(map(_is_number, m.flat)):
+        raise ParseError(f"{what}: expected {ndim}-deep nested lists of real numbers")
     try:
-        m = np.array(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what}: expected a nested list of floats") from exc
-    if m.ndim != 2:
-        raise ParseError(f"{what}: not a matrix")
-    return m
+        return m.astype(np.float64)
+    except OverflowError as exc:
+        raise ParseError(f"{what}: a number is out of range") from exc
 
 
 def dumps(obj: Any) -> str:
@@ -81,10 +86,38 @@ def scenario_to_json(s: Scenario, name: Optional[str] = None) -> dict:
     return doc
 
 
+def _object(doc: Any, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    return doc
+
+
 def _require(doc: dict, key: str):
     if key not in doc:
         raise ParseError(f"missing required key {key!r}")
     return doc[key]
+
+
+def _integer(doc: dict, key: str) -> int:
+    value = _require(doc, key)
+    if not _is_number(value, int):
+        raise ParseError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+# the settings a scenario file's config block may hold, with their kinds
+CONFIG_KINDS = {"tol": (int, float), "seed": int, "trials": int, "max_iter": int, "ancilla": int}
+
+
+def config_from_json(doc: dict) -> dict:
+    """The settings in a scenario file's optional ``config`` object: ``tol``
+    a real number, the other keys integers; other keys are ignored."""
+    block = _object(doc.get("config", {}), "'config'")
+    for key, kinds in CONFIG_KINDS.items():
+        if key in block and not _is_number(block[key], kinds):
+            kind = "a real number" if key == "tol" else "an integer"
+            raise ParseError(f"config '{key}' must be {kind}, got {block[key]!r}")
+    return {key: block[key] for key in CONFIG_KINDS if key in block}
 
 
 def scenario_from_json(doc: dict) -> Scenario:
@@ -94,13 +127,11 @@ def scenario_from_json(doc: dict) -> Scenario:
     Kraus set, non-unitary dynamics) propagate as their own exception types
     so the CLI can distinguish exit codes 64 and 65.
     """
-    if not isinstance(doc, dict):
-        raise ParseError("scenario file must be a JSON object")
-    version = _require(doc, "version")
+    version = _require(_object(doc, "scenario file"), "version")
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported version {version!r}")
-    big_d = int(_require(doc, "D"))
-    small_d = int(_require(doc, "d"))
+    big_d = _integer(doc, "D")
+    small_d = _integer(doc, "d")
     kraus_json = _require(doc, "kraus")
     if not isinstance(kraus_json, list) or not kraus_json:
         raise ParseError("'kraus' must be a non-empty list of matrices")
@@ -116,21 +147,35 @@ def scenario_from_json(doc: dict) -> Scenario:
     return Scenario(KrausChannel(kraus), u)
 
 
-def chain_model_from_json(doc: dict) -> ChainModel:
+def classical_block_from_json(doc: Any) -> dict:
+    """The ``classical`` block of a scenario file."""
+    block = _object(doc, "scenario file").get("classical")
+    if not isinstance(block, dict):
+        raise ParseError("the file has no 'classical' block")
+    return block
+
+
+def _table(doc: dict, key: str) -> CondTable:
+    return CondTable(real_array_from_json(_require(doc, key), key))
+
+
+def chain_model_from_json(doc: Any) -> ChainModel:
+    doc = _object(doc, "'chain' model")
     return ChainModel(
-        pA=np.asarray(_require(doc, "pA"), dtype=np.float64),
-        pB_given_A=CondTable(real_matrix_from_json(_require(doc, "pB_given_A"))),
-        pX_given_A=CondTable(real_matrix_from_json(_require(doc, "pX_given_A"))),
-        pY_given_B=CondTable(real_matrix_from_json(_require(doc, "pY_given_B"))),
+        pA=real_array_from_json(_require(doc, "pA"), "pA", ndim=1),
+        pB_given_A=_table(doc, "pB_given_A"),
+        pX_given_A=_table(doc, "pX_given_A"),
+        pY_given_B=_table(doc, "pY_given_B"),
     )
 
 
-def do_model_from_json(doc: dict) -> DoModel:
+def do_model_from_json(doc: Any) -> DoModel:
+    doc = _object(doc, "'do' model")
     return DoModel(
-        pA=np.asarray(_require(doc, "pA"), dtype=np.float64),
-        pX_given_A=CondTable(real_matrix_from_json(_require(doc, "pX_given_A"))),
-        pB_given_AX=CondTable(real_matrix_from_json(_require(doc, "pB_given_AX"))),
-        pY_given_B=CondTable(real_matrix_from_json(_require(doc, "pY_given_B"))),
+        pA=real_array_from_json(_require(doc, "pA"), "pA", ndim=1),
+        pX_given_A=_table(doc, "pX_given_A"),
+        pB_given_AX=_table(doc, "pB_given_AX"),
+        pY_given_B=_table(doc, "pY_given_B"),
     )
 
 

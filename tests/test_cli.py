@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from coarsekit import cli
 from coarsekit.cli import main
 from coarsekit.io import dumps, matrix_to_json
 from coarsekit.scenarios import registry
@@ -80,6 +81,18 @@ class TestCheck:
         path = tmp_path / "entry.json"
         write_json(path, doc)
         assert main(["check", str(path)]) == 64
+
+    @pytest.mark.parametrize(
+        "key, value", [("D", "abc"), ("D", 2.7), ("D", 2.0), ("D", True), ("d", "2")], ids=repr
+    )
+    def test_dimension_not_an_integer_exit_64(self, key, value, tmp_path, capsys):
+        # 2.7 used to be truncated to 2 and "2" read as 2, both passing every check
+        doc = scenario_doc([np.eye(2)], np.eye(2))
+        doc[key] = value
+        path = tmp_path / "dims.json"
+        write_json(path, doc)
+        assert main(["check", str(path)]) == 64
+        assert repr(key) in capsys.readouterr().err
 
     def test_invariant_violation_exit_65(self, tmp_path):
         doc = scenario_doc([np.eye(2) * 0.5], np.eye(2))
@@ -168,6 +181,29 @@ class TestCheck:
         monkeypatch.setattr(scenarios, "example1", boom)
         monkeypatch.setattr(scenarios, "example2", boom)
         assert main(["check", "spin-d3", "--trials", "0"]) == 0
+
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("example1-incompatible", ["--trials", "-5"]),
+            ("spin-d3", ["--trials", "-5"]),
+            ("spin-d3", ["--ancilla", "0"]),
+            ("example1-incompatible", ["--ancilla", "0"]),
+            ("spin-d3", ["--max-iter", "0"]),
+            ("spin-d3", ["--tol", "0"]),
+            ("spin-d3", ["--tol", "nan"]),
+        ],
+        ids=repr,
+    )
+    def test_out_of_range_flag_exit_65_before_any_criterion(
+        self, name, flags, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(cli, "run_all", fail)
+        assert main(["check", name, *flags]) == 65
+        assert "must be" in capsys.readouterr().err
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COARSEKIT_SEED", "17")
@@ -280,6 +316,15 @@ class TestConfigBlock:
             "seed": 3,
         }
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"trials": -5}, {"ancilla": 0}, {"max_iter": 0}, {"tol": 0}, {"tol": -1e-6}],
+        ids=repr,
+    )
+    def test_out_of_range_config_exit_65(self, config, tmp_path, capsys):
+        assert main(["check", self.write(tmp_path, config)]) == 65
+        assert "must be" in capsys.readouterr().err
+
     def test_construct_reads_the_sdp_settings(self, tmp_path, capsys):
         # an iteration cap of 0 reaches the SDP, which rejects it
         assert main(["construct", self.write(tmp_path, {"max_iter": 0})]) == 65
@@ -376,6 +421,39 @@ class TestClassical:
         path = tmp_path / "nocl.json"
         write_json(path, scenario_doc([np.eye(2)], np.eye(2)))
         assert main(["classical", str(path), "--emergent"]) == 64
+
+    @staticmethod
+    def write_chain(tmp_path, **tables):
+        doc = scenario_doc([np.eye(2)], np.eye(2))
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        chain = {"pA": [0.5, 0.5], "pB_given_A": eye, "pX_given_A": eye, "pY_given_B": eye}
+        doc["classical"] = {"chain": {**chain, **tables}}
+        path = tmp_path / "chain.json"
+        write_json(path, doc)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            {"pA": "abc"},
+            {"pA": [True, False]},
+            {"pA": [[0.5, 0.5]]},
+            {"pB_given_A": [[True, 0.0], [0.0, 1.0]]},
+            {"pX_given_A": [[1.0, "0"], [0.0, 1.0]]},
+            {"pY_given_B": [[1.0, 0.0], [0.0]]},
+        ],
+        ids=repr,
+    )
+    def test_table_not_of_real_numbers_exit_64(self, tables, tmp_path, capsys):
+        # true used to be read as 1.0, and "abc" to exit 65
+        assert main(["classical", self.write_chain(tmp_path, **tables), "--emergent"]) == 64
+
+    @pytest.mark.parametrize("doc", [[1], "x", 3, {"classical": {"chain": [1]}}], ids=repr)
+    def test_not_an_object_exit_64(self, doc, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        write_json(path, doc)
+        assert main(["classical", str(path), "--emergent"]) == 64
+        assert "JSON object" in capsys.readouterr().err
 
 
 class TestListAndGen:

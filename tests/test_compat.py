@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 import coarsekit as ck
 from coarsekit import compat
-from coarsekit.channel import KrausChannel, compose, transfer_to_choi_mat, unitary_channel
+from coarsekit.channel import (
+    KrausChannel,
+    channels_equal,
+    compose,
+    transfer_to_choi_mat,
+    unitary_channel,
+)
 from coarsekit.errors import DimensionMismatch, MethodDisagreement, NotEquivalent, NumericalFailure
 from coarsekit.linalg import frob, partial_trace, vec
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
@@ -163,7 +169,7 @@ class TestConstructEmergent:
         s = identity_scenario(dim=2, seed=4)
         gamma = compat.construct_emergent(s)
         assert gamma is not None
-        assert ck.channels_equal(gamma, unitary_channel(s.u), 1e-10)
+        assert channels_equal(gamma, unitary_channel(s.u), 1e-10)
 
     def test_spin_matches_bloch_rotation(self):
         alpha, n = np.pi / 2, (0.0, 0.0, 1.0)
@@ -455,12 +461,28 @@ class TestKrausEquivalence:
             compat.verify_kraus_equivalence(s, gamma)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("witness_trials", -1),
+        ("ancilla_dims", (2, 0)),
+        ("sdp_max_iter", 0),
+        ("fiber_tol", 0.0),
+        ("algebraic_rel_tol", -1e-8),
+        ("sdp_tol", float("nan")),
+    ],
+)
+def test_check_config_rejects_out_of_range_settings(field, value):
+    with pytest.raises(ValueError, match="must be"):
+        compat.CheckConfig(**{field: value})
+
+
 class TestRunAll:
     def test_identity_compatible(self):
         report = compat.run_all(identity_scenario(dim=2, seed=13),
                                 compat.CheckConfig(witness_trials=100))
         assert report.verdict == "compatible"
-        assert ck.channels_equal(report.emergent, unitary_channel(identity_scenario(dim=2, seed=13).u))
+        assert channels_equal(report.emergent, unitary_channel(identity_scenario(dim=2, seed=13).u))
 
     def test_spin_all_methods_agree(self):
         report = compat.run_all(REG["spin-d3"].scenario,
