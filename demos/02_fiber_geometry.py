@@ -11,7 +11,7 @@ are its eigenvectors.
 
 import numpy as np
 
-from coarsekit import CheckConfig, run_all
+from coarsekit import run_all
 from coarsekit.compat import check_fiber_preservation
 from coarsekit.scenarios import example1
 
@@ -32,7 +32,7 @@ u2_bad = HADAMARD @ rotation(np.pi / 4) @ HADAMARD
 for label, u2 in [("phases on |+>,|->", u2_good), ("pi/4 mixing of |+>,|->", u2_bad)]:
     named = example1(u2)
     ok, residual = check_fiber_preservation(named.scenario)
-    report = run_all(named.scenario, CheckConfig(witness_trials=400))
+    report = run_all(named.scenario)
     print(f"{label}:")
     print(f"  kernel invariance residual = {residual:.2e}  -> fiber preserved: {ok}")
     print(f"  verdict: {report.verdict}")
@@ -40,7 +40,7 @@ for label, u2 in [("phases on |+>,|->", u2_good), ("pi/4 mixing of |+>,|->", u2_
         print(f"  effective channel found ({len(report.emergent.kraus)} Kraus ops)")
     if report.witness is not None:
         w = report.witness
-        print(f"  discrimination witness: guessing probability rises "
+        print(f"  discrimination witness ({w.source}): guessing probability rises "
               f"{w.pg_before:.4f} -> {w.pg_after:.4f} across the dynamics")
         print("  (a physical impossibility under any effective channel)")
     print()

@@ -53,9 +53,16 @@ class DensityMatrix:
             raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
         if frob(m - m.conj().T) > 1e-10 * max(1.0, frob(m)):
             raise NotHermitian("density matrix is not Hermitian")
-        w = np.linalg.eigvalsh(hermitize(m))
-        if w.min() < -1e-10:
-            raise ValueError(f"negative eigenvalue {w.min():.3e}")
+        # the Hermitian part h has no eigenvalue below -1e-10 iff h + 1e-10 I
+        # has a Cholesky factor; the eigenvalues are computed only to report
+        # a failure
+        shifted = hermitize(m)
+        shifted.flat[:: len(m) + 1] += 1e-10
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            w = np.linalg.eigvalsh(hermitize(m))
+            raise ValueError(f"negative eigenvalue {w.min():.3e}") from None
         if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
             raise ValueError(f"trace {np.trace(m)} != 1")
         object.__setattr__(self, "mat", _freeze(m))

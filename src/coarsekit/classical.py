@@ -30,7 +30,8 @@ def _astable(p) -> np.ndarray:
     m = np.asarray(p, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionMismatch("conditional table must be a matrix")
-    if np.any(m < -STOCHASTIC_TOL) or np.any(m > 1 + STOCHASTIC_TOL):
+    # written to fail on NaN, which compares false both ways
+    if not np.all((m >= -STOCHASTIC_TOL) & (m <= 1 + STOCHASTIC_TOL)):
         raise ValueError("probabilities must lie in [0, 1]")
     colsums = m.sum(axis=0)
     if np.any(np.abs(colsums - 1.0) > STOCHASTIC_TOL):
@@ -42,7 +43,8 @@ def _astable(p) -> np.ndarray:
 
 def _asdist(p) -> np.ndarray:
     v = np.asarray(p, dtype=np.float64).ravel()
-    if np.any(v < -STOCHASTIC_TOL) or abs(v.sum() - 1.0) > STOCHASTIC_TOL:
+    # written to fail on NaN and infinities
+    if not (np.all(v >= -STOCHASTIC_TOL) and abs(v.sum() - 1.0) <= STOCHASTIC_TOL):
         raise ValueError("not a probability vector")
     v = v.copy()
     v.setflags(write=False)

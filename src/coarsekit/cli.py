@@ -152,8 +152,9 @@ def cmd_check(args) -> int:
                   f"   (trials={cfg.witness_trials}, ancillas={cfg.resolved_ancillas(scenario)})")
         else:
             w = report.witness
-            print(f"  witness search : FOUND (ancilla={w.ancilla_dim}, trial={w.trial})"
-                  f"   pg {w.pg_before:.6f} -> {w.pg_after:.6f}   gap {_e(w.gap)}")
+            found = ("witness : from the kernel check" if w.source == "kernel"
+                     else f"witness search : FOUND (ancilla={w.ancilla_dim}, trial={w.trial})")
+            print(f"  {found}   pg {w.pg_before:.6f} -> {w.pg_after:.6f}   gap {_e(w.gap)}")
         if report.emergent is None:
             print("  effective channel : none")
         else:
@@ -270,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="RNG seed (fallback: the file's, then COARSEKIT_SEED, then 0)")
     add_sdp(p_check, "override the decision tolerances of all criteria")
     p_check.add_argument("--trials", type=int, default=None,
-                         help="witness-search trials per ancilla dimension, spent only when "
-                         "no effective channel is built (0 disables)")
+                         help="random witness-search trials per ancilla dimension, spent only "
+                         "when no effective channel is built and the kernel check yields no "
+                         "witness (0 disables)")
     p_check.add_argument("--ancilla", type=int, default=None,
                          help="restrict the witness search to one ancilla dimension")
     p_check.set_defaults(func=cmd_check)

@@ -6,7 +6,8 @@ d-level dynamics ``gamma`` exists with ``gamma(cg(rho)) == cg(u rho u*)``
 for every state rho:
 
 1. kernel invariance of the coarse-graining under conjugation by u
-   (exact; decides whether a well-defined linear map exists at all);
+   (exact; decides whether a well-defined linear map exists at all, and
+   when it fails yields an ensemble witness in closed form);
 2. a one-sided algebraic shortcut: a single d x d matrix V intertwining
    every Kraus operator, ``M_k u == V M_k`` (sufficient, not necessary);
 3. semidefinite feasibility of a CPTP effective map's Choi matrix, exact
@@ -15,8 +16,8 @@ for every state rho:
    point, made exactly trace preserving, is the effective channel;
 4. a randomized discrimination witness: a binary ensemble whose optimal
    guessing probability increases across the dynamics certifies that no
-   CPTP effective map can exist; it is searched for only when criterion 3
-   builds no channel.
+   CPTP effective map can exist; it is searched for at random only when
+   criterion 3 builds no channel and criterion 1 yields no witness.
 
 ``run_all`` aggregates the four verdicts, cross-checks their logical
 consistency, and returns the SDP's channel when one exists.
@@ -81,14 +82,16 @@ class _Image(NamedTuple):
     """The coarse-graining's transfer matrix T_cg = U diag(sigma) V*, cut at
     rank r and taken through a QR of T_cg* (see ``Scenario._image``), and
     the transfer matrix A of {M_k u} split along V: ``av = A V`` and the
-    part of A outside the image, ``e = A - A V V*``; ``candidate`` is the
-    effective transfer matrix ``(A V) diag(sigma)^-1 U*``."""
+    part of A outside the image, ``e = A - A V V*``, with its Gram
+    ``gram = E E*``; ``candidate`` is the effective transfer matrix
+    ``(A V) diag(sigma)^-1 U*``."""
 
     u: np.ndarray  # d^2 x r
     sigma: np.ndarray  # r
     a: np.ndarray  # d^2 x D^2
     av: np.ndarray  # d^2 x r
     e: np.ndarray  # d^2 x D^2
+    gram: np.ndarray  # d^2 x d^2
     candidate: np.ndarray  # d^2 x d^2
 
 
@@ -146,7 +149,72 @@ class Scenario:
         # needs no D^2 x r array V
         e = a - (av @ w.conj().T) @ q.conj().T if r < a.shape[1] else np.zeros_like(a)
         u, sigma = u[:, :r], sigma[:r]
-        return _Image(u, sigma, a, av, e, (av / sigma) @ u.conj().T)
+        return _Image(u, sigma, a, av, e, e @ e.conj().T, (av / sigma) @ u.conj().T)
+
+    @cached_property
+    def _kernel_witness(self) -> Optional["EnsembleWitness"]:
+        """An ensemble witness read off a failed kernel check, in closed form
+        (after Buscemi, Commun. Math. Phys. 310, 625, 2012), or None; the
+        check builds it when it fails.
+
+        The top right singular vector x of E = A - A V V*, read as a D x D
+        matrix X, is the kernel element that u pushes furthest out of the
+        kernel: cg(X) = 0 and ``||cg(u X u*)||_F = ||E||_2 ||X||_F``.  The
+        kernel is closed under adjoints (cg preserves Hermiticity), so it
+        holds the Hermitian part of X and i times its anti-Hermitian part.
+        Each has ``||A vec(.)||_2 / ||.||_F = ||E||_2``, as X has: neither
+        can exceed it, and their squares add up to X's.  So H is the larger
+        of the two, the one rounding disturbs least.  H is traceless (cg
+        preserves the trace), and its split H = H+ - H- into PSD parts of
+        traces t0 and t1 gives rho0 = H+/t0, rho1 = H-/t1 and
+        p0 = t0/(t0+t1), so that p0 rho0 - p1 rho1 = H / ||H||_1.  Then
+        pg_before = 1/2 and ``pg_after = 1/2 + ||cg(u H u*)||_1 / (2 ||H||_1)``,
+        with no ancilla.
+
+        None when a state fails ``DensityMatrix`` validation or the gap is
+        within WITNESS_MARGIN, as for a check that fails only by rounding.
+        """
+        img, t_cg, d = self._image, self.cg.transfer_mat, self.d
+        _, vecs = np.linalg.eigh(img.gram)
+        # x = E* y for the top eigenvector y of E E*.  E's rounding puts x off
+        # the kernel by about eps ||A||, which ||x|| = ||E||_2 does not dwarf
+        # when the check fails narrowly, so V V* x = T_cg* U S^-2 U* T_cg x
+        # is taken out once more
+        x = (vecs[:, -1].conj() @ img.e).conj()
+        z = (img.u / img.sigma**2) @ (img.u.conj().T @ (t_cg @ x))
+        x -= (z.conj() @ t_cg).conj()
+        # X, cg(X) and cg(u X u*); vecs are column-stacked, so a matrix is its
+        # vec reshaped and transposed
+        mats = [v.reshape(n, n).T for v, n in ((x, self.D), (t_cg @ x, d), (img.a @ x, d))]
+        # ||X + X*||_F^2 - ||X - X*||_F^2 = 4 Re tr(X X); as cg(Y*) = cg(Y)*,
+        # each image of a part is that part of the image of X
+        sign, phase = (1.0, 1.0) if np.sum(mats[0] * mats[0].T).real >= 0 else (-1.0, 1j)
+        h, before, after = (phase * (m + sign * m.conj().T) for m in mats)
+        w, q = np.linalg.eigh(h)
+        plus, minus = np.maximum(w, 0.0), np.maximum(-w, 0.0)
+        t0, t1 = plus.sum(), minus.sum()
+        if not (t0 > 0 and t1 > 0):
+            return None
+        try:
+            rho0 = DensityMatrix((q * (plus / t0)) @ q.conj().T)
+            rho1 = DensityMatrix((q * (minus / t1)) @ q.conj().T)
+        except ValueError:  # NotHermitian included
+            return None
+        # p0 rho0 - p1 rho1 = H / (t0 + t1), coarse-grained before and after u
+        norms = np.abs(np.linalg.eigvalsh(np.stack([before, after]))).sum(axis=-1)
+        pg_before, pg_after = 0.5 * (1.0 + norms / (t0 + t1))
+        if pg_after <= pg_before + WITNESS_MARGIN:
+            return None
+        p0 = float(t0 / (t0 + t1))
+        return EnsembleWitness(
+            p0=p0,
+            p1=1.0 - p0,
+            rho0=rho0,
+            rho1=rho1,
+            pg_before=float(pg_before),
+            pg_after=float(pg_after),
+            source="kernel",
+        )
 
 
 @dataclass(frozen=True)
@@ -196,6 +264,8 @@ class EnsembleWitness:
     pg_after: float
     ancilla_dim: int = 1
     trial: int = 0
+    # "kernel": built from a failed kernel check; "search": a random trial
+    source: str = "search"
 
     @property
     def gap(self) -> float:
@@ -242,9 +312,14 @@ def check_fiber_preservation(s: Scenario, tol: float = FIBER_TOL) -> tuple[bool,
     sqrt(lambda_max(E E*)) from one d^2 x d^2 ``eigvalsh``: a Gram of E
     alone keeps its largest singular value to a few ulps.  No D^2 x D^2
     array is formed.
+
+    A failed check also builds its ensemble witness
+    (``Scenario._kernel_witness``), cached on the scenario, so the verdict
+    carries it at no further cost.
     """
-    e = s._image.e
-    residual = float(np.sqrt(max(np.linalg.eigvalsh(e @ e.conj().T)[-1], 0.0)))
+    residual = float(np.sqrt(max(np.linalg.eigvalsh(s._image.gram)[-1], 0.0)))
+    if residual > tol:
+        s._kernel_witness  # built and cached on first access
     return residual <= tol, residual
 
 
@@ -710,6 +785,11 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
     ||J(Delta)||_F``, which is delta (``diagram_distance``).  A compatible
     report therefore carries no witness.
 
+    A failed kernel check brings its own witness, built inside the check
+    (``Scenario._kernel_witness``), so the random search runs only when no
+    channel is built and either the kernel check holds or its witness
+    misses WITNESS_MARGIN; ``witness_trials`` is that search's budget alone.
+
     ``method_agreement`` holds the cross-checks that can fail: an intertwiner
     or a feasible SDP each implies that the kernel check holds.  The SDP is
     feasible exactly when it yields the channel, so no witness meets either.
@@ -736,9 +816,10 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
         )
 
     # a channel that closes the square bounds every witness's gap by
-    # sqrt(d D) diag_res / 2, so only a decision without one searches
-    witness = None
-    if emergent is None and cfg.witness_trials > 0:
+    # sqrt(d D) diag_res / 2, so only a decision without one searches, and
+    # only when the failed kernel check left no witness
+    witness = None if fiber_ok else s._kernel_witness
+    if witness is None and emergent is None and cfg.witness_trials > 0:
         for ancilla in cfg.resolved_ancillas(s):
             witness = search_witness(s, cfg.witness_trials, ancilla, cfg.seed)
             if witness is not None:

@@ -2,14 +2,16 @@
 
 Complex numbers are two-element arrays ``[re, im]``; matrices are row-major
 nested lists.  Classical probability tables are matrices of real numbers.
-Every numeric field holds a JSON number of its kind, never a bool.  Every
-file carries ``"version": 1``.  Serialization is deterministic (sorted keys,
-no timestamps), so identical inputs and seeds give byte-identical reports.
+Every numeric field holds a finite JSON number of its kind, never a bool.
+Every file carries ``"version": 1``.  Serialization is deterministic (sorted
+keys, no timestamps), so identical inputs and seeds give byte-identical
+reports.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Optional
 
 import numpy as np
@@ -36,8 +38,12 @@ def real_matrix_to_json(m: np.ndarray) -> list[list[float]]:
 
 
 def _is_number(x: Any, kinds: type | tuple[type, ...] = (int, float)) -> bool:
-    """A JSON number of these kinds; a bool is never a number here."""
-    return isinstance(x, kinds) and not isinstance(x, bool)
+    """A JSON number of these kinds; a bool is never a number here, and
+    neither are the ``NaN`` and ``Infinity`` tokens that ``json`` reads."""
+    if not isinstance(x, kinds) or isinstance(x, bool):
+        return False
+    # an int is finite, and may be too large for a float
+    return isinstance(x, int) or math.isfinite(x)
 
 
 def _complex_from_json(entry: Any) -> complex:
@@ -189,6 +195,7 @@ def witness_to_json(w: EnsembleWitness) -> dict:
         "pg_after": w.pg_after,
         "ancilla_dim": w.ancilla_dim,
         "trial": w.trial,
+        "source": w.source,
     }
 
 

@@ -9,6 +9,7 @@ instrumentation once to keep those names in place.
 from pathlib import Path
 
 from coarsekit import cli, compat
+from coarsekit.channel import KrausChannel
 from coarsekit.scenarios import registry
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -54,3 +55,31 @@ def test_check_resolves_registry_names_through_the_wrapped_name(monkeypatch, cap
     monkeypatch.setattr(cli, "registry", spy)
     assert cli.main(["check", "spin-d3", "--trials", "0"]) == 0
     assert calls == [("spin-d3",)]
+
+
+def test_kernel_witness_is_built_inside_the_wrapped_fiber_check(monkeypatch):
+    # the compat.fiber span wraps check_fiber_preservation, and the trace's
+    # stage coverage counts what run_all does itself against it: a failed
+    # check must have built its witness when it returns, and run_all must
+    # then make no state of its own
+    named = registry()["example1-incompatible"]
+    s = compat.Scenario(KrausChannel(named.scenario.cg.kraus), named.scenario.u)
+    built, states_after = [], []
+    real_check, real_state = compat.check_fiber_preservation, compat.DensityMatrix
+
+    def check(scenario, *args, **kwargs):
+        result = real_check(scenario, *args, **kwargs)
+        built.append(vars(scenario).get("_kernel_witness"))
+        return result
+
+    def state(*args, **kwargs):
+        if built:
+            states_after.append(args)
+        return real_state(*args, **kwargs)
+
+    monkeypatch.setattr(compat, "check_fiber_preservation", check)
+    monkeypatch.setattr(compat, "DensityMatrix", state)
+    report = compat.run_all(s)
+    assert len(built) == 1 and built[0] is not None
+    assert report.witness is built[0] and report.witness.source == "kernel"
+    assert states_after == []

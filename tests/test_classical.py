@@ -57,6 +57,22 @@ class TestCondTable:
         with pytest.raises(ValueError):
             cl.CondTable([[1.2, 0.0], [-0.2, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_non_finite_entry_is_rejected(self, bad):
+        # a NaN compares false both ways, so it used to pass the range check
+        with pytest.raises(ValueError):
+            cl.CondTable([[bad, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_chain_rejects_a_non_finite_marginal(self, bad):
+        with pytest.raises(ValueError):
+            cl.ChainModel(
+                pA=np.array([bad, 0.5]),
+                pB_given_A=cl.CondTable(np.eye(2)),
+                pX_given_A=cl.CondTable(np.eye(2)),
+                pY_given_B=cl.CondTable(np.eye(2)),
+            )
+
     def test_model_dimension_checks(self):
         with pytest.raises(DimensionMismatch):
             cl.ChainModel(

@@ -172,6 +172,28 @@ class TestCheck:
         assert (a["config"].pop("witness_trials"), b["config"].pop("witness_trials")) == (1000, 0)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "name", [n for n, e in registry().items() if e.expected == "incompatible"]
+    )
+    def test_kernel_failed_report_does_not_depend_on_the_seed(self, name, tmp_path, capsys):
+        # the witness comes from the failed kernel check, not from a seeded
+        # search, so only the echoed seed differs
+        docs = []
+        for seed in (0, 1, 5):
+            path = tmp_path / f"seed{seed}.json"
+            assert main(["check", name, "--json", str(path), "--seed", str(seed)]) == 1
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            assert doc["config"].pop("seed") == seed
+            docs.append(doc)
+        assert docs[0]["witness"]["source"] == "kernel"
+        assert docs[1] == docs[0] and docs[2] == docs[0]
+
+    def test_kernel_witness_line(self, capsys):
+        assert main(["check", "example1-incompatible", "--trials", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "witness : from the kernel check   pg 0.500000 -> 0.853553" in out
+        assert "witness search" not in out
+
     def test_registry_name_builds_only_its_scenario(self, monkeypatch, capsys):
         from coarsekit import scenarios
 
@@ -454,6 +476,54 @@ class TestClassical:
         write_json(path, doc)
         assert main(["classical", str(path), "--emergent"]) == 64
         assert "JSON object" in capsys.readouterr().err
+
+
+class TestNonFiniteNumbers:
+    """Python's json reads the NaN, Infinity and -Infinity tokens, which are
+    not JSON numbers; in any numeric field they are unreadable input."""
+
+    TOKENS = [float("nan"), float("inf"), float("-inf")]
+
+    @staticmethod
+    def written(tmp_path, doc):
+        path = tmp_path / "nonfinite.json"
+        write_json(path, doc)
+        text = path.read_text(encoding="utf-8")
+        assert "NaN" in text or "Infinity" in text
+        return str(path)
+
+    @pytest.mark.parametrize("token", TOKENS, ids=repr)
+    def test_complex_entry_exit_64(self, token, tmp_path):
+        doc = scenario_doc([np.eye(2)], np.eye(2))
+        doc["unitary"][0][0] = [token, 0.0]
+        assert main(["check", self.written(tmp_path, doc)]) == 64
+
+    @pytest.mark.parametrize("token", TOKENS, ids=repr)
+    @pytest.mark.parametrize("command", ["check", "construct"])
+    def test_config_tol_exit_64(self, command, token, tmp_path, capsys):
+        doc = scenario_doc([np.eye(2)], np.diag([1.0, 1j]), config={"tol": token})
+        assert main([command, self.written(tmp_path, doc)]) == 64
+        assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", TOKENS, ids=repr)
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("pA", lambda t: [t, 0.5]),
+            ("pB_given_A", lambda t: [[t, 0.0], [0.0, 1.0]]),
+            ("pX_given_A", lambda t: [[1.0, 0.0], [0.0, t]]),
+            ("pY_given_B", lambda t: [[1.0, t], [0.0, 1.0]]),
+        ],
+        ids=["pA", "pB_given_A", "pX_given_A", "pY_given_B"],
+    )
+    def test_classical_chain_exit_64(self, key, value, token, tmp_path, capsys):
+        # a NaN in pA used to print a table of nan and exit 0
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        chain = {"pA": [0.5, 0.5], "pB_given_A": eye, "pX_given_A": eye, "pY_given_B": eye}
+        doc = scenario_doc([np.eye(2)], np.eye(2))
+        doc["classical"] = {"chain": {**chain, key: value(token)}}
+        assert main(["classical", self.written(tmp_path, doc), "--emergent"]) == 64
+        assert "nan" not in capsys.readouterr().out
 
 
 class TestListAndGen:

@@ -533,7 +533,8 @@ COMPATIBLE_NAMES = [n for n, e in REG.items() if e.expected == "compatible"]
 
 
 class TestWitnessSkip:
-    """run_all searches for a witness only when no channel closes the square."""
+    """run_all searches for a witness only when no channel closes the square
+    and the kernel check yields no witness."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -555,12 +556,22 @@ class TestWitnessSkip:
         assert calls == []
         assert report.witness is None
 
-    def test_incompatible_decision_searches(self, monkeypatch):
+    def test_incompatible_decision_searches_only_without_a_kernel_witness(self, monkeypatch):
         calls = self.spy(monkeypatch)
+        # the kernel check fails and yields the witness: no search
         report = compat.run_all(REG["example1-incompatible"].scenario)
         assert report.verdict == "incompatible"
+        assert calls == []
+        assert report.witness is not None and report.witness.source == "kernel"
+        # the dephased Hadamard at p = 0.5: the kernel check holds and the SDP
+        # is infeasible, so the search runs
+        z = np.diag([1.0, -1.0])
+        cg = KrausChannel([np.sqrt(0.75) * np.eye(2), np.sqrt(0.25) * z])
+        s = ck.Scenario(cg, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+        report = compat.run_all(s)
+        assert report.fiber_preserved and report.sdp.status == compat.INFEASIBLE
         assert len(calls) >= 1
-        assert report.witness is not None
+        assert report.witness is None or report.witness.source == "search"
 
 
 def _witness_bound(s, diagram_residual):

@@ -289,3 +289,106 @@ def test_registry_verdicts_hold_for_any_seed(name, seed):
     assert report.verdict == REG[name].expected
     if report.witness is not None:
         assert_witness_holds(s, report.witness)
+
+
+# The kernel witness: built in closed form from a failed kernel check.
+
+
+def _trace_norm(m):
+    return np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2)).sum()
+
+
+def _kernel_gap(s, w):
+    """(||cg(u H u*)||_1 - ||cg(H)||_1) / (2 ||H||_1) for H = p0 rho0 - p1 rho1,
+    through the Kraus operators."""
+    h = w.p0 * w.rho0.mat - w.p1 * w.rho1.mat
+
+    def coarse(r):
+        return sum(k @ r @ k.conj().T for k in s.cg.kraus)
+
+    moved = coarse(s.u @ h @ s.u.conj().T)
+    return (_trace_norm(moved) - _trace_norm(coarse(h))) / (2 * _trace_norm(h))
+
+
+def assert_kernel_witness(s, w):
+    assert w is not None and w.source == "kernel"
+    assert (w.ancilla_dim, w.trial) == (1, 0)
+    assert_witness_holds(s, w)
+    assert abs(w.pg_before - 0.5) <= 1e-9
+    assert abs(w.gap - _kernel_gap(s, w)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    big=st.integers(2, 10),
+    small=st.integers(2, 4),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_failed_kernel_check_yields_the_kernel_witness(big, small, extra, seed):
+    small = min(small, big)
+    # K d >= D Kraus operators, the fewest that make an isometry
+    s = random_scenario(big, small, -(-big // small) + extra, seed).scenario
+    fiber_ok, _ = compat.check_fiber_preservation(s)
+    # the check builds the witness only when it fails
+    assert ("_kernel_witness" in vars(s)) == (not fiber_ok)
+    report = compat.run_all(s, compat.CheckConfig(witness_trials=0))
+    if fiber_ok:
+        assert report.witness is None
+    else:
+        assert_kernel_witness(s, report.witness)
+        # H is pushed out of the kernel by ||E||_2 (the residual) in Frobenius
+        # norm, and ||Y||_F <= ||Y||_1 <= sqrt(D) ||Y||_F
+        assert report.witness.gap >= report.fiber_residual / (2 * np.sqrt(s.D)) - 1e-12
+
+
+def _kernel_failed_cases():
+    for name in ("example1-incompatible", "example2-incompatible"):
+        yield pytest.param(REG[name].scenario, id=name)
+    # the dephasing workload's Haar cases at seed 7, drawn in its order
+    rng = np.random.default_rng(7)
+    for k in (4, 6, 8):
+        blocks = [haar_unitary(k, rng) for _ in range(4)]
+        cg = example2(k, 4, blocks, "none").scenario.cg
+        s = compat.Scenario(cg, haar_unitary(4 * k, rng))
+        yield pytest.param(s, id=f"dephasing-k{k}-haar")
+
+
+@pytest.mark.parametrize("s", list(_kernel_failed_cases()))
+def test_kernel_witness_beats_the_default_search(s):
+    cfg = compat.CheckConfig()
+    report = compat.run_all(s, cfg)
+    assert report.verdict == "incompatible" and not report.fiber_preserved
+    assert_kernel_witness(s, report.witness)
+    for n in cfg.resolved_ancillas(s):
+        searched = compat.search_witness(s, cfg.witness_trials, n, cfg.seed)
+        if searched is not None:
+            assert report.witness.gap >= searched.gap
+            break
+
+
+def test_narrowly_failed_check_falls_back_to_the_search(monkeypatch):
+    # along u exp(i eps G) from a compatible scenario: at eps = 1e-10 the kernel
+    # residual is about 7e-10, and a tolerance 20% below it fails the check by
+    # a hair; the kernel witness's gap, about half the residual, misses
+    # WITNESS_MARGIN
+    s0 = REG["example1-compatible"].scenario
+    g = np.random.default_rng(0).standard_normal((s0.D, 2 * s0.D)).view(np.complex128)
+    w, q = np.linalg.eigh(g + g.conj().T)
+    s = compat.Scenario(s0.cg, s0.u @ (q * np.exp(1e-10j * w)) @ q.conj().T)
+    tol = 0.8 * compat.check_fiber_preservation(s, np.inf)[1]
+    calls = []
+    real = compat.search_witness
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(compat, "search_witness", spy)
+    cfg = compat.CheckConfig(fiber_tol=tol, algebraic_rel_tol=tol, sdp_tol=tol, witness_trials=8)
+    report = compat.run_all(s, cfg)
+    assert tol < report.fiber_residual < 1.3 * tol
+    assert not report.fiber_preserved and s._kernel_witness is None
+    assert len(calls) >= 1
+    assert report.witness is None or report.witness.source == "search"
+    assert report.verdict == "incompatible"
