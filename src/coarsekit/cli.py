@@ -268,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("input", help="registry name or scenario file")
     p_check.add_argument("--json", metavar="PATH", help="write a machine-readable report")
     p_check.add_argument("--seed", type=int, default=None,
-                         help="RNG seed (fallback: the file's, then COARSEKIT_SEED, then 0)")
+                         help="seed of the random witness search, the only random step "
+                         "(fallback: the file's, then COARSEKIT_SEED, then 0)")
     add_sdp(p_check, "override the decision tolerances of all criteria")
     p_check.add_argument("--trials", type=int, default=None,
                          help="random witness-search trials per ancilla dimension, spent only "

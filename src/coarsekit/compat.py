@@ -25,9 +25,11 @@ consistency, and returns the SDP's channel when one exists.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -66,12 +68,6 @@ SDP_MAX_ITER = 20000
 SDP_STALL_WINDOW = 200
 SDP_STALL_RTOL = 1e-12
 WITNESS_MARGIN = 1e-9
-# Working set of one witness batch in bytes.  It caps the trials per batch
-# (by their drawn factors and Gram and Helstrom blocks), the factors pushed
-# through the Kraus operators at once and the operators each push takes (by
-# their images); at D*n = 1024 a batch is one trial, each factor goes
-# through on its own and one Kraus operator at a time.
-_WITNESS_BATCH_BYTES = 2**20
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -234,12 +230,19 @@ class CheckConfig:
         tols = (self.fiber_tol, self.algebraic_rel_tol, self.sdp_tol)
         if not all(t > 0 for t in tols):
             raise ValueError(f"tolerances must be > 0, got {tols}")
-        if self.sdp_max_iter < 1:
-            raise ValueError(f"sdp_max_iter must be >= 1, got {self.sdp_max_iter}")
-        if self.witness_trials < 0:
-            raise ValueError(f"witness_trials must be >= 0, got {self.witness_trials}")
-        if self.ancilla_dims is not None and any(n < 1 for n in self.ancilla_dims):
-            raise ValueError(f"ancilla dimensions must be >= 1, got {self.ancilla_dims}")
+        if self.ancilla_dims is not None and not self.ancilla_dims:
+            raise ValueError("ancilla_dims must be non-empty when given")
+        # operator.index takes Python and NumPy integers, not 2.5 or "3"
+        counts = [("sdp_max_iter", self.sdp_max_iter, 1), ("seed", self.seed, 0),
+                  ("witness_trials", self.witness_trials, 0),
+                  *(("each of ancilla_dims", n, 1) for n in self.ancilla_dims or ())]
+        for name, value, low in counts:
+            try:
+                ok = operator.index(value) >= low
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def resolved_ancillas(self, s: "Scenario") -> tuple[int, ...]:
         if self.ancilla_dims is not None:
@@ -379,160 +382,44 @@ def helstrom_pguess(p0: float, rho0, rho1) -> float:
     return float(0.5 * (1.0 + np.abs(w).sum()))
 
 
-# Whether each of the two states of trial t is pure, by t mod 4: every four
-# trials draw each pairing of pure and Wishart states once, so a search of a
-# given budget costs the same whatever its seed, and how many factors a
-# batch reads from the pure and the Wishart stream depends only on its trials.
-_TRIAL_KINDS = np.array([(True, True), (True, False), (False, True), (False, False)])
+def _witness_trials(dim: int, seed: int, ancilla_dim: int) -> Iterator[tuple]:
+    """Trials 0, 1, ... of a search: p0 and the factors G0, G1 of its two
+    states G G*/tr of dimension dim, from three streams spawned from
+    ``SeedSequence([seed, ancilla_dim])``: weights, pure-state vectors (real
+    parts, then imaginary) and Wishart factors (interleaved real and
+    imaginary parts, viewed as complex), each read in trial order.  State 0
+    of trial t is pure when t mod 4 < 2 and state 1 when t is even, so a
+    search's cost depends on its budget and not on its seed."""
+    children = np.random.SeedSequence([seed, ancilla_dim]).spawn(3)
+    weights, vecs, mats = (np.random.default_rng(c) for c in children)
+
+    def factor(pure: bool) -> np.ndarray:
+        if pure:
+            re, im = vecs.standard_normal((2, dim))
+            return re + 1j * im
+        return mats.standard_normal((dim, 2 * dim)).view(np.complex128)
+
+    for t in itertools.count():
+        yield weights.uniform(0.2, 0.8), factor(t % 4 < 2), factor(t % 2 == 0)
 
 
-class _Draws(NamedTuple):
-    """A batch of b witness trials: the weights p0 (b,), whether each of the
-    2 b states is pure (state 0 then state 1 of each trial, in trial order),
-    and the unnormalized factors of the pure states (m, D n, 1) and of the
-    Wishart states (m', D n, D n), each in state order."""
-
-    p0: np.ndarray
-    pure: np.ndarray
-    vecs: np.ndarray
-    mats: np.ndarray
-
-    def factor(self, i: int) -> np.ndarray:
-        """Factor of state i: a vector for a pure state, else a matrix."""
-        if self.pure[i]:
-            return self.vecs[np.count_nonzero(self.pure[:i]), :, 0]
-        return self.mats[np.count_nonzero(~self.pure[:i])]
-
-
-def _draw_batch(streams, dim: int, start: int, stop: int) -> _Draws:
-    """Draw witness trials start..stop-1 from a search's three streams: the
-    weights, the pure-state vectors and the Wishart factors.
-
-    Each stream is read in trial order, so a trial's draws do not depend on
-    how trials are batched.  Each kind comes from one ``standard_normal``
-    call, whose values are those of ``normal(0, 1)``: a vector reads its
-    real parts, then its imaginary parts, as ``random_pure_state_mat``
-    does; a Wishart factor reads interleaved real and imaginary parts,
-    viewed as complex with no second buffer.
-    """
-    weights, vec_rng, mat_rng = streams
-    pure = _TRIAL_KINDS[np.arange(start, stop) % len(_TRIAL_KINDS)].ravel()
-    n_vecs = int(np.count_nonzero(pure))
-    re_im = vec_rng.standard_normal(size=(n_vecs, 2, dim))
-    mats = mat_rng.standard_normal(size=(pure.size - n_vecs, dim, 2 * dim))
-    return _Draws(
-        p0=weights.uniform(0.2, 0.8, size=stop - start),
-        pure=pure,
-        vecs=(re_im[:, 0] + 1j * re_im[:, 1])[..., None],
-        mats=mats.view(np.complex128),
-    )
-
-
-def _state_first(s: Scenario, n: int, rank: int) -> bool:
-    """Whether factors G of this rank take the state order, which costs
-    fewer multiply-adds: forming rho = G G* ((D n)^2 r) and applying the two
-    d^2 x D^2 transfer matrices to it (2 d^2 D^2 n^2), against pushing G
-    through the 2 K Kraus operators (2 K d D n r) and forming the images'
-    Gram blocks (2 K (d n)^2 r)."""
-    k, d, big = len(s.cg.kraus), s.d, s.D
-    images = 2 * k * d * big * n * rank + 2 * k * (d * n) ** 2 * rank
-    states = (big * n) ** 2 * rank + 2 * (d * big * n) ** 2
-    return states < images
-
-
-def _factor_bytes(s: Scenario, n: int, rank: int, state_first: bool) -> int:
-    """Working set of one factor: G and, in the state order, conj(G), the
-    state and its reordered rows, and the two products with their reordered
-    copy; in the image order, G's Kraus images on both paths with their
-    conjugate, and the per-operator Gram blocks."""
-    k, dn, big_n = len(s.cg.kraus), s.d * n, s.D * n
-    if state_first:
-        return 16 * (2 * rank * big_n + 2 * big_n**2 + 4 * dn * dn)
-    return 16 * (rank * (big_n + 4 * k * dn) + 2 * k * dn * dn)
-
-
-def _coarse_grams(s: Scenario, n: int, ops: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Coarse-grained Gram matrices of stacked factors, before and after u,
-    in the image order.
-
-    ``ops`` stacks {M_k} over {M_k u} as (2 K d, D) and ``g`` is (m, D n, r).
-    Returns (m, 2, d n, d n) holding ``sum_k (A_k x I_n) G G* (A_k x I_n)*``
-    for A = M and A = M u.  ``(A_k x I_n) G`` is A_k applied to the system
-    index of G read as (D, n r), so no lifted operator is formed.  The
-    operators go through a few at a time, so that their images and the
-    conjugate fit _WITNESS_BATCH_BYTES even when one factor's do not.
-    """
-    m, _, r = g.shape
-    k, d, dn = len(s.cg.kraus), s.d, s.d * n
-    g = g.reshape(m, s.D, n * r)
-    grams = np.empty((m, 2 * k, dn, dn), dtype=np.complex128)
-    # operators per push: each one's image and its conjugate take 32 m dn r bytes
-    step = max(1, _WITNESS_BATCH_BYTES // (32 * m * dn * r))
-    for lo in range(0, 2 * k, step):
-        hi = min(2 * k, lo + step)
-        # rows (A_k, j) and columns (a, c) of the product, read as the (j a, c)
-        # image Y_k of G
-        y = (ops[lo * d : hi * d] @ g).reshape(m, hi - lo, dn, r)
-        np.matmul(y, y.conj().swapaxes(-1, -2), out=grams[:, lo:hi])
-    return grams.reshape(m, 2, k, dn, dn).sum(axis=2)
-
-
-def _state_grams(s: Scenario, n: int, g: np.ndarray) -> np.ndarray:
-    """The Gram matrices of ``_coarse_grams``, in the state order.
-
-    Forms rho^T = conj(G) G^T for the stacked factors ``g`` (m, D n, r),
-    whose entries, read in row-major order, give the column-stacked vec of
-    each (a, c) system block of rho (a view when n = 1).  These vecs, the
-    rows of an (m n^2, D^2) matrix, go through T_cg and through A in one
-    product each for the whole chunk; a product row is the column-stacked
-    vec of ``sum_k M_k rho_ac M_k*`` (or with M_k u), the (a, c) block of
-    the (d n, d n) Gram matrix.
-    """
-    m = len(g)
-    d, big = s.d, s.D
-    rho_t = np.matmul(g.conj(), g.swapaxes(-1, -2))
-    rows = rho_t.reshape(m, big, n, big, n).transpose(0, 4, 2, 1, 3).reshape(-1, big * big)
-    if len(rows) == 1:
-        # a single row would go through gemv, whose rounding differs from
-        # gemm's, and a factor's result must not depend on its chunk
-        rows = np.concatenate([rows, np.zeros_like(rows)])
-    y = np.stack([rows @ t.T for t in (s.cg.transfer_mat, s._image.a)], axis=1)
-    # (m, a, c) x (path, j', i') -> (m, path, i' a, j' c)
-    y = y[: m * n * n].reshape(m, n, n, 2, d, d).transpose(0, 3, 5, 1, 4, 2)
-    return y.reshape(m, 2, d * n, d * n)
-
-
-def _guessing_probs(s: Scenario, n: int, ops: np.ndarray, draws: _Draws) -> np.ndarray:
-    """Helstrom guessing probabilities (b, 2), before and after u, of the
-    coarse-grained ensembles of a batch of drawn trials.
-
-    Factors of one kind are pushed through together, in chunks that fit
-    _WITNESS_BATCH_BYTES, in the image order (``_coarse_grams``, through
-    the Kraus operators ``ops``) or the state order (``_state_grams``),
-    whichever ``_state_first`` finds cheaper for their shape.  Each factor
-    G then enters with weight p/||G||_F^2, which normalizes pure and
-    Wishart states alike, and all 2 b Helstrom operators go through one
-    stacked ``eigvalsh``.
-    """
+def _trial_pguess(s: Scenario, n: int, p0: float, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
+    """Helstrom guessing probabilities (before, after u) of the coarse-grained
+    ensemble {p0: G0 G0*/||G0||^2, 1 - p0: G1 G1*/||G1||^2} on the system and
+    an n-level ancilla.  Each factor G goes through {M_k} and {M_k u} one
+    operator at a time: M_k applied to G read as (D, n r), read back as
+    (d n, r), is the image Y_k = (M_k x I_n) G, and the blocks Y_k Y_k* are
+    summed.  Both values come from one stacked ``eigvalsh``."""
     dn = s.d * n
-    grams = np.empty((draws.pure.size, 2, dn, dn), dtype=np.complex128)
-    norms = np.empty(draws.pure.size)
-    for slots, g in ((draws.pure, draws.vecs), (~draws.pure, draws.mats)):
-        idx = np.flatnonzero(slots)
-        re_im = g.view(np.float64)
-        norms[idx] = np.einsum("mij,mij->m", re_im, re_im)
-        state_first = _state_first(s, n, g.shape[-1])
-        chunk = max(1, _WITNESS_BATCH_BYTES // _factor_bytes(s, n, g.shape[-1], state_first))
-        for lo in range(0, len(g), chunk):
-            part = g[lo : lo + chunk]
-            grams[idx[lo : lo + chunk]] = (
-                _state_grams(s, n, part) if state_first else _coarse_grams(s, n, ops, part)
-            )
-    p = np.column_stack([draws.p0, 1.0 - draws.p0]).ravel()
-    grams *= (p / norms)[:, None, None, None]
-    helstrom = grams[0::2] - grams[1::2]
-    w = np.linalg.eigvalsh(helstrom)
-    return 0.5 * (1.0 + np.abs(w).sum(axis=-1))
+    helstrom = np.zeros((2, dn, dn), dtype=np.complex128)
+    for path, kraus in enumerate((s.cg.kraus, s._kraus_after)):
+        for p, g in ((p0, g0), (p0 - 1.0, g1)):
+            gram = np.zeros((dn, dn), dtype=np.complex128)
+            for m in kraus:
+                y = (m @ g.reshape(s.D, -1)).reshape(dn, -1)
+                gram += y @ y.conj().T
+            helstrom[path] += (p / np.vdot(g, g).real) * gram
+    return 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(helstrom)).sum(axis=-1))
 
 
 def search_witness(
@@ -540,63 +427,23 @@ def search_witness(
 ) -> Optional[EnsembleWitness]:
     """Randomized hunt for an ensemble violating data processing.
 
-    Samples binary ensembles on the microscopic system tensored with an
-    ancilla (Haar-random pure states and Wishart mixed states, each pairing
-    of the two kinds once every four trials, weight drawn uniformly), so
-    the cost of a search depends on its budget and not on its seed, and
-    compares guessing probabilities of the coarse-grained ensemble before
-    and after the unitary.  Returns the first violation found; absence
-    proves nothing, the test is one-sided.
-
-    States are drawn in factor form, rho = G G*/tr, and no lifted operator
-    is built.  Each kind of factor (pure vectors, Wishart matrices) takes
-    the contraction order with fewer multiply-adds for its shape
-    (D, d, n, K, r; see ``_state_first``): Kraus images first, G through
-    {M_k} (before) and {M_k u} (after) and then the images' Gram blocks
-    ``Y Y*``, or the state first, rho = G G* (the size of a Wishart
-    factor) through T_cg and the transfer matrix of {M_k u}, a chunk of
-    factors at a time.  Trials run in batches that grow geometrically from
-    one trial up to the _WITNESS_BATCH_BYTES working set (the drawn factors
-    and the Gram and Helstrom blocks), and each batch's Helstrom
-    eigenvalues come from one stacked ``eigvalsh``.  The search spawns
-    three streams from ``SeedSequence([seed, ancilla_dim])``: the weights
-    p0, the pure-state vectors and the Wishart factors.  Each is read in
-    trial order, a batch at a time, so the result does not depend on the
-    batching; the states of the returned trial are rebuilt from their
-    factors.
+    One trial at a time, draws a binary ensemble of a pure or Wishart
+    state pair on the system and an ancilla (``_witness_trials``) and
+    compares the guessing probabilities of its coarse-grained images before
+    and after the unitary (``_trial_pguess``).  Returns the first
+    violation, its states rebuilt from their factors; absence proves nothing.
     """
     if trials < 1 or ancilla_dim < 1:
         raise ValueError("trials and ancilla_dim must be >= 1")
-    n = ancilla_dim
-    dim = s.D * n
-    ops = np.concatenate([s.cg.kraus, s._kraus_after]).reshape(-1, s.D)
-    streams = [
-        np.random.default_rng(child)
-        for child in np.random.SeedSequence([seed, ancilla_dim]).spawn(3)
-    ]
-    # per trial: two factors at worst (Wishart), four Gram and two Helstrom blocks
-    per_trial = 16 * (2 * dim**2 + 6 * (s.d * n) ** 2)
-    cap = max(1, _WITNESS_BATCH_BYTES // per_trial)
-    start, size = 0, 1
-    while start < trials:
-        stop = min(trials, start + size)
-        draws = _draw_batch(streams, dim, start, stop)
-        pg = _guessing_probs(s, n, ops, draws)
-        hits = np.flatnonzero(pg[:, 1] > pg[:, 0] + WITNESS_MARGIN)
-        if hits.size:
-            j = int(hits[0])
-            p0 = float(draws.p0[j])
-            return EnsembleWitness(
-                p0=p0,
-                p1=1.0 - p0,
-                rho0=DensityMatrix(state_from_factor(draws.factor(2 * j))),
-                rho1=DensityMatrix(state_from_factor(draws.factor(2 * j + 1))),
-                pg_before=float(pg[j, 0]),
-                pg_after=float(pg[j, 1]),
-                ancilla_dim=ancilla_dim,
-                trial=start + j,
-            )
-        start, size = stop, min(2 * size, cap)
+    draws = _witness_trials(s.D * ancilla_dim, seed, ancilla_dim)
+    for t in range(trials):
+        p0, g0, g1 = next(draws)
+        before, after = _trial_pguess(s, ancilla_dim, p0, g0, g1)
+        if after > before + WITNESS_MARGIN:
+            rho0, rho1 = (DensityMatrix(state_from_factor(g)) for g in (g0, g1))
+            return EnsembleWitness(p0, 1.0 - p0, rho0, rho1, float(before), float(after),
+                                   ancilla_dim=ancilla_dim, trial=t)
+        del g0, g1  # so that the next trial's draws do not join them in memory
     return None
 
 

@@ -227,6 +227,25 @@ class TestCheck:
         assert main(["check", name, *flags]) == 65
         assert "must be" in capsys.readouterr().err
 
+    def test_negative_seed_exit_65(self, monkeypatch, capsys):
+        assert main(["check", "spin-d3", "--seed", "-1"]) == 65
+        assert "seed" in capsys.readouterr().err
+        monkeypatch.setenv("COARSEKIT_SEED", "-5")
+        assert main(["check", "spin-d3"]) == 65
+        assert "seed" in capsys.readouterr().err
+
+    def test_dephased_hadamard_reaches_the_search(self, tmp_path, capsys):
+        # the kernel is trivial and the SDP builds no channel, so neither the
+        # kernel check nor a channel rules out the search; at seed 0 it finds
+        # a witness at trial 3
+        path, report_path = tmp_path / "dephased.json", tmp_path / "r.json"
+        kraus = [np.sqrt(0.75) * np.eye(2), np.sqrt(0.25) * np.diag([1.0, -1.0])]
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        write_json(path, scenario_doc(kraus, h))
+        assert main(["check", str(path), "--json", str(report_path)]) == 1
+        witness = json.loads(report_path.read_text(encoding="utf-8"))["witness"]
+        assert (witness["source"], witness["trial"]) == ("search", 3)
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COARSEKIT_SEED", "17")
         report_path = tmp_path / "env.json"

@@ -465,7 +465,12 @@ class TestKrausEquivalence:
     "field, value",
     [
         ("witness_trials", -1),
+        ("witness_trials", 2.5),
         ("ancilla_dims", (2, 0)),
+        ("ancilla_dims", (1.5,)),
+        ("ancilla_dims", ()),
+        ("seed", -1),
+        ("seed", 1.5),
         ("sdp_max_iter", 0),
         ("fiber_tol", 0.0),
         ("algebraic_rel_tol", -1e-8),
@@ -475,6 +480,12 @@ class TestKrausEquivalence:
 def test_check_config_rejects_out_of_range_settings(field, value):
     with pytest.raises(ValueError, match="must be"):
         compat.CheckConfig(**{field: value})
+
+
+def test_check_config_takes_numpy_integers():
+    cfg = compat.CheckConfig(witness_trials=np.int64(5), ancilla_dims=(np.int32(2),),
+                             seed=np.uint8(3), sdp_max_iter=np.int64(10))
+    assert (cfg.witness_trials, cfg.seed) == (5, 3)
 
 
 class TestRunAll:
@@ -793,37 +804,28 @@ def test_sdp_loop_builds_nothing_of_size_d4():
     assert peak < 2 * 2**20
 
 
-def test_witness_kraus_images_stay_within_the_batch_bytes():
-    # at D n = 256 one Wishart factor (1 MiB) has Kraus images that take
-    # 4 MiB with their conjugate; they go through two operators at a time
-    s = random_planted_scenario(4, 4, 0).scenario
-    dn, big = s.d * s.D, s.D * s.D
-    factors = 2 * 16 * big**2
-    gram_blocks = 2 * len(s.cg.kraus) * 16 * dn**2
+@pytest.mark.parametrize(
+    "s",
+    [
+        pytest.param(random_planted_scenario(4, 4, 0).scenario, id="planted-16"),
+        pytest.param(_dephasing(4), id="dephasing-16"),  # K = 16
+    ],
+)
+def test_witness_search_holds_two_factors_and_one_kraus_image(s):
+    # at ancilla D (D n = 256) each Wishart factor takes 1 MiB and its image
+    # under one Kraus operator 256 KiB; the search holds one trial's two
+    # factors, one image with its conjugate, and the Gram and Helstrom
+    # blocks, but never every operator's image at once
+    dim, dn = s.D * s.D, s.d * s.D
+    factors = 2 * 16 * dim**2
+    image = 16 * dn * dim
+    blocks = 6 * 16 * dn**2
+    # the cached operators {M_k u} belong to the scenario, not the search
+    s._kraus_after
     tracemalloc.start()
     try:
         assert compat.search_witness(s, 4, s.D, seed=0) is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < factors + gram_blocks + 2 * compat._WITNESS_BATCH_BYTES
-
-
-def test_witness_states_stay_within_the_batch_bytes():
-    # dephasing at D = 32 with ancilla 1: every Wishart factor takes the
-    # state order, whose states (16 KiB each) are formed a chunk at a time
-    s = _dephasing(8)
-    assert compat._state_first(s, 1, s.D)
-    # the transfer matrices are the scenario's cached state, not the search's
-    s._image, s.cg.transfer_mat
-    # a batch holds at most this many trials: two factors and four Gram blocks each
-    batch = compat._WITNESS_BATCH_BYTES // (16 * (2 * s.D**2 + 6 * s.d**2))
-    factors = 2 * batch * 16 * s.D**2
-    gram_blocks = 4 * batch * 16 * s.d**2
-    tracemalloc.start()
-    try:
-        assert compat.search_witness(s, 8 * batch, 1, seed=0) is None
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < factors + gram_blocks + 2 * compat._WITNESS_BATCH_BYTES
+    assert peak < factors + 2 * image + blocks + 2**16

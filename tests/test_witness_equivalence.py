@@ -1,15 +1,13 @@
-"""The structured, batched witness search against a dense reference.
+"""The witness search against a dense reference.
 
-The reference is the plain trial-by-trial search: each state is built as a
-(D n) x (D n) density matrix and pushed through ``kron(M_k, I_n)`` and
-``kron(u, I_n)``.  Both searches read three streams spawned from
+The reference draws each state as a (D n) x (D n) density matrix and pushes
+it through ``kron(M_k, I_n)`` and ``kron(u, I_n)``; the search keeps each
+state as a factor G of G G*/tr and pushes G through the Kraus operators one
+at a time.  Both read three streams spawned from
 ``SeedSequence([seed, ancilla_dim])`` (weights, pure-state vectors, Wishart
-factors) in trial order; the reference draws one trial at a time, the search
-a batch at a time, so they must return the same trial with bit-identical
-states; guessing probabilities may differ by rounding.  The search takes
-each kind of factor through the cheaper of two contraction orders (Kraus
-images first, or the state first through the transfer matrices); the two
-are also checked against each other.
+factors) in trial order, one trial at a time, so they must return the same
+trial with bit-identical states; guessing probabilities may differ by
+rounding.
 """
 
 import itertools
@@ -149,27 +147,20 @@ def _near_compatible():
     return example1(h @ _rotation(8e-9) @ h).scenario
 
 
-@pytest.mark.parametrize("budget", [None, 1, 200_000])
-def test_witness_past_several_batches(monkeypatch, budget):
-    # by default batches hold 1, 2, 4, ... trials and the witness sits in the
-    # eighth; the smaller budgets cap batches at one and at 74 trials
-    if budget is not None:
-        monkeypatch.setattr(compat, "_WITNESS_BATCH_BYTES", budget)
+def test_witness_past_trial_63():
     s = _near_compatible()
     w = assert_matches_dense(s, 200, 2, seed=1)
     assert w is not None and w.trial > 63
     assert_witness_holds(s, w)
 
 
-@pytest.mark.parametrize("budget", [1, 200_000])
-def test_small_budget_full_search(monkeypatch, budget):
-    # caps of one and of 13 trials per batch, with no witness to stop early
-    monkeypatch.setattr(compat, "_WITNESS_BATCH_BYTES", budget)
-    assert_matches_dense(REG["example2-compatible"].scenario, 40, 4, seed=0)
+def test_full_search_without_a_witness():
+    # all 40 trials run, and none is a witness
+    assert assert_matches_dense(REG["example2-compatible"].scenario, 40, 4, seed=0) is None
 
 
 def _dephasing(k=4, d=4):
-    # at ancilla 1 (D = 16, K = 16) every Wishart factor takes the state order
+    # D = k d with K = D Kraus operators
     rng = np.random.default_rng(3)
     return example2(k, d, [haar_unitary(k, rng) for _ in range(d)], "none").scenario
 
@@ -183,29 +174,26 @@ def _dephasing(k=4, d=4):
 )
 def test_every_trial_probability_matches_dense(s, n):
     seed = 3
-    ops = np.concatenate([*s.cg.kraus, *(m @ s.u for m in s.cg.kraus)])
-    draws = compat._draw_batch(_search_streams(seed, n), s.D * n, 0, 24)
-    pg = compat._guessing_probs(s, n, ops, draws)
-    assert pg.shape == (24, 2)
-    for t, (p0, rho0, rho1) in zip(range(24), _dense_trials(s, n, seed)):
-        assert draws.p0[t] == p0
+    trials = compat._witness_trials(s.D * n, seed, n)
+    for p0, rho0, rho1 in itertools.islice(_dense_trials(s, n, seed), 24):
+        q0, g0, g1 = next(trials)
+        assert q0 == p0
+        pg = compat._trial_pguess(s, n, q0, g0, g1)
         before, after = _dense_pguess(s, n, p0, rho0, rho1)
-        assert abs(pg[t, 0] - before) <= PG_TOL
-        assert abs(pg[t, 1] - after) <= PG_TOL
+        assert abs(pg[0] - before) <= PG_TOL
+        assert abs(pg[1] - after) <= PG_TOL
 
 
 def test_trial_kinds_do_not_depend_on_the_seed():
     # every four trials pair pure and Wishart states once each way, so the
     # work of a search is fixed by its budget
     for seed in (0, 1, 7):
-        draws = compat._draw_batch(_search_streams(seed, 2), 6, 0, 8)
-        kinds = [
-            tuple(draws.factor(2 * t + i).ndim == 1 for i in (0, 1)) for t in range(8)
-        ]
+        trials = compat._witness_trials(6, seed, 2)
+        kinds = [tuple(g.ndim == 1 for g in next(trials)[1:]) for _ in range(8)]
         assert kinds == [(True, True), (True, False), (False, True), (False, False)] * 2
 
 
-def _batching_cases():
+def _budget_cases():
     for case in _registry_cases():
         name, n, seed = case.values
         yield pytest.param(REG[name].scenario, 300, n, seed, id=case.id)
@@ -223,17 +211,21 @@ def _outcome(w):
     return w.trial, w.p0, w.pg_before, w.pg_after, w.rho0.mat.tobytes(), w.rho1.mat.tobytes()
 
 
-@pytest.mark.parametrize("s,trials,n,seed", list(_batching_cases()))
-def test_witness_does_not_depend_on_batching(monkeypatch, s, trials, n, seed):
-    # caps of one trial, of a few, the default, and of the whole budget
-    found = []
-    for budget in (1, 200_000, compat._WITNESS_BATCH_BYTES, 2**26):
-        monkeypatch.setattr(compat, "_WITNESS_BATCH_BYTES", budget)
-        found.append(_outcome(compat.search_witness(s, trials, n, seed)))
-    assert found.count(found[0]) == len(found)
+@pytest.mark.parametrize("s,trials,n,seed", list(_budget_cases()))
+def test_witness_does_not_depend_on_the_trial_budget(s, trials, n, seed):
+    # trial t reads the t-th draws of each stream whatever the budget: a
+    # budget that ends at the witness finds the same one, bit for bit, and
+    # a budget that stops one trial short finds none
+    w = compat.search_witness(s, trials, n, seed)
+    if w is None:
+        assert compat.search_witness(s, trials // 3, n, seed) is None
+        return
+    assert _outcome(compat.search_witness(s, w.trial + 1, n, seed)) == _outcome(w)
+    if w.trial > 0:
+        assert compat.search_witness(s, w.trial, n, seed) is None
 
 
-def _order_cases():
+def _image_cases():
     for name, ns in REG.items():
         yield pytest.param(ns.scenario, id=name)
     yield pytest.param(_dephasing(), id="dephasing-4-4")
@@ -241,43 +233,21 @@ def _order_cases():
     yield pytest.param(random_planted_scenario(2, 3, 0).scenario, id="planted-2-3")
 
 
-@pytest.mark.parametrize("s", list(_order_cases()))
-def test_both_orders_give_the_same_grams(s):
+@pytest.mark.parametrize("s", list(_image_cases()))
+def test_per_operator_images_match_dense(s):
+    # factors of any rank, not only the search's own draws: a pure vector and
+    # a full-rank (D n) x (D n) factor, at every ancilla the search is given
     rng = np.random.default_rng(0)
-    ops = np.concatenate([*s.cg.kraus, *(m @ s.u for m in s.cg.kraus)])
     for n in sorted({1, 2, s.d, s.D}):
-        for rank in (1, s.D * n):
-            g = rng.standard_normal((3, s.D * n, 2 * rank)).view(np.complex128)
-            g /= np.linalg.norm(g, axis=(1, 2))[:, None, None]
-            images = compat._coarse_grams(s, n, ops, g)
-            states = compat._state_grams(s, n, g)
-            assert np.abs(images - states).max() <= 1e-12
-            # one factor alone gives the bits it gives in a chunk
-            assert np.array_equal(compat._state_grams(s, n, g[:1])[0], states[0])
-
-
-def test_order_follows_the_cost(monkeypatch):
-    k8 = _dephasing(8)  # D = 32, K = 32
-    assert compat._state_first(k8, 1, k8.D)
-    assert not compat._state_first(k8, 1, 1)
-    planted = random_planted_scenario(4, 8, 0).scenario  # D = 32, K = 8
-    assert not compat._state_first(planted, planted.D, planted.D**2)
-    # the search sends each kind of factor down the order chosen for it
-    ranks = {"state": set(), "image": set()}
-    state_grams, coarse_grams = compat._state_grams, compat._coarse_grams
-
-    def spy_state(s, n, g):
-        ranks["state"].add(g.shape[-1])
-        return state_grams(s, n, g)
-
-    def spy_image(s, n, ops, g):
-        ranks["image"].add(g.shape[-1])
-        return coarse_grams(s, n, ops, g)
-
-    monkeypatch.setattr(compat, "_state_grams", spy_state)
-    monkeypatch.setattr(compat, "_coarse_grams", spy_image)
-    compat.search_witness(k8, 8, 1, seed=0)
-    assert ranks == {"state": {k8.D}, "image": {1}}
+        dim = s.D * n
+        pure = np.array([1, 1j]) @ rng.standard_normal((2, dim))
+        full = rng.standard_normal((dim, 2 * dim)).view(np.complex128)
+        for g0, g1 in ((pure, full), (full, pure)):
+            pg = compat._trial_pguess(s, n, 0.3, g0, g1)
+            rho0, rho1 = (compat.state_from_factor(g) for g in (g0, g1))
+            before, after = _dense_pguess(s, n, 0.3, rho0, rho1)
+            assert abs(pg[0] - before) <= PG_TOL
+            assert abs(pg[1] - after) <= PG_TOL
 
 
 @settings(max_examples=40, deadline=None, database=None)
