@@ -7,6 +7,9 @@ effective channel), ``classical`` (effective table / interventions),
 Exit codes: 0 compatible or success, 1 incompatible or no effective map,
 2 undecided, 64 unreadable input, 65 input that parses but violates a
 physical invariant, 70 internal criteria disagreement.
+
+``check`` and ``construct`` take each setting from its flag, else the file's
+``config`` block, else ``CheckConfig``, which range-checks it (exit 65).
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -76,41 +78,22 @@ def _resolve_input(name_or_path: str) -> tuple[Scenario, str, Optional[dict]]:
     return scenario_from_json(doc), name_or_path, doc
 
 
-def _default_seed() -> int:
-    env = os.environ.get("COARSEKIT_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ParseError(f"COARSEKIT_SEED must be an integer, got {env!r}") from exc
+# the CheckConfig field each setting of a config block (and its flag) sets
+_FIELDS = {"fiber_tol": "tol", "algebraic_rel_tol": "tol", "sdp_tol": "tol",
+           "sdp_max_iter": "max_iter", "witness_trials": "trials", "seed": "seed"}
 
 
-def _settings(args, doc: Optional[dict]) -> dict:
-    """The settings given, each by its flag or else by the scenario file's
-    config block."""
+def _config(args, doc: Optional[dict]) -> CheckConfig:
+    """The settings of ``check`` and ``construct``: each flag given, else the
+    scenario file's config block, else CheckConfig's default."""
     given = config_from_json(doc) if doc is not None else {}
     for key in CONFIG_KINDS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            given[key] = flag
-    return given
-
-
-def _build_config(args, doc: Optional[dict]) -> CheckConfig:
-    """Defaults, overridden by the file's config block, then by flags;
-    COARSEKIT_SEED is read only when neither sets the seed."""
-    given = _settings(args, doc)
-    defaults = CheckConfig()
-    tol = given.get("tol")
-    tols = {} if tol is None else {"fiber_tol": tol, "algebraic_rel_tol": tol, "sdp_tol": tol}
-    return CheckConfig(
-        **tols,
-        sdp_max_iter=given.get("max_iter", defaults.sdp_max_iter),
-        witness_trials=given.get("trials", defaults.witness_trials),
-        ancilla_dims=(given["ancilla"],) if "ancilla" in given else None,
-        seed=given["seed"] if "seed" in given else _default_seed(),
-    )
+        if getattr(args, key, None) is not None:
+            given[key] = getattr(args, key)
+    fields = {field: given[key] for field, key in _FIELDS.items() if key in given}
+    if "ancilla" in given:
+        fields["ancilla_dims"] = (given["ancilla"],)
+    return CheckConfig(**fields)
 
 
 def _config_echo(cfg: CheckConfig, s: Scenario) -> dict:
@@ -123,7 +106,7 @@ def _e(x: float) -> str:
 
 def cmd_check(args) -> int:
     scenario, label, doc = _resolve_input(args.input)
-    cfg = _build_config(args, doc)
+    cfg = _config(args, doc)
     t0 = time.perf_counter()
     report = run_all(scenario, cfg)
     elapsed = time.perf_counter() - t0
@@ -166,10 +149,8 @@ def cmd_check(args) -> int:
 
 def cmd_construct(args) -> int:
     scenario, label, doc = _resolve_input(args.input)
-    given = _settings(args, doc)
-    defaults = CheckConfig()
-    max_iter = given.get("max_iter", defaults.sdp_max_iter)
-    sdp = sdp_feasibility(scenario, max_iter, given.get("tol", defaults.sdp_tol))
+    cfg = _config(args, doc)
+    sdp = sdp_feasibility(scenario, cfg.sdp_max_iter, cfg.sdp_tol)
     gamma = construct_emergent(scenario, sdp)
     if gamma is None:
         print(f"{label}: no CPTP effective dynamics exists for this scenario",
@@ -241,10 +222,9 @@ def cmd_list(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    entry = random_scenario(args.D, args.d, args.kraus, seed)
+    entry = random_scenario(args.D, args.d, args.kraus, args.seed)
     doc = scenario_to_json(entry.scenario, name=entry.name)
-    doc["config"] = {"seed": seed}
+    doc["config"] = {"seed": args.seed}
     Path(args.out).write_text(dumps(doc), encoding="utf-8")
     print(f"wrote {entry.name} to {args.out}")
     return EXIT_COMPATIBLE
@@ -269,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", metavar="PATH", help="write a machine-readable report")
     p_check.add_argument("--seed", type=int, default=None,
                          help="seed of the random witness search, the only random step "
-                         "(fallback: the file's, then COARSEKIT_SEED, then 0)")
+                         "(fallback: the file's, then 0)")
     add_sdp(p_check, "override the decision tolerances of all criteria")
     p_check.add_argument("--trials", type=int, default=None,
                          help="random witness-search trials per ancilla dimension, spent only "
@@ -307,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("d", type=int, help="effective dimension")
     p_gen.add_argument("kraus", type=int, help="number of Kraus operators")
     p_gen.add_argument("--out", required=True, metavar="PATH")
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_gen)
 
     return parser

@@ -26,7 +26,8 @@ consistency, and returns the SDP's channel when one exists.
 from __future__ import annotations
 
 import itertools
-import operator
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
@@ -213,6 +214,19 @@ class Scenario:
         )
 
 
+def _require_count(name: str, value, low: int) -> None:
+    """The range rule of every count and seed: an integer (Python or NumPy,
+    not 2.5 or "3") >= low."""
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _require_tol(name: str, value) -> None:
+    """The range rule of every tolerance: a finite real number > 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CheckConfig:
     """Tolerances, iteration caps, and sampling settings for run_all."""
@@ -226,23 +240,15 @@ class CheckConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # a NaN tolerance fails `t > 0` too
-        tols = (self.fiber_tol, self.algebraic_rel_tol, self.sdp_tol)
-        if not all(t > 0 for t in tols):
-            raise ValueError(f"tolerances must be > 0, got {tols}")
+        for name in ("fiber_tol", "algebraic_rel_tol", "sdp_tol"):
+            _require_tol(name, getattr(self, name))
         if self.ancilla_dims is not None and not self.ancilla_dims:
             raise ValueError("ancilla_dims must be non-empty when given")
-        # operator.index takes Python and NumPy integers, not 2.5 or "3"
-        counts = [("sdp_max_iter", self.sdp_max_iter, 1), ("seed", self.seed, 0),
-                  ("witness_trials", self.witness_trials, 0),
-                  *(("each of ancilla_dims", n, 1) for n in self.ancilla_dims or ())]
-        for name, value, low in counts:
-            try:
-                ok = operator.index(value) >= low
-            except TypeError:
-                ok = False
-            if not ok:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        _require_count("sdp_max_iter", self.sdp_max_iter, 1)
+        _require_count("seed", self.seed, 0)
+        _require_count("witness_trials", self.witness_trials, 0)
+        for n in self.ancilla_dims or ():
+            _require_count("each of ancilla_dims", n, 1)
 
     def resolved_ancillas(self, s: "Scenario") -> tuple[int, ...]:
         if self.ancilla_dims is not None:
@@ -433,8 +439,9 @@ def search_witness(
     and after the unitary (``_trial_pguess``).  Returns the first
     violation, its states rebuilt from their factors; absence proves nothing.
     """
-    if trials < 1 or ancilla_dim < 1:
-        raise ValueError("trials and ancilla_dim must be >= 1")
+    _require_count("trials", trials, 1)
+    _require_count("ancilla_dim", ancilla_dim, 1)
+    _require_count("seed", seed, 0)
     draws = _witness_trials(s.D * ancilla_dim, seed, ancilla_dim)
     for t in range(trials):
         p0, g0, g1 = next(draws)
@@ -510,8 +517,8 @@ def sdp_feasibility(
     residual by O(tol).  The loop goes on while a point within tol is not
     yet a valid Choi matrix.
     """
-    if max_iter < 1 or tol <= 0:
-        raise ValueError("max_iter must be >= 1 and tol > 0")
+    _require_count("max_iter", max_iter, 1)
+    _require_tol("tol", tol)
     d = s.d
     n = d * d
     img = s._image

@@ -46,8 +46,6 @@ def random_kraus_ops(
     Embeds the input into output x environment with a Haar-random isometry
     and traces out a ``kraus_count``-dimensional environment.
     """
-    if kraus_count < 1:
-        raise ValueError("kraus_count must be >= 1")
     if dout * kraus_count < din:
         raise ValueError(
             f"no isometry from dim {din} into {dout}x{kraus_count}; "

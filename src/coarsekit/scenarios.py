@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChoiMatrix, KrausChannel, choi_to_kraus, transfer_to_choi_mat
-from .compat import Scenario
+from .compat import Scenario, _require_count
 from .errors import DimensionMismatch
 from .linalg import frob, hermitize, require_unitary, vec
 from .rand import haar_unitary, random_kraus_ops
@@ -211,6 +211,10 @@ def random_scenario(
     big_dim: int, small_dim: int, kraus_count: int, seed: int, name: str | None = None
 ) -> NamedScenario:
     """Haar-random coarse-graining and unitary; deterministic in seed."""
+    _require_count("big_dim", big_dim, 1)
+    _require_count("small_dim", small_dim, 1)
+    _require_count("kraus_count", kraus_count, 1)
+    _require_count("seed", seed, 0)
     if small_dim > big_dim:
         raise DimensionMismatch("small_dim must not exceed big_dim")
     rng = np.random.default_rng(seed)

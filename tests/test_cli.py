@@ -205,33 +205,38 @@ class TestCheck:
         assert main(["check", "spin-d3", "--trials", "0"]) == 0
 
     @pytest.mark.parametrize(
-        "name, flags",
+        "command, name, flags",
         [
-            ("example1-incompatible", ["--trials", "-5"]),
-            ("spin-d3", ["--trials", "-5"]),
-            ("spin-d3", ["--ancilla", "0"]),
-            ("example1-incompatible", ["--ancilla", "0"]),
-            ("spin-d3", ["--max-iter", "0"]),
-            ("spin-d3", ["--tol", "0"]),
-            ("spin-d3", ["--tol", "nan"]),
+            ("check", "example1-incompatible", ["--trials", "-5"]),
+            ("check", "spin-d3", ["--trials", "-5"]),
+            ("check", "spin-d3", ["--ancilla", "0"]),
+            ("check", "example1-incompatible", ["--ancilla", "0"]),
+            ("check", "spin-d3", ["--max-iter", "0"]),
+            ("check", "spin-d3", ["--tol", "0"]),
+            ("check", "spin-d3", ["--tol", "nan"]),
+            # an infinite tolerance passed every residual: exit 0, compatible
+            ("check", "example1-incompatible", ["--tol", "inf"]),
+            # construct reads the same settings: nan made a compatible
+            # scenario exit 1, inf made an incompatible one exit 0
+            ("construct", "spin-d3", ["--tol", "nan"]),
+            ("construct", "spin-d3", ["--tol", "inf"]),
+            ("construct", "example1-incompatible", ["--tol", "inf"]),
         ],
         ids=repr,
     )
     def test_out_of_range_flag_exit_65_before_any_criterion(
-        self, name, flags, monkeypatch, capsys
+        self, command, name, flags, monkeypatch, capsys
     ):
         def fail(*args, **kwargs):
             raise AssertionError("a criterion ran")
 
         monkeypatch.setattr(cli, "run_all", fail)
-        assert main(["check", name, *flags]) == 65
+        monkeypatch.setattr(cli, "sdp_feasibility", fail)
+        assert main([command, name, *flags]) == 65
         assert "must be" in capsys.readouterr().err
 
-    def test_negative_seed_exit_65(self, monkeypatch, capsys):
+    def test_negative_seed_exit_65(self, capsys):
         assert main(["check", "spin-d3", "--seed", "-1"]) == 65
-        assert "seed" in capsys.readouterr().err
-        monkeypatch.setenv("COARSEKIT_SEED", "-5")
-        assert main(["check", "spin-d3"]) == 65
         assert "seed" in capsys.readouterr().err
 
     def test_dephased_hadamard_reaches_the_search(self, tmp_path, capsys):
@@ -245,13 +250,6 @@ class TestCheck:
         assert main(["check", str(path), "--json", str(report_path)]) == 1
         witness = json.loads(report_path.read_text(encoding="utf-8"))["witness"]
         assert (witness["source"], witness["trial"]) == ("search", 3)
-
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("COARSEKIT_SEED", "17")
-        report_path = tmp_path / "env.json"
-        main(["check", "spin-d3", "--json", str(report_path), "--trials", "20"])
-        doc = json.loads(report_path.read_text(encoding="utf-8"))
-        assert doc["config"]["seed"] == 17
 
 
 class TestConstruct:
@@ -358,16 +356,24 @@ class TestConfigBlock:
         }
 
     @pytest.mark.parametrize(
-        "config",
-        [{"trials": -5}, {"ancilla": 0}, {"max_iter": 0}, {"tol": 0}, {"tol": -1e-6}],
+        "command, config",
+        [
+            ("check", {"trials": -5}),
+            ("check", {"ancilla": 0}),
+            ("check", {"max_iter": 0}),
+            ("check", {"tol": 0}),
+            ("check", {"tol": -1e-6}),
+            # construct builds the same CheckConfig, search settings included
+            ("construct", {"trials": -5}),
+        ],
         ids=repr,
     )
-    def test_out_of_range_config_exit_65(self, config, tmp_path, capsys):
-        assert main(["check", self.write(tmp_path, config)]) == 65
+    def test_out_of_range_config_exit_65(self, command, config, tmp_path, capsys):
+        assert main([command, self.write(tmp_path, config)]) == 65
         assert "must be" in capsys.readouterr().err
 
     def test_construct_reads_the_sdp_settings(self, tmp_path, capsys):
-        # an iteration cap of 0 reaches the SDP, which rejects it
+        # an iteration cap of 0 from the file is rejected before the SDP runs
         assert main(["construct", self.write(tmp_path, {"max_iter": 0})]) == 65
 
     @pytest.mark.parametrize("flag", ["--seed", "--trials", "--ancilla"])
@@ -375,16 +381,6 @@ class TestConfigBlock:
         with pytest.raises(SystemExit) as exc:
             main(["construct", "spin-d3", flag, "3"])
         assert exc.value.code == 2
-
-    def test_construct_does_not_read_the_env_seed(self, monkeypatch, capsys):
-        monkeypatch.setenv("COARSEKIT_SEED", "abc")
-        assert main(["construct", "spin-d3"]) == 0
-
-    def test_env_seed_read_only_when_no_seed_is_given(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("COARSEKIT_SEED", "abc")
-        assert main(["check", self.write(tmp_path, {"seed": 3})]) == 0
-        assert main(["check", "spin-d3", "--seed", "3", "--trials", "0"]) == 0
-        assert main(["check", "spin-d3", "--trials", "0"]) == 64
 
 
 class TestClassical:
@@ -570,3 +566,19 @@ class TestListAndGen:
         main(["gen", "3", "2", "2", "--out", str(a), "--seed", "9"])
         main(["gen", "3", "2", "2", "--out", str(b), "--seed", "9"])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["4", "2", "3", "--seed", "-1"], "seed must be"),
+            (["0", "0", "1"], "big_dim must be"),
+            (["2", "0", "1"], "small_dim must be"),
+            (["2", "2", "0"], "kraus_count must be"),
+        ],
+        ids=repr,
+    )
+    def test_gen_out_of_range_exit_65(self, args, named, tmp_path, capsys):
+        path = tmp_path / "random.json"
+        assert main(["gen", *args, "--out", str(path)]) == 65
+        assert named in capsys.readouterr().err
+        assert not path.exists()

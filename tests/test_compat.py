@@ -482,6 +482,27 @@ def test_check_config_rejects_out_of_range_settings(field, value):
         compat.CheckConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda s: compat.sdp_feasibility(s, max_iter=2.5), "max_iter"),
+        (lambda s: compat.sdp_feasibility(s, max_iter=0), "max_iter"),
+        (lambda s: compat.sdp_feasibility(s, tol=float("nan")), "tol"),
+        (lambda s: compat.sdp_feasibility(s, tol=float("inf")), "tol"),
+        (lambda s: compat.search_witness(s, 2.5), "trials"),
+        (lambda s: compat.search_witness(s, 3, 1.5), "ancilla_dim"),
+        (lambda s: compat.search_witness(s, 2, 1, -1), "seed"),
+    ],
+    ids=["sdp-max_iter-2.5", "sdp-max_iter-0", "sdp-tol-nan", "sdp-tol-inf",
+         "search-trials-2.5", "search-ancilla-1.5", "search-seed--1"],
+)
+def test_criteria_share_the_range_rule(call, name):
+    # the same rule as CheckConfig's, with the argument named: a NaN
+    # tolerance passed `tol <= 0`, and 2.5 and 1.5 raised bare TypeErrors
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(REG["example2-compatible"].scenario)
+
+
 def test_check_config_takes_numpy_integers():
     cfg = compat.CheckConfig(witness_trials=np.int64(5), ancilla_dims=(np.int32(2),),
                              seed=np.uint8(3), sdp_max_iter=np.int64(10))
