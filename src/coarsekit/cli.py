@@ -10,12 +10,17 @@ physical invariant, 70 internal criteria disagreement.
 
 ``check`` and ``construct`` take each setting from its flag, else the file's
 ``config`` block, else ``CheckConfig``, which range-checks it (exit 65).
+
+``main(argv)`` returns the exit code and may be called repeatedly in one
+process: it builds its parser once and looks up the ``cmd_*`` handler of
+the subcommand by name on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -230,6 +235,7 @@ def cmd_gen(args) -> int:
     return EXIT_COMPATIBLE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coarsekit",
@@ -257,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "witness (0 disables)")
     p_check.add_argument("--ancilla", type=int, default=None,
                          help="restrict the witness search to one ancilla dimension")
-    p_check.set_defaults(func=cmd_check)
 
     p_cons = sub.add_parser(
         "construct",
@@ -267,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cons.add_argument("input", help="registry name or scenario file")
     p_cons.add_argument("--out", metavar="PATH", help="write the channel here (default: stdout)")
     add_sdp(p_cons, "override the SDP's tolerance")
-    p_cons.set_defaults(func=cmd_construct)
 
     p_cls = sub.add_parser("classical", help="classical chain: effective table or intervention")
     p_cls.add_argument("input", help="scenario file with a 'classical' block")
@@ -277,10 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--do", type=int, metavar="X",
                        help="emit P(Y | do(X=x)) next to the observational conditional")
     p_cls.add_argument("--json", metavar="PATH", help="write machine-readable output")
-    p_cls.set_defaults(func=cmd_classical)
 
-    p_list = sub.add_parser("list", help="list built-in scenarios")
-    p_list.set_defaults(func=cmd_list)
+    sub.add_parser("list", help="list built-in scenarios")
 
     p_gen = sub.add_parser("gen", help="write a random scenario file")
     p_gen.add_argument("D", type=int, help="microscopic dimension")
@@ -288,15 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("kraus", type=int, help="number of Kraus operators")
     p_gen.add_argument("--out", required=True, metavar="PATH")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.set_defaults(func=cmd_gen)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up on every call, so a name replaced on this module takes effect
+    handler = {"check": cmd_check, "construct": cmd_construct, "classical": cmd_classical,
+               "list": cmd_list, "gen": cmd_gen}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

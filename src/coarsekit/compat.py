@@ -326,6 +326,7 @@ def check_fiber_preservation(s: Scenario, tol: float = FIBER_TOL) -> tuple[bool,
     (``Scenario._kernel_witness``), cached on the scenario, so the verdict
     carries it at no further cost.
     """
+    _require_tol("tol", tol)
     residual = float(np.sqrt(max(np.linalg.eigvalsh(s._image.gram)[-1], 0.0)))
     if residual > tol:
         s._kernel_witness  # built and cached on first access
@@ -358,6 +359,7 @@ def solve_algebraic_V(
     V is sufficient for a well-defined effective dynamics but not necessary:
     absence proves nothing.
     """
+    _require_tol("rel_tol", rel_tol)
     v, residual, scale = _algebraic_lstsq(s)
     if residual <= rel_tol * scale:
         return v, residual
@@ -610,6 +612,7 @@ def verify_kraus_equivalence(
     other.  Returns (True, V) with the mixing matrix on success; the per-
     operator reconstruction residual is bounded by 10*tol.
     """
+    _require_tol("tol", tol)
     _require_effective(s, gamma)
     upper = compose(gamma, s.cg)
     # cg after u: the channel with Kraus operators M_k u

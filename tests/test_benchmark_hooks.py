@@ -83,3 +83,18 @@ def test_kernel_witness_is_built_inside_the_wrapped_fiber_check(monkeypatch):
     assert len(built) == 1 and built[0] is not None
     assert report.witness is built[0] and report.witness.source == "kernel"
     assert states_after == []
+
+
+def test_check_span_survives_the_cached_parser(monkeypatch, capsys):
+    # the parser is built once per process; the cli.check span replaces
+    # cli.cmd_check on the module, so main must look the handler up by name
+    # on every call, not take one bound when the parser was built
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    assert cli.main(["check", "spin-d3", "--trials", "0"]) == 0
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        assert cli.main(["check", "spin-d3", "--trials", "0"]) == 0
+    names = {s.name for s in tracer.spans}
+    assert {"cli.check", "scenarios.generate"} <= names

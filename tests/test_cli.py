@@ -541,6 +541,27 @@ class TestNonFiniteNumbers:
         assert "nan" not in capsys.readouterr().out
 
 
+class TestRepeatedCalls:
+    def test_one_process_many_calls(self, capsys):
+        # one parser serves every call, whatever the previous call did
+        assert cli.build_parser() is cli.build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        version = capsys.readouterr().out
+        assert version == "coarsekit 0.1.0\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["check"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: coarsekit check")
+        assert main(["check", "spin-d3", "--trials", "0"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == version
+
+
 class TestListAndGen:
     def test_list(self, capsys):
         assert main(["list"]) == 0

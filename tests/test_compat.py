@@ -492,13 +492,25 @@ def test_check_config_rejects_out_of_range_settings(field, value):
         (lambda s: compat.search_witness(s, 2.5), "trials"),
         (lambda s: compat.search_witness(s, 3, 1.5), "ancilla_dim"),
         (lambda s: compat.search_witness(s, 2, 1, -1), "seed"),
+        (lambda s: compat.check_fiber_preservation(s, float("nan")), "tol"),
+        (lambda s: compat.check_fiber_preservation(s, float("inf")), "tol"),
+        (lambda s: compat.solve_algebraic_V(s, float("nan")), "rel_tol"),
+        (lambda s: compat.solve_algebraic_V(s, float("inf")), "rel_tol"),
+        (lambda s: compat.verify_kraus_equivalence(s, KrausChannel([np.eye(s.d)]),
+                                                   tol=float("nan")), "tol"),
+        (lambda s: compat.verify_kraus_equivalence(s, KrausChannel([np.eye(s.d)]),
+                                                   tol=float("inf")), "tol"),
     ],
     ids=["sdp-max_iter-2.5", "sdp-max_iter-0", "sdp-tol-nan", "sdp-tol-inf",
-         "search-trials-2.5", "search-ancilla-1.5", "search-seed--1"],
+         "search-trials-2.5", "search-ancilla-1.5", "search-seed--1",
+         "fiber-tol-nan", "fiber-tol-inf", "algebraic-rel_tol-nan", "algebraic-rel_tol-inf",
+         "kraus-equivalence-tol-nan", "kraus-equivalence-tol-inf"],
 )
 def test_criteria_share_the_range_rule(call, name):
     # the same rule as CheckConfig's, with the argument named: a NaN
-    # tolerance passed `tol <= 0`, and 2.5 and 1.5 raised bare TypeErrors
+    # tolerance passed `tol <= 0` (a compatible kernel read as not preserved),
+    # an infinite one passed every residual, and 2.5 and 1.5 raised bare
+    # TypeErrors
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(REG["example2-compatible"].scenario)
 

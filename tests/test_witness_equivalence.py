@@ -346,7 +346,8 @@ def test_narrowly_failed_check_falls_back_to_the_search(monkeypatch):
     g = np.random.default_rng(0).standard_normal((s0.D, 2 * s0.D)).view(np.complex128)
     w, q = np.linalg.eigh(g + g.conj().T)
     s = compat.Scenario(s0.cg, s0.u @ (q * np.exp(1e-10j * w)) @ q.conj().T)
-    tol = 0.8 * compat.check_fiber_preservation(s, np.inf)[1]
+    # a tolerance above the residual reads it without building the witness
+    tol = 0.8 * compat.check_fiber_preservation(s, 1.0)[1]
     calls = []
     real = compat.search_witness
 
