@@ -84,7 +84,7 @@ def _resolve_input(name_or_path: str) -> tuple[Scenario, str, Optional[dict]]:
 
 
 # the CheckConfig field each setting of a config block (and its flag) sets
-_FIELDS = {"fiber_tol": "tol", "algebraic_rel_tol": "tol", "sdp_tol": "tol",
+_FIELDS = {"fiber_tol": "tol", "sdp_tol": "tol",
            "sdp_max_iter": "max_iter", "witness_trials": "trials", "seed": "seed"}
 
 

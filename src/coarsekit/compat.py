@@ -9,11 +9,14 @@ for every state rho:
    (exact; decides whether a well-defined linear map exists at all, and
    when it fails yields an ensemble witness in closed form);
 2. a one-sided algebraic shortcut: a single d x d matrix V intertwining
-   every Kraus operator, ``M_k u == V M_k`` (sufficient, not necessary);
+   every Kraus operator, ``M_k u == V M_k`` (sufficient, not necessary),
+   accepted when the bound its residual puts on criterion 1's residual is
+   within criterion 1's tolerance;
 3. semidefinite feasibility of a CPTP effective map's Choi matrix, exact
-   when the kernel check fails or the affine set is one point, and
-   otherwise decided by Dykstra alternating projections; its feasible
-   point, made exactly trace preserving, is the effective channel;
+   when the part of the square no Choi matrix can change exceeds the
+   tolerance or the affine set is one point, and otherwise decided by
+   Dykstra alternating projections; its feasible point, made exactly
+   trace preserving, is the effective channel;
 4. a randomized discrimination witness: a binary ensemble whose optimal
    guessing probability increases across the dynamics certifies that no
    CPTP effective map can exist; it is searched for at random only when
@@ -61,7 +64,6 @@ from .linalg import kernel_basis, pinv  # noqa: F401
 from .rand import random_density_mat, random_pure_state_mat  # noqa: F401
 
 FIBER_TOL = 1e-8
-ALGEBRAIC_REL_TOL = 1e-8
 # feasibility bounds ||A - A V V*||_F by sdp_tol, so with sdp_tol <= fiber_tol
 # a feasible SDP implies that the kernel check holds
 SDP_TOL = FIBER_TOL
@@ -81,10 +83,12 @@ class _Image(NamedTuple):
     the transfer matrix A of {M_k u} split along V: ``av = A V`` and the
     part of A outside the image, ``e = A - A V V*``, with its Gram
     ``gram = E E*``; ``candidate`` is the effective transfer matrix
-    ``(A V) diag(sigma)^-1 U*``."""
+    ``(A V) diag(sigma)^-1 U*``; ``cut`` is the largest singular value the
+    rank cut dropped (0 when it dropped none)."""
 
     u: np.ndarray  # d^2 x r
     sigma: np.ndarray  # r
+    cut: float
     a: np.ndarray  # d^2 x D^2
     av: np.ndarray  # d^2 x r
     e: np.ndarray  # d^2 x D^2
@@ -145,8 +149,9 @@ class Scenario:
         # with a trivial kernel A lies in the image exactly; V V* = Q W W* Q*
         # needs no D^2 x r array V
         e = a - (av @ w.conj().T) @ q.conj().T if r < a.shape[1] else np.zeros_like(a)
+        cut = float(sigma[r]) if r < sigma.size else 0.0
         u, sigma = u[:, :r], sigma[:r]
-        return _Image(u, sigma, a, av, e, e @ e.conj().T, (av / sigma) @ u.conj().T)
+        return _Image(u, sigma, cut, a, av, e, e @ e.conj().T, (av / sigma) @ u.conj().T)
 
     @cached_property
     def _kernel_witness(self) -> Optional["EnsembleWitness"]:
@@ -232,7 +237,6 @@ class CheckConfig:
     """Tolerances, iteration caps, and sampling settings for run_all."""
 
     fiber_tol: float = FIBER_TOL
-    algebraic_rel_tol: float = ALGEBRAIC_REL_TOL
     sdp_tol: float = SDP_TOL
     sdp_max_iter: int = SDP_MAX_ITER
     witness_trials: int = 1000
@@ -240,7 +244,7 @@ class CheckConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("fiber_tol", "algebraic_rel_tol", "sdp_tol"):
+        for name in ("fiber_tol", "sdp_tol"):
             _require_tol(name, getattr(self, name))
         if self.ancilla_dims is not None and not self.ancilla_dims:
             raise ValueError("ancilla_dims must be non-empty when given")
@@ -339,31 +343,45 @@ def _algebraic_lstsq(s: Scenario) -> tuple[np.ndarray, float, float]:
     With the operators side by side, M = [M_1 ... M_K] and
     B = [M_1 u ... M_K u] (d x K D), the system is V M = B, solved as
     ``M^T V^T = B^T``: K D equations with d right-hand sides, one per row
-    of V.  Returns the minimum-norm solution, the joint residual
-    ``||B - V M||_F`` and the norm ``||B||_F`` of the right-hand side that
-    the residual is judged against.
+    of V.  Returns the minimum-norm solution V, the joint residual
+    ``rho = ||B - V M||_F`` and the bound it puts on the kernel residual
+    ``||E||_2`` of ``check_fiber_preservation``,
+    ``||V||_2^2 s_cut + 2 ||V||_2 ||cg(I)||_2^(1/2) rho + rho^2``.
+
+    Proof: with M_k u = V M_k + R_k and X in the check's kernel (T_cg's
+    right singular vectors past the rank cut), ||X||_F = 1,
+    ``cg(u X u*) = V cg(X) V* + sum_k (V M_k X R_k* + R_k X M_k* V*)
+    + sum_k R_k X R_k*``.  The cut drops singular values below
+    RANK_TOL s_0, so X is a kernel element only numerically:
+    ``||cg(X)||_F <= s_cut``, the largest one it dropped.  The middle sum
+    is V M (I_K x X) R* plus its adjoint, and ``||M||_2^2 = ||M M*||_2 =
+    ||cg(I)||_2``; the last is R (I_K x X) R*, with ||R||_F = rho.  Each
+    term is bounded by ||P Q S||_F <= ||P||_2 ||Q||_2 ||S||_F with
+    ||X||_2 <= 1, and ||E||_2 is the largest ``||cg(u X u*)||_F``.
     """
     m_cat, b_cat = (x.transpose(1, 0, 2).reshape(s.d, -1) for x in (s.cg.kraus, s._kraus_after))
-    vt, *_ = np.linalg.lstsq(m_cat.T, b_cat.T, rcond=None)
+    # lstsq also returns the singular values of M^T, so ||M||_2 is its first
+    vt, _, _, m_sv = np.linalg.lstsq(m_cat.T, b_cat.T, rcond=None)
     v = vt.T
-    return v, frob(b_cat - v @ m_cat), frob(b_cat)
+    rho = frob(b_cat - v @ m_cat)
+    v_norm = np.linalg.svd(v, compute_uv=False)[0]
+    bound = v_norm**2 * s._image.cut + 2 * v_norm * m_sv[0] * rho + rho**2
+    return v, rho, float(bound)
 
 
-def solve_algebraic_V(
-    s: Scenario, rel_tol: float = ALGEBRAIC_REL_TOL
-) -> tuple[Optional[np.ndarray], float]:
+def solve_algebraic_V(s: Scenario, tol: float = FIBER_TOL) -> tuple[Optional[np.ndarray], float]:
     """Search for a single matrix V with ``M_k u == V M_k`` for every k.
 
-    Returns (V, residual) with V reported only when the residual is below
-    ``rel_tol`` times the norm of the right-hand side.  Existence of such a
-    V is sufficient for a well-defined effective dynamics but not necessary:
+    Returns (V, residual), with V reported only when the bound that the
+    residual puts on the kernel residual (``_algebraic_lstsq``) is within
+    the kernel check's tolerance ``tol``: a V found implies that
+    ``check_fiber_preservation(s, tol)`` holds.  Existence of such a V is
+    sufficient for a well-defined effective dynamics but not necessary:
     absence proves nothing.
     """
-    _require_tol("rel_tol", rel_tol)
-    v, residual, scale = _algebraic_lstsq(s)
-    if residual <= rel_tol * scale:
-        return v, residual
-    return None, residual
+    _require_tol("tol", tol)
+    v, residual, bound = _algebraic_lstsq(s)
+    return (v if bound <= tol else None), residual
 
 
 def verify_dual_identity(s: Scenario, v) -> float:
@@ -507,11 +525,13 @@ def sdp_feasibility(
     The reported residual is the affine violation of the PSD-projected
     point, ``sqrt(||T_J U S - A V||^2 + ||tr_out J - I||^2 +
     ||A - A V V*||_F^2)``: ``feasible`` when <= tol, ``infeasible`` when
-    > 100*tol, ``undecided`` in between.  A failed kernel check (the last
-    term alone > 100*tol) and r = d^2 (then I - U U* = 0 and the affine
-    set is the one point T0) are decided exactly, at 0 iterations.  Else
-    the loop runs at most ``max_iter`` times and says ``infeasible`` only
-    once the residual stalls (relative change < 1e-12 over 200 iterations).
+    > 100*tol, ``undecided`` in between.  It is never below its last
+    term, so once ``||A - A V V*||_F`` > tol no point can be feasible:
+    that term alone is then the residual and sets the status, at 0
+    iterations.  r = d^2 (then I - U U* = 0 and the affine set is the one
+    point T0) is decided exactly, at 0 iterations too.  Else the loop runs
+    at most ``max_iter`` times and says ``infeasible`` only once the
+    residual stalls (relative change < 1e-12 over 200 iterations).
 
     A ``feasible`` outcome carries the channel, and only it does: the
     feasible point J after the congruence by (tr_out J)^(-1/2) x I, which
@@ -539,8 +559,10 @@ def sdp_feasibility(
         sq = np.vdot(diagram, diagram).real + np.vdot(trace, trace).real
         return psd, t_y, float(np.sqrt(sq + off_image**2))
 
-    if off_image > 100 * tol:
-        return SdpOutcome(status=INFEASIBLE, residual=off_image, iterations=0)
+    if off_image > tol:
+        # every point's residual is at least off_image, so none is within tol
+        status, _ = _decide(None, off_image, tol, d)
+        return SdpOutcome(status=status, residual=off_image, iterations=0)
     iterations = 0
     if img.sigma.size == n:
         psd_point, _, residual = project(transfer_to_choi_mat(img.candidate, d, d))
@@ -648,7 +670,10 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
     misses WITNESS_MARGIN; ``witness_trials`` is that search's budget alone.
 
     ``method_agreement`` holds the cross-checks that can fail: an intertwiner
-    or a feasible SDP each implies that the kernel check holds.  The SDP is
+    or a feasible SDP each implies that the kernel check holds.  The
+    intertwiner is accepted on the bound its residual puts on the kernel
+    residual (``_algebraic_lstsq``), held to ``fiber_tol``, so its flag
+    can fail only by rounding in the two computed residuals.  The SDP is
     feasible exactly when it yields the channel, so no witness meets either.
 
     Raises MethodDisagreement when the verdicts are logically inconsistent
@@ -657,8 +682,9 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
     cfg = cfg or CheckConfig()
     fiber_ok, fiber_res = check_fiber_preservation(s, cfg.fiber_tol)
 
-    v_lsq, alg_res, scale = _algebraic_lstsq(s)
-    v_opt = v_lsq if alg_res <= cfg.algebraic_rel_tol * scale else None
+    # solve_algebraic_V's rule; the least-squares V also feeds the dual identity
+    v_lsq, alg_res, alg_bound = _algebraic_lstsq(s)
+    v_opt = v_lsq if alg_bound <= cfg.fiber_tol else None
     dual_res = verify_dual_identity(s, v_lsq)
 
     sdp = sdp_feasibility(s, max_iter=cfg.sdp_max_iter, tol=cfg.sdp_tol)

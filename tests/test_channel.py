@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coarsekit import channel as qc
-from coarsekit.errors import DimensionMismatch, NotCP, NotEquivalent, NotUnitary
+from coarsekit.errors import DimensionMismatch, NotCP, NotEquivalent, NotHermitian, NotUnitary
 from coarsekit.linalg import frob, partial_trace, vec
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 
@@ -38,6 +38,33 @@ class TestValidation:
             qc.DensityMatrix(np.diag([0.5, 0.6]))
         with pytest.raises(ValueError):
             qc.DensityMatrix(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize(
+        "mat, error",
+        [
+            (np.ones((2, 3)) / 2, DimensionMismatch),
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), NotHermitian),
+        ],
+        ids=["non-square", "non-hermitian"],
+    )
+    def test_density_matrix_shape_and_hermiticity(self, mat, error):
+        with pytest.raises(error):
+            qc.DensityMatrix(mat)
+
+    @pytest.mark.parametrize(
+        "mat, error, message",
+        [
+            # a qubit channel's Choi matrix is 4 x 4
+            (np.eye(3), DimensionMismatch, "expected"),
+            (np.eye(4) / 2 + np.triu(np.ones((4, 4)), 1) * 0.1, NotHermitian, "Hermitian"),
+            # PSD but its output trace is 2 per input, not 1
+            (np.eye(4), ValueError, "partial trace"),
+        ],
+        ids=["non-square", "non-hermitian", "non-tp"],
+    )
+    def test_choi_matrix_invariants(self, mat, error, message):
+        with pytest.raises(error, match=message):
+            qc.ChoiMatrix(2, 2, mat)
 
     def test_kraus_channel_requires_tp(self):
         with pytest.raises(ValueError):
@@ -285,6 +312,10 @@ class TestEquivalence:
             [sum(w[i, j] * ch.kraus[j] for j in range(3)) for i in range(3)]
         )
         assert qc.channels_equal(ch, mixed)
+
+    def test_channels_between_different_spaces_raise(self):
+        with pytest.raises(DimensionMismatch, match="different spaces"):
+            qc.channels_equal(rand_channel(3, 2, 2, 33), rand_channel(2, 2, 2, 34))
 
     def test_different_channels(self):
         ident = qc.KrausChannel([np.eye(2)])

@@ -5,6 +5,7 @@ import pytest
 
 from coarsekit import cli
 from coarsekit.cli import main
+from coarsekit.errors import MethodDisagreement
 from coarsekit.io import dumps, matrix_to_json
 from coarsekit.scenarios import registry
 
@@ -93,6 +94,27 @@ class TestCheck:
         write_json(path, doc)
         assert main(["check", str(path)]) == 64
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.pop("unitary"), "missing required key 'unitary'"),
+            (lambda doc: doc.update(version=2), "unsupported version 2"),
+            (lambda doc: doc.update(kraus=[]), "'kraus' must be a non-empty list"),
+            (lambda doc: doc["kraus"].append(matrix_to_json(np.eye(3))), "kraus[1] has shape"),
+            (lambda doc: doc.update(unitary=matrix_to_json(np.eye(3))), "unitary has shape"),
+            (lambda doc: doc.update(unitary=[]), "unitary: not a matrix"),
+        ],
+        ids=["no-unitary", "version-2", "empty-kraus", "kraus-shape", "unitary-shape",
+             "not-a-matrix"],
+    )
+    def test_scenario_file_shape_exit_64(self, edit, message, tmp_path, capsys):
+        doc = scenario_doc([np.eye(2)], np.eye(2))
+        edit(doc)
+        path = tmp_path / "shape.json"
+        write_json(path, doc)
+        assert main(["check", str(path)]) == 64
+        assert message in capsys.readouterr().err
 
     def test_invariant_violation_exit_65(self, tmp_path):
         doc = scenario_doc([np.eye(2) * 0.5], np.eye(2))
@@ -235,6 +257,14 @@ class TestCheck:
         assert main([command, name, *flags]) == 65
         assert "must be" in capsys.readouterr().err
 
+    def test_criteria_disagreement_exit_70(self, monkeypatch, capsys):
+        def disagree(scenario, cfg):
+            raise MethodDisagreement("forced")
+
+        monkeypatch.setattr(cli, "run_all", disagree)
+        assert main(["check", "spin-d3"]) == 70
+        assert "internal disagreement: forced" in capsys.readouterr().err
+
     def test_negative_seed_exit_65(self, capsys):
         assert main(["check", "spin-d3", "--seed", "-1"]) == 65
         assert "seed" in capsys.readouterr().err
@@ -347,7 +377,6 @@ class TestConfigBlock:
         echo = json.loads(report_path.read_text(encoding="utf-8"))["config"]
         assert echo == {
             "fiber_tol": 1e-7,
-            "algebraic_rel_tol": 1e-7,
             "sdp_tol": 1e-7,
             "sdp_max_iter": 5,
             "witness_trials": 7,
@@ -422,6 +451,28 @@ class TestClassical:
         assert main(["classical", str(model_file), "--do", "0"]) == 0
         out = capsys.readouterr().out
         assert "confounded" in out
+
+    def test_do_json(self, model_file, tmp_path, capsys):
+        out_path = tmp_path / "do.json"
+        assert main(["classical", str(model_file), "--do", "1", "--json", str(out_path)]) == 0
+        assert f"written to {out_path}" in capsys.readouterr().out
+        doc = json.loads(out_path.read_text(encoding="utf-8"))
+        assert (doc["version"], doc["x"]) == (1, 1)
+        assert sum(doc["do"]) == pytest.approx(1.0) and sum(doc["observational"]) == pytest.approx(1.0)
+        gap = sum(abs(a - b) for a, b in zip(doc["do"], doc["observational"]))
+        assert doc["l1_gap"] == pytest.approx(gap, abs=1e-15) and doc["l1_gap"] > 1e-9
+
+    @pytest.mark.parametrize(
+        "kept, flag", [("do", ["--emergent"]), ("chain", ["--do", "0"])], ids=["no-chain", "no-do"]
+    )
+    def test_missing_model_exit_64(self, kept, flag, model_file, tmp_path, capsys):
+        doc = json.loads(model_file.read_text(encoding="utf-8"))
+        doc["classical"] = {kept: doc["classical"][kept]}
+        path = tmp_path / "one-model.json"
+        write_json(path, doc)
+        assert main(["classical", str(path), *flag]) == 64
+        missing = "chain" if kept == "do" else "do"
+        assert f"classical block has no '{missing}' model" in capsys.readouterr().err
 
     def test_identity_chain_gives_identity_table(self, tmp_path, capsys):
         doc = scenario_doc([np.eye(2)], np.eye(2))

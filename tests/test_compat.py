@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coarsekit as ck
@@ -15,7 +15,7 @@ from coarsekit.channel import (
     unitary_channel,
 )
 from coarsekit.errors import DimensionMismatch, MethodDisagreement, NotEquivalent, NumericalFailure
-from coarsekit.linalg import frob, partial_trace, vec
+from coarsekit.linalg import RANK_TOL, frob, partial_trace, vec
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 from coarsekit.scenarios import (
     emergent_spin_rotation,
@@ -95,7 +95,9 @@ ORACLE_CASES = [
 
 def _kron_lstsq(s):
     """The stacked column-stacking system (M_k^T x I_d) vec(V) = vec(M_k u)
-    over all k, with its joint residual and right-hand-side norm."""
+    over all k, with its joint residual rho, the right-hand side's norm, and
+    the bound ||V||_2^2 s_cut + 2 ||V||_2 ||cg(I)||_2^(1/2) rho + rho^2,
+    with s_cut from a full SVD of T_cg and cg(I) summed operator by operator."""
     d = s.d
     mu = [m @ s.u for m in s.cg.kraus]
     a = np.vstack([np.kron(m.T, np.eye(d)) for m in s.cg.kraus])
@@ -104,17 +106,23 @@ def _kron_lstsq(s):
     v = x.reshape(d, d, order="F")
     residual = np.sqrt(sum(frob(mu_k - v @ m) ** 2 for mu_k, m in zip(mu, s.cg.kraus)))
     scale = np.sqrt(sum(frob(mu_k) ** 2 for mu_k in mu))
-    return v, residual, scale
+    sv = np.linalg.svd(s.cg.transfer_mat, compute_uv=False)
+    s_cut = sv[sv <= RANK_TOL * sv[0]].max(initial=0.0)
+    cg_eye = sum(m @ m.conj().T for m in s.cg.kraus)
+    v_norm = np.linalg.svd(v, compute_uv=False)[0]
+    bound = (v_norm**2 * s_cut + 2 * v_norm * np.sqrt(np.linalg.eigvalsh(cg_eye)[-1]) * residual
+             + residual**2)
+    return v, residual, scale, bound
 
 
 class TestAlgebraic:
     @pytest.mark.parametrize("s", ORACLE_CASES)
     def test_matches_the_kron_system(self, s):
-        v, residual, scale = compat._algebraic_lstsq(s)
-        v_ref, residual_ref, scale_ref = _kron_lstsq(s)
+        v, residual, bound = compat._algebraic_lstsq(s)
+        v_ref, residual_ref, scale_ref, bound_ref = _kron_lstsq(s)
         assert frob(v - v_ref) <= 1e-12 * max(1.0, frob(v_ref))
         assert abs(residual - residual_ref) <= 1e-12 * scale_ref
-        assert abs(scale - scale_ref) <= 1e-12 * scale_ref
+        assert abs(bound - bound_ref) <= 1e-12 * max(1.0, bound_ref)
 
     def test_identity_cg_gives_v_equal_u(self):
         s = identity_scenario(dim=3, seed=1)
@@ -311,6 +319,23 @@ class TestSdpFeasibility:
         assert (out.status, out.iterations) == (compat.UNDECIDED, 0)
         assert compat.SDP_TOL < out.residual <= 100 * compat.SDP_TOL
 
+    @pytest.mark.parametrize("eps", [1e-9, 3e-9, 1e-8])
+    def test_band_off_the_image_decided_without_iterating(self, eps):
+        # dephasing with Haar blocks, u exp(i eps G): tol < ||A - A V V*||_F
+        # <= 100 tol, so no point is within tol; the loop used to run all
+        # 20000 iterations (about 1.4 s) and end undecided at this residual
+        rng = np.random.default_rng(0)
+        s = example2(4, 4, [haar_unitary(4, rng) for _ in range(4)], "none").scenario
+        g = rng.standard_normal((s.D, s.D)) + 1j * rng.standard_normal((s.D, s.D))
+        w, q = np.linalg.eigh((g + g.conj().T) / 2)
+        s = ck.Scenario(s.cg, s.u @ (q * np.exp(1j * eps * w)) @ q.conj().T)
+        off_image = frob(s._image.e)
+        assert compat.SDP_TOL < off_image <= 100 * compat.SDP_TOL
+        out = compat.sdp_feasibility(s)
+        assert (out.status, out.iterations, out.residual) == (compat.UNDECIDED, 0, off_image)
+        report = compat.run_all(s, compat.CheckConfig(witness_trials=0))
+        assert report.verdict == "incompatible" and report.witness.source == "kernel"
+
     @pytest.mark.parametrize("p, quotient", [(0.1, -0.1056), (0.5, -0.75)])
     def test_dephased_hadamard_has_an_eigenvector_certificate(self, p, quotient):
         # D = d = 2: the kernel check holds and the one linear effective map
@@ -370,6 +395,10 @@ class TestHelstrom:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             compat.helstrom_pguess(0.5, np.eye(2) / 2, np.eye(3) / 3)
+
+    def test_p0_must_be_a_probability(self):
+        with pytest.raises(ValueError, match="probability"):
+            compat.helstrom_pguess(1.5, np.eye(2) / 2, np.eye(2) / 2)
 
     def test_data_processing_monotonicity(self):
         rng = np.random.default_rng(9)
@@ -473,7 +502,6 @@ class TestKrausEquivalence:
         ("seed", 1.5),
         ("sdp_max_iter", 0),
         ("fiber_tol", 0.0),
-        ("algebraic_rel_tol", -1e-8),
         ("sdp_tol", float("nan")),
     ],
 )
@@ -494,8 +522,8 @@ def test_check_config_rejects_out_of_range_settings(field, value):
         (lambda s: compat.search_witness(s, 2, 1, -1), "seed"),
         (lambda s: compat.check_fiber_preservation(s, float("nan")), "tol"),
         (lambda s: compat.check_fiber_preservation(s, float("inf")), "tol"),
-        (lambda s: compat.solve_algebraic_V(s, float("nan")), "rel_tol"),
-        (lambda s: compat.solve_algebraic_V(s, float("inf")), "rel_tol"),
+        (lambda s: compat.solve_algebraic_V(s, float("nan")), "tol"),
+        (lambda s: compat.solve_algebraic_V(s, float("inf")), "tol"),
         (lambda s: compat.verify_kraus_equivalence(s, KrausChannel([np.eye(s.d)]),
                                                    tol=float("nan")), "tol"),
         (lambda s: compat.verify_kraus_equivalence(s, KrausChannel([np.eye(s.d)]),
@@ -503,7 +531,7 @@ def test_check_config_rejects_out_of_range_settings(field, value):
     ],
     ids=["sdp-max_iter-2.5", "sdp-max_iter-0", "sdp-tol-nan", "sdp-tol-inf",
          "search-trials-2.5", "search-ancilla-1.5", "search-seed--1",
-         "fiber-tol-nan", "fiber-tol-inf", "algebraic-rel_tol-nan", "algebraic-rel_tol-inf",
+         "fiber-tol-nan", "fiber-tol-inf", "algebraic-tol-nan", "algebraic-tol-inf",
          "kraus-equivalence-tol-nan", "kraus-equivalence-tol-inf"],
 )
 def test_criteria_share_the_range_rule(call, name):
@@ -513,6 +541,13 @@ def test_criteria_share_the_range_rule(call, name):
     # TypeErrors
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(REG["example2-compatible"].scenario)
+
+
+def test_scenario_must_not_increase_dimension():
+    # an isometry from a qubit into a qutrit is a valid CPTP map, with d > D
+    iso = KrausChannel([np.eye(3, 2)])
+    with pytest.raises(DimensionMismatch, match="must not increase dimension"):
+        ck.Scenario(iso, np.eye(2))
 
 
 def test_check_config_takes_numpy_integers():
@@ -565,6 +600,13 @@ class TestRunAll:
         cfg = compat.CheckConfig(sdp_tol=1e-4, witness_trials=0)
         with pytest.raises(MethodDisagreement, match="sdp_feasible_implies_fiber"):
             compat.run_all(example1(u2).scenario, cfg)
+
+    def test_a_channel_that_misses_the_square_raises(self, monkeypatch):
+        # the SDP's channel closes the square to within O(tol); a diagram
+        # distance past 100 tol is a bug, never ignored
+        monkeypatch.setattr(compat, "diagram_distance", lambda s, gamma: 1.0)
+        with pytest.raises(MethodDisagreement, match="fails to close the diagram"):
+            compat.run_all(REG["spin-d3"].scenario, compat.CheckConfig(witness_trials=0))
 
     def test_witness_disabled_by_zero_trials(self):
         report = compat.run_all(REG["spin-d3"].scenario,
@@ -717,6 +759,8 @@ def test_random_scenarios_decided_by_the_kernel_check(d, extra, spare, seed):
         assert (report.sdp.status, report.sdp.iterations) == (compat.INFEASIBLE, 0)
         assert abs(report.sdp.residual - off_image) <= 1e-12
         assert report.verdict == "incompatible"
+    elif off_image > compat.SDP_TOL:
+        assert (report.sdp.status, report.sdp.iterations) == (compat.UNDECIDED, 0)
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -791,6 +835,63 @@ class TestImplicationChain:
                 assert ok
                 assert compat.verify_dual_identity(s, v) <= 1e-7
         assert n_alg >= 10  # the planted third must all qualify
+
+
+def _lift(s, m):
+    """The same physics on a discarded m-level environment: cg' = cg x tr_m
+    (Kraus operators M_k x <j|) and u' = u x I_m."""
+    eye = np.eye(m)
+    ops = (s.cg.kraus[:, None, :, :, None] * eye[None, :, None, None, :]).reshape(-1, s.d, s.D * m)
+    return ck.Scenario(KrausChannel(ops), np.kron(s.u, eye))
+
+
+def _perturbed(s, eps, seed):
+    """u exp(i eps G) for a Gaussian Hermitian G of operator norm 1."""
+    g = np.random.default_rng(seed).standard_normal((s.D, 2 * s.D)).view(np.complex128)
+    w, q = np.linalg.eigh(g + g.conj().T)
+    return ck.Scenario(s.cg, s.u @ (q * np.exp(1j * eps * w / np.abs(w).max())) @ q.conj().T)
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+_BASES = {
+    **{name: (lambda seed, name=name: REG[name].scenario) for name in sorted(REG)},
+    # u2 = H R(5e-9) H, a rotation mixing the kept and discarded directions
+    "example1-rotated": lambda seed: example1(
+        _HADAMARD @ np.array([[np.cos(5e-9), -np.sin(5e-9)], [np.sin(5e-9), np.cos(5e-9)]])
+        @ _HADAMARD).scenario,
+    "random-3-2": lambda seed: random_scenario(3, 2, 2, seed).scenario,
+    "random-4-2": lambda seed: random_scenario(4, 2, 3, seed).scenario,
+    "planted-2-2": lambda seed: random_planted_scenario(2, 2, seed).scenario,
+}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    base=st.sampled_from(sorted(_BASES)),
+    seed=st.integers(0, 2**31 - 1),
+    log_eps=st.one_of(st.none(), st.floats(-10.5, -6.5)),
+    m=st.sampled_from([1, 2, 4, 8, 16, 32]),
+)
+# at the relative rule, ||B - V M||_F <= 1e-8 ||B||_F, each of these accepted
+# V with a failed kernel check, and run_all raised MethodDisagreement
+@example(base="example1-rotated", seed=0, log_eps=None, m=8)
+@example(base="planted-2-2", seed=0, log_eps=-8.0, m=4)
+@example(base="planted-2-2", seed=2, log_eps=-8.5, m=16)
+# accepted V, perturbed and unperturbed
+@example(base="planted-2-2", seed=3, log_eps=-10.0, m=2)
+@example(base="planted-2-2", seed=5, log_eps=None, m=32)
+def test_lifted_decisions_never_raise_and_an_intertwiner_bounds_the_kernel(base, seed, log_eps, m):
+    s = _BASES[base](seed)
+    if log_eps is not None:
+        s = _perturbed(s, 10.0**log_eps, seed)
+    s = _lift(s, m)
+    report = compat.run_all(s, compat.CheckConfig(witness_trials=0))
+    if report.algebraic_v is not None:
+        *_, bound = _kron_lstsq(s)
+        assert report.fiber_preserved
+        assert report.fiber_residual <= bound <= compat.FIBER_TOL
+    if frob(s._image.e) > compat.SDP_TOL:
+        assert report.sdp.iterations == 0
 
 
 def test_image_criteria_build_nothing_of_size_D2_by_D2():
