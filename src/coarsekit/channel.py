@@ -6,7 +6,12 @@ Conventions, fixed package-wide:
   ``{K}`` has transfer matrix ``sum_k kron(K.conj(), K)``;
 - the Choi matrix is ``sum_k outer(vec(K), vec(K).conj())`` and lives on
   (input x output) with the input factor as the major index, hence trace
-  preservation reads ``partial_trace(choi, (din, dout), keep="A") == I``.
+  preservation reads ``partial_trace(choi, (din, dout), keep="A") == I``;
+- a Hermitian X has the real coordinates ``y(X) = vec(Re X + Im X)``, an
+  isometry onto R^(n^2) with inverse ``X = sym(Y) + i antisym(Y)`` for
+  Y = unvec(y) (``vec_from_real``); a channel acts on them by its real
+  transfer matrix ``Re T + Im(T Pi)``, Pi the transpose permutation on
+  vecs (``kraus_to_real_transfer_mat``).
 
 Channels are stored as one read-only (K, dout, din) Kraus stack; the other
 two forms are derived on demand and cached.  All values are immutable.
@@ -177,15 +182,48 @@ def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(ch.din, ch.dout, x.T @ x.conj())
 
 
-def kraus_to_transfer_mat(ops: np.ndarray) -> np.ndarray:
-    """Transfer matrix ``sum_k kron(K_k.conj(), K_k)`` of a (K, dout, din)
-    stack, as one product: with X the operators flattened to rows
+def _transfer_view(ops: np.ndarray) -> np.ndarray:
+    """The transfer matrix of a (K, dout, din) stack as a (dout, dout, din,
+    din) view of one product: with X the operators flattened to rows
     (K, dout din), ``conj(X)^T X`` holds conj(K[a, i]) K[b, j] at
-    ((a, i), (b, j)), which realigns to ((a, b), (i, j))."""
+    (a, i, b, j), viewed at (a, b, i, j)."""
     k, dout, din = ops.shape
     x = ops.reshape(k, dout * din)
-    p = (x.conj().T @ x).reshape(dout, din, dout, din)
-    return p.transpose(0, 2, 1, 3).reshape(dout * dout, din * din)
+    return (x.conj().T @ x).reshape(dout, din, dout, din).swapaxes(1, 2)
+
+
+def kraus_to_transfer_mat(ops: np.ndarray) -> np.ndarray:
+    """Transfer matrix ``sum_k kron(K_k.conj(), K_k)`` of a (K, dout, din)
+    stack."""
+    _, dout, din = ops.shape
+    return _transfer_view(ops).reshape(dout * dout, din * din)
+
+
+def kraus_to_real_transfer_mat(ops: np.ndarray) -> np.ndarray:
+    """Real transfer matrix ``T_R = Re T + Im(T Pi)`` of a (K, dout, din)
+    stack, T its transfer matrix and Pi the transpose permutation on vecs,
+    which swaps T's input indices.  T_R is the map in the real coordinates
+    y(X) of Hermitian operators (see ``vec_from_real``), ``C_out* T C_in``,
+    so it has T's singular values.  Both terms are strided views of the one
+    product of ``_transfer_view``; no complex copy is realigned."""
+    _, dout, din = ops.shape
+    t = _transfer_view(ops)
+    out = np.empty((dout, dout, din, din))
+    np.add(t.real, t.imag.swapaxes(2, 3), out=out)
+    return out.reshape(dout * dout, din * din)
+
+
+def vec_from_real(y: np.ndarray, n: int) -> np.ndarray:
+    """The vecs ``C y`` of the Hermitian n x n operators with real
+    coordinates y, for one n^2 vector or the columns of an (n^2, m) array.
+
+    ``y(X) = vec(Re X + Im X)`` is an isometry from the Hermitian operators
+    onto R^(n^2): Re X is symmetric and Im X antisymmetric, so the two are
+    orthogonal.  With Y = unvec(y), X = sym(Y) + i antisym(Y), so
+    ``C = (1+i)/2 I + (1-i)/2 Pi``, which is unitary."""
+    y3 = y.reshape(n, n, -1)
+    yt = y3.swapaxes(0, 1)
+    return ((0.5 + 0.5j) * y3 + (0.5 - 0.5j) * yt).reshape(y.shape)
 
 
 def choi_to_kraus(c: ChoiMatrix, rank_tol: float = RANK_TOL) -> KrausChannel:

@@ -28,6 +28,7 @@ consistency, and returns the SDP's channel when one exists.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -46,8 +47,9 @@ from .channel import (
     choi_to_transfer_mat,
     compose,
     connecting_unitary,
-    kraus_to_transfer_mat,
+    kraus_to_real_transfer_mat,
     transfer_to_choi_mat,
+    vec_from_real,
 )
 from .errors import (
     DimensionMismatch,
@@ -64,8 +66,8 @@ from .linalg import kernel_basis, pinv  # noqa: F401
 from .rand import random_density_mat, random_pure_state_mat  # noqa: F401
 
 FIBER_TOL = 1e-8
-# feasibility bounds ||A - A V V*||_F by sdp_tol, so with sdp_tol <= fiber_tol
-# a feasible SDP implies that the kernel check holds
+# feasibility bounds ||A - A V V*||_F by sdp_tol, so with sdp_tol <= fiber_tol,
+# which CheckConfig enforces, a feasible SDP implies that the kernel check holds
 SDP_TOL = FIBER_TOL
 SDP_MAX_ITER = 20000
 SDP_STALL_WINDOW = 200
@@ -78,22 +80,36 @@ UNDECIDED = "undecided"
 
 
 class _Image(NamedTuple):
-    """The coarse-graining's transfer matrix T_cg = U diag(sigma) V*, cut at
-    rank r and taken through a QR of T_cg* (see ``Scenario._image``), and
-    the transfer matrix A of {M_k u} split along V: ``av = A V`` and the
-    part of A outside the image, ``e = A - A V V*``, with its Gram
-    ``gram = E E*``; ``candidate`` is the effective transfer matrix
-    ``(A V) diag(sigma)^-1 U*``; ``cut`` is the largest singular value the
+    """The coarse-graining's transfer matrix in the real coordinates of
+    Hermitian operators (``vec_from_real``), ``t`` = T_R = U_R diag(sigma)
+    V^T, cut at rank r (see ``Scenario._image``), and the real transfer
+    matrix ``a`` = A of {M_k u} split along V: the part of A outside the
+    image, ``e = A - A V V^T``, with its Gram ``gram = E E^T``.
+    ``u = C U_R`` and ``av = C A V`` are in the vec coordinates that the
+    complex transfer matrices act on: with C unitary, T_cg = u diag(sigma)
+    (C_D V)* and the transfer matrix of {M_k u} maps C_D V to ``av``.
+    ``candidate`` is the effective transfer matrix
+    ``av diag(sigma)^-1 u*``; ``cut`` is the largest singular value the
     rank cut dropped (0 when it dropped none)."""
 
     u: np.ndarray  # d^2 x r
     sigma: np.ndarray  # r
     cut: float
-    a: np.ndarray  # d^2 x D^2
+    a: np.ndarray  # d^2 x D^2, real
     av: np.ndarray  # d^2 x r
-    e: np.ndarray  # d^2 x D^2
-    gram: np.ndarray  # d^2 x d^2
+    e: np.ndarray  # d^2 x D^2, real
+    gram: np.ndarray  # d^2 x d^2, real
     candidate: np.ndarray  # d^2 x d^2
+    t: np.ndarray  # d^2 x D^2, real
+    u_real: np.ndarray  # d^2 x r, U_R
+
+
+@functools.lru_cache(maxsize=None)
+def _real_to_vec(n: int) -> np.ndarray:
+    """The unitary n^2 x n^2 matrix C of ``vec_from_real``."""
+    c = vec_from_real(np.eye(n * n), n)
+    c.setflags(write=False)
+    return c
 
 
 @dataclass(frozen=True)
@@ -135,23 +151,29 @@ class Scenario:
     @cached_property
     def _image(self) -> _Image:
         """One thin SVD of T_cg, shared by kernel invariance, the SDP and
-        construction; computed on first use.  It goes through a reduced QR
-        of the tall T_cg* = Q R and an SVD of the d^2 x d^2 factor
-        R* = U S W*, so V = Q W.  Both steps are backward stable, so the
-        rank cut sees the wide SVD's singular values; T_cg T_cg* would
-        lose those below sqrt(eps) S_0."""
-        a = kraus_to_transfer_mat(self._kraus_after)
-        q, r_fac = np.linalg.qr(self.cg.transfer_mat.conj().T)
-        u, sigma, wh = np.linalg.svd(r_fac.conj().T)
-        r = int(np.sum(sigma > RANK_TOL * sigma[0]))
-        w = wh[:r].conj().T
-        av = (a @ q) @ w
-        # with a trivial kernel A lies in the image exactly; V V* = Q W W* Q*
-        # needs no D^2 x r array V
-        e = a - (av @ w.conj().T) @ q.conj().T if r < a.shape[1] else np.zeros_like(a)
+        construction; computed on first use.  cg and conjugation by u
+        preserve Hermiticity, so both maps act on the real coordinates of
+        Hermitian operators (``kraus_to_real_transfer_mat``), with the same
+        singular values as their complex transfer matrices.  The SVD is
+        taken of the tall T_R^T = V S U_R^T, which LAPACK's ``gesdd`` takes
+        as R-SVD (T. F. Chan, ACM TOMS 8, 1982): a QR of T_R^T, an SVD of
+        the d^2 x d^2 triangular factor and the product of the two.  Each
+        step is backward stable, so the rank cut sees the wide SVD's
+        singular values; T_R T_R^T would lose those below sqrt(eps) S_0."""
+        t = kraus_to_real_transfer_mat(self.cg.kraus)
+        a = kraus_to_real_transfer_mat(self._kraus_after)
+        v, sigma, uh = np.linalg.svd(t.T, full_matrices=False)
+        r = int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
+        v = v[:, :r]
+        av = a @ v
+        # with a trivial kernel A lies in the image exactly
+        e = a - av @ v.T if r < a.shape[1] else np.zeros_like(a)
         cut = float(sigma[r]) if r < sigma.size else 0.0
-        u, sigma = u[:, :r], sigma[:r]
-        return _Image(u, sigma, cut, a, av, e, e @ e.conj().T, (av / sigma) @ u.conj().T)
+        u, sigma = uh[:r].T, sigma[:r]
+        # U and A V in vec coordinates
+        c = _real_to_vec(self.d)
+        uc, avc = c @ u, c @ av
+        return _Image(uc, sigma, cut, a, avc, e, e @ e.T, (avc / sigma) @ uc.conj().T, t, u)
 
     @cached_property
     def _kernel_witness(self) -> Optional["EnsembleWitness"]:
@@ -159,39 +181,33 @@ class Scenario:
         (after Buscemi, Commun. Math. Phys. 310, 625, 2012), or None; the
         check builds it when it fails.
 
-        The top right singular vector x of E = A - A V V*, read as a D x D
-        matrix X, is the kernel element that u pushes furthest out of the
-        kernel: cg(X) = 0 and ``||cg(u X u*)||_F = ||E||_2 ||X||_F``.  The
-        kernel is closed under adjoints (cg preserves Hermiticity), so it
-        holds the Hermitian part of X and i times its anti-Hermitian part.
-        Each has ``||A vec(.)||_2 / ||.||_F = ||E||_2``, as X has: neither
-        can exceed it, and their squares add up to X's.  So H is the larger
-        of the two, the one rounding disturbs least.  H is traceless (cg
-        preserves the trace), and its split H = H+ - H- into PSD parts of
-        traces t0 and t1 gives rho0 = H+/t0, rho1 = H-/t1 and
-        p0 = t0/(t0+t1), so that p0 rho0 - p1 rho1 = H / ||H||_1.  Then
-        pg_before = 1/2 and ``pg_after = 1/2 + ||cg(u H u*)||_1 / (2 ||H||_1)``,
+        The top right singular vector x of E = A - A V V^T, in the real
+        coordinates of Hermitian operators, is a Hermitian X: the kernel
+        element that u pushes furthest out of the kernel, cg(X) = 0 and
+        ``||cg(u X u*)||_F = ||E||_2 ||X||_F``.  The complex kernel check
+        sees the same ||E||_2: the kernel is closed under adjoints, so its
+        complexification adds no direction that u pushes further.  X is
+        traceless (cg preserves the trace), and its split X = X+ - X- into
+        PSD parts of traces t0 and t1 gives rho0 = X+/t0, rho1 = X-/t1 and
+        p0 = t0/(t0+t1), so that p0 rho0 - p1 rho1 = X / ||X||_1.  Then
+        pg_before = 1/2 and ``pg_after = 1/2 + ||cg(u X u*)||_1 / (2 ||X||_1)``,
         with no ancilla.
 
         None when a state fails ``DensityMatrix`` validation or the gap is
         within WITNESS_MARGIN, as for a check that fails only by rounding.
         """
-        img, t_cg, d = self._image, self.cg.transfer_mat, self.d
+        img, d = self._image, self.d
         _, vecs = np.linalg.eigh(img.gram)
-        # x = E* y for the top eigenvector y of E E*.  E's rounding puts x off
+        # x = E^T y for the top eigenvector y of E E^T.  E's rounding puts x off
         # the kernel by about eps ||A||, which ||x|| = ||E||_2 does not dwarf
-        # when the check fails narrowly, so V V* x = T_cg* U S^-2 U* T_cg x
+        # when the check fails narrowly, so V V^T x = T_R^T U_R S^-2 U_R^T T_R x
         # is taken out once more
-        x = (vecs[:, -1].conj() @ img.e).conj()
-        z = (img.u / img.sigma**2) @ (img.u.conj().T @ (t_cg @ x))
-        x -= (z.conj() @ t_cg).conj()
-        # X, cg(X) and cg(u X u*); vecs are column-stacked, so a matrix is its
-        # vec reshaped and transposed
-        mats = [v.reshape(n, n).T for v, n in ((x, self.D), (t_cg @ x, d), (img.a @ x, d))]
-        # ||X + X*||_F^2 - ||X - X*||_F^2 = 4 Re tr(X X); as cg(Y*) = cg(Y)*,
-        # each image of a part is that part of the image of X
-        sign, phase = (1.0, 1.0) if np.sum(mats[0] * mats[0].T).real >= 0 else (-1.0, 1j)
-        h, before, after = (phase * (m + sign * m.conj().T) for m in mats)
+        x = vecs[:, -1] @ img.e
+        x -= ((img.u_real / img.sigma**2) @ (img.u_real.T @ (img.t @ x))) @ img.t
+        # X, then cg(X) and cg(u X u*) in vec coordinates; vecs are
+        # column-stacked, so a matrix is its vec reshaped and transposed, and
+        # without the transpose it is the conjugate, with the same eigenvalues
+        h = vec_from_real(x, self.D).reshape(self.D, self.D).T
         w, q = np.linalg.eigh(h)
         plus, minus = np.maximum(w, 0.0), np.maximum(-w, 0.0)
         t0, t1 = plus.sum(), minus.sum()
@@ -202,8 +218,9 @@ class Scenario:
             rho1 = DensityMatrix((q * (minus / t1)) @ q.conj().T)
         except ValueError:  # NotHermitian included
             return None
-        # p0 rho0 - p1 rho1 = H / (t0 + t1), coarse-grained before and after u
-        norms = np.abs(np.linalg.eigvalsh(np.stack([before, after]))).sum(axis=-1)
+        # p0 rho0 - p1 rho1 = X / (t0 + t1), coarse-grained before and after u
+        images = _real_to_vec(d) @ np.stack((img.t @ x, img.a @ x), axis=1)
+        norms = np.abs(np.linalg.eigvalsh(images.T.reshape(2, d, d))).sum(axis=-1)
         pg_before, pg_after = 0.5 * (1.0 + norms / (t0 + t1))
         if pg_after <= pg_before + WITNESS_MARGIN:
             return None
@@ -234,7 +251,8 @@ def _require_tol(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Tolerances, iteration caps, and sampling settings for run_all."""
+    """Tolerances, iteration caps, and sampling settings for run_all;
+    ``sdp_tol`` must not exceed ``fiber_tol``."""
 
     fiber_tol: float = FIBER_TOL
     sdp_tol: float = SDP_TOL
@@ -246,6 +264,12 @@ class CheckConfig:
     def __post_init__(self) -> None:
         for name in ("fiber_tol", "sdp_tol"):
             _require_tol(name, getattr(self, name))
+        # feasibility bounds ||A - A V V*||_F by sdp_tol, so a feasible SDP
+        # implies the kernel check only when sdp_tol <= fiber_tol
+        if self.sdp_tol > self.fiber_tol:
+            raise ValueError(
+                f"sdp_tol must be <= fiber_tol, got {self.sdp_tol!r} > {self.fiber_tol!r}"
+            )
         if self.ancilla_dims is not None and not self.ancilla_dims:
             raise ValueError("ancilla_dims must be non-empty when given")
         _require_count("sdp_max_iter", self.sdp_max_iter, 1)
@@ -319,12 +343,15 @@ def check_fiber_preservation(s: Scenario, tol: float = FIBER_TOL) -> tuple[bool,
     is the operator norm of (T_cg . T_u) restricted to the kernel; no
     sampling is involved.
 
-    With the thin SVD T_cg = U S V* (rank r <= d^2), the kernel is the
-    complement of V, and T_cg . T_u = A is the d^2 x D^2 transfer matrix of
-    {M_k u}, so the residual is ``||E||_2`` with E = A - A V V*, taken as
-    sqrt(lambda_max(E E*)) from one d^2 x d^2 ``eigvalsh``: a Gram of E
-    alone keeps its largest singular value to a few ulps.  No D^2 x D^2
-    array is formed.
+    Both maps preserve Hermiticity, so the check runs in the real
+    coordinates of Hermitian operators (``Scenario._image``).  With the
+    thin SVD T_R = U S V^T (rank r <= d^2), the kernel is the complement of
+    V, and T_cg . T_u = A is the real d^2 x D^2 transfer matrix of
+    {M_k u}, so the residual is ``||E||_2`` with E = A - A V V^T, taken as
+    sqrt(lambda_max(E E^T)) from one d^2 x d^2 ``eigvalsh``: a Gram of E
+    alone keeps its largest singular value to a few ulps.  The kernel is
+    closed under adjoints, so its complex span adds no direction and this
+    is the complex check's residual too.  No D^2 x D^2 array is formed.
 
     A failed check also builds its ensemble witness
     (``Scenario._kernel_witness``), cached on the scenario, so the verdict
@@ -673,8 +700,10 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
     or a feasible SDP each implies that the kernel check holds.  The
     intertwiner is accepted on the bound its residual puts on the kernel
     residual (``_algebraic_lstsq``), held to ``fiber_tol``, so its flag
-    can fail only by rounding in the two computed residuals.  The SDP is
-    feasible exactly when it yields the channel, so no witness meets either.
+    can fail only by rounding in the two computed residuals.  A feasible
+    SDP bounds the kernel residual by ``sdp_tol`` <= ``fiber_tol``
+    (``CheckConfig`` enforces the order).  The SDP is feasible exactly
+    when it yields the channel, so no witness meets either.
 
     Raises MethodDisagreement when the verdicts are logically inconsistent
     (a bug or a tolerance pathology; never ignored silently).

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsekit import channel as qc
 from coarsekit.errors import DimensionMismatch, NotCP, NotEquivalent, NotHermitian, NotUnitary
@@ -240,6 +242,53 @@ class TestTransfer:
         )
         direct = sum(k @ rho @ k.conj().T for k in ch.kraus)
         assert frob(contracted - direct) < 1e-9
+
+
+def _real_coords(x):
+    """y(X) = vec(Re X + Im X), column-stacked, for a Hermitian X."""
+    return vec(x.real + x.imag)
+
+
+def _from_real_coords(y, n):
+    """The Hermitian X = sym(Y) + i antisym(Y) with Y = unvec(y)."""
+    m = y.reshape(n, n, order="F")
+    return (m + m.T) / 2 + 1j * (m - m.T) / 2
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    din=st.integers(1, 6),
+    dout=st.integers(1, 6),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_real_transfer_matrix_acts_on_hermitian_coordinates(din, dout, k, seed):
+    # any Kraus stack, TP or not, maps Hermitian to Hermitian operators
+    rng = np.random.default_rng(seed)
+    ops = rng.standard_normal((k, dout, 2 * din)).view(np.complex128)
+    g = rng.standard_normal((din, 2 * din)).view(np.complex128)
+    x = g + g.conj().T
+    t_r = qc.kraus_to_real_transfer_mat(ops)
+    assert t_r.dtype == np.float64 and t_r.shape == (dout * dout, din * din)
+    image = sum(m @ x @ m.conj().T for m in ops)
+    got = _from_real_coords(t_r @ _real_coords(x), dout)
+    assert frob(got - image) <= 1e-12 * max(1.0, frob(image))
+    # the coordinates are an isometry, and C y is the vec of the operator
+    assert abs(np.linalg.norm(_real_coords(x)) - frob(x)) <= 1e-12 * frob(x)
+    assert np.linalg.norm(qc.vec_from_real(_real_coords(x), din) - vec(x)) <= 1e-12 * frob(x)
+    # T_R = C_out* T C_in: the same singular values as the complex T
+    want = np.linalg.svd(qc.kraus_to_transfer_mat(ops), compute_uv=False)
+    sv = np.linalg.svd(t_r, compute_uv=False)
+    assert np.abs(sv - want).max() <= 1e-12 * max(1.0, want[0])
+
+
+def test_vec_from_real_is_unitary_column_by_column():
+    n = 3
+    c = qc.vec_from_real(np.eye(n * n), n)
+    assert frob(c.conj().T @ c - np.eye(n * n)) <= 1e-14
+    # one vector and a stack of columns agree
+    y = np.random.default_rng(5).standard_normal((n * n, 2))
+    assert np.abs(qc.vec_from_real(y[:, 1], n) - (c @ y)[:, 1]).max() <= 1e-15
 
 
 class TestCompose:

@@ -11,6 +11,7 @@ from coarsekit.channel import (
     KrausChannel,
     channels_equal,
     compose,
+    kraus_to_transfer_mat,
     transfer_to_choi_mat,
     unitary_channel,
 )
@@ -220,7 +221,8 @@ class TestConstructEmergent:
 
         def product(gamma):
             # the distance as the full d^2 x D^2 product of transfer matrices
-            return frob(gamma.transfer_mat @ s.cg.transfer_mat - s._image.a)
+            a = kraus_to_transfer_mat(s._kraus_after)
+            return frob(gamma.transfer_mat @ s.cg.transfer_mat - a)
 
         gamma = compat.construct_emergent(s)
         # a channel that does not close the square is measured alike
@@ -265,7 +267,8 @@ class TestSinglePath:
         # prepare |0> or |+>; X swaps the outcomes, so the one effective
         # channel swaps |0> and |+>: the Hadamard, reached by the loop
         s = measure_prepare(np.array([[1, 0], [1, 1]]), [[0, 1], [1, 0]])
-        report = compat.run_all(s, compat.CheckConfig(sdp_tol=tol, witness_trials=0))
+        cfg = compat.CheckConfig(fiber_tol=tol, sdp_tol=tol, witness_trials=0)
+        report = compat.run_all(s, cfg)
         assert report.verdict == "compatible"
         assert len(sdp_calls) == 1 and report.sdp.iterations > 0
         assert report.diagram_residual <= 100 * tol
@@ -591,15 +594,23 @@ class TestRunAll:
             "sdp_feasible_implies_fiber": True,
         }
 
-    def test_feasible_sdp_with_a_failed_kernel_check_disagrees(self):
-        # a slightly mixing u2: the kernel residual is 1e-6, above the fiber
-        # tolerance, while an SDP at tolerance 1e-4 finds a channel
-        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        c, s = np.cos(1e-6), np.sin(1e-6)
-        u2 = hadamard @ np.array([[c, -s], [s, c]]) @ hadamard
-        cfg = compat.CheckConfig(sdp_tol=1e-4, witness_trials=0)
+    def test_sdp_tol_above_fiber_tol_is_rejected(self):
+        # feasibility bounds ||A - A V V*||_F by sdp_tol, so only sdp_tol <=
+        # fiber_tol makes a feasible SDP imply the kernel check: with a
+        # slightly mixing u2 (kernel residual 1e-6) an SDP at 1e-4 found a
+        # channel that the kernel check at 1e-8 rejected, and run_all raised
+        with pytest.raises(ValueError, match="sdp_tol must be <= fiber_tol"):
+            compat.CheckConfig(sdp_tol=1e-4)
+        compat.CheckConfig(fiber_tol=1e-4, sdp_tol=1e-4)
+
+    def test_a_feasible_sdp_with_a_failed_kernel_check_raises(self, monkeypatch):
+        # with sdp_tol <= fiber_tol the implication holds, so a feasible
+        # outcome beside a failed kernel check is a bug, never ignored
+        monkeypatch.setattr(compat, "sdp_feasibility", lambda s, max_iter, tol:
+                            compat.SdpOutcome(status=compat.FEASIBLE, residual=0.0, iterations=1))
         with pytest.raises(MethodDisagreement, match="sdp_feasible_implies_fiber"):
-            compat.run_all(example1(u2).scenario, cfg)
+            compat.run_all(REG["example1-incompatible"].scenario,
+                           compat.CheckConfig(witness_trials=0))
 
     def test_a_channel_that_misses_the_square_raises(self, monkeypatch):
         # the SDP's channel closes the square to within O(tol); a diagram
@@ -894,6 +905,34 @@ def test_lifted_decisions_never_raise_and_an_intertwiner_bounds_the_kernel(base,
         assert report.sdp.iterations == 0
 
 
+_WITNESS_BASES = {
+    "example1-incompatible": lambda seed: REG["example1-incompatible"].scenario,
+    "example2-incompatible": lambda seed: REG["example2-incompatible"].scenario,
+    "random-5-2": lambda seed: random_scenario(5, 2, 3, seed).scenario,
+    "random-6-3": lambda seed: random_scenario(6, 3, 2, seed).scenario,
+}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    base=st.sampled_from(sorted(_WITNESS_BASES)),
+    seed=st.integers(0, 2**31 - 1),
+    m=st.sampled_from([1, 2, 4, 8]),
+)
+@example(base="example1-incompatible", seed=0, m=32)  # D = 96
+def test_kernel_witness_is_a_hermitian_kernel_element(base, seed, m):
+    # the witness's X = p0 rho0 - p1 rho1 is the kernel element read off the
+    # real coordinates: cg(X) is as small as the rank cut lets it be
+    s = _lift(_WITNESS_BASES[base](seed), m)
+    fiber_ok, _ = compat.check_fiber_preservation(s)
+    assert not fiber_ok
+    w = s._kernel_witness
+    assert w is not None and w.source == "kernel"
+    x = w.p0 * w.rho0.mat - w.p1 * w.rho1.mat
+    cg_x = sum(k @ x @ k.conj().T for k in s.cg.kraus)
+    assert frob(cg_x) <= (s._image.cut + 1e-12) * frob(x)
+
+
 def test_image_criteria_build_nothing_of_size_D2_by_D2():
     # one D^2 x D^2 complex array at D=48 takes 81 MB; the d^2 x D^2
     # matrices of the thin-SVD path take 0.15 MB each
@@ -907,6 +946,21 @@ def test_image_criteria_build_nothing_of_size_D2_by_D2():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_image_criteria_hold_real_d2_by_D2_arrays():
+    # at D = 32, d = 4 a d^2 x D^2 array takes 128 KiB in real coordinates
+    # and 256 KiB in complex ones; the complex factorization peaked at 1.29 MiB
+    s = random_scenario(32, 4, 8, 7).scenario
+    tracemalloc.start()
+    try:
+        compat.check_fiber_preservation(s)
+        compat.sdp_feasibility(s)
+        compat.construct_emergent(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_sdp_builds_nothing_of_size_d4():
