@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``check`` (run all four criteria), ``construct`` (emit the
-effective channel), ``classical`` (effective table / interventions),
-``list`` (built-in scenarios), ``gen`` (random scenario to file).
+effective channel), ``list`` (built-in scenarios), ``gen`` (random
+scenario to file).
 
 Exit codes: 0 compatible or success, 1 incompatible or no effective map,
 2 undecided, 64 unreadable input, 65 input that parses but violates a
@@ -27,22 +27,15 @@ import time
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
-from .classical import emergent_channel, observational_vs_do, verify_total_probability
 from .compat import CheckConfig, Scenario, construct_emergent, run_all, sdp_feasibility
-from .errors import CoarsekitError, MethodDisagreement, ZeroMarginal
+from .errors import CoarsekitError, MethodDisagreement
 from .io import (
     CONFIG_KINDS,
     ParseError,
-    chain_model_from_json,
     channel_to_json,
-    classical_block_from_json,
     config_from_json,
-    do_model_from_json,
     dumps,
-    real_matrix_to_json,
     report_to_json,
     scenario_from_json,
     scenario_to_json,
@@ -171,54 +164,6 @@ def cmd_construct(args) -> int:
     return EXIT_COMPATIBLE
 
 
-def cmd_classical(args) -> int:
-    block = classical_block_from_json(_load_json(args.input))
-
-    if args.emergent:
-        if "chain" not in block:
-            raise ParseError("classical block has no 'chain' model")
-        model = chain_model_from_json(block["chain"])
-        table = emergent_channel(model)
-        residual = verify_total_probability(model)
-        if args.json:
-            payload = {
-                "version": 1,
-                "emergent_table": real_matrix_to_json(table.p),
-                "total_probability_residual": residual,
-            }
-            Path(args.json).write_text(dumps(payload), encoding="utf-8")
-            print(f"effective table written to {args.json}")
-        else:
-            print("effective conditional table P(Y|X):")
-            for row in table.p:
-                print("  " + "  ".join(f"{x:.12f}" for x in row))
-            print(f"total-probability residual: {_e(residual)}")
-        return EXIT_COMPATIBLE
-
-    x = args.do
-    if "do" not in block:
-        raise ParseError("classical block has no 'do' model")
-    model = do_model_from_json(block["do"])
-    obs, do_vec = observational_vs_do(model, x)
-    gap = float(np.abs(obs - do_vec).sum())
-    if args.json:
-        payload = {
-            "version": 1,
-            "x": x,
-            "do": [float(v) for v in do_vec],
-            "observational": [float(v) for v in obs],
-            "l1_gap": gap,
-        }
-        Path(args.json).write_text(dumps(payload), encoding="utf-8")
-        print(f"intervention result written to {args.json}")
-    else:
-        print(f"P(Y | do(X={x}))  = " + "  ".join(f"{v:.12f}" for v in do_vec))
-        print(f"P(Y | X={x})      = " + "  ".join(f"{v:.12f}" for v in obs))
-        tag = "confounded (intervening differs from conditioning)" if gap > 1e-9 else "identical"
-        print(f"L1 gap: {_e(gap)}  -> {tag}")
-    return EXIT_COMPATIBLE
-
-
 def cmd_list(args) -> int:
     for name, entry in registry().items():
         s = entry.scenario
@@ -273,15 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cons.add_argument("--out", metavar="PATH", help="write the channel here (default: stdout)")
     add_sdp(p_cons, "override the SDP's tolerance")
 
-    p_cls = sub.add_parser("classical", help="classical chain: effective table or intervention")
-    p_cls.add_argument("input", help="scenario file with a 'classical' block")
-    group = p_cls.add_mutually_exclusive_group(required=True)
-    group.add_argument("--emergent", action="store_true",
-                       help="emit the effective conditional table P(Y|X)")
-    group.add_argument("--do", type=int, metavar="X",
-                       help="emit P(Y | do(X=x)) next to the observational conditional")
-    p_cls.add_argument("--json", metavar="PATH", help="write machine-readable output")
-
     sub.add_parser("list", help="list built-in scenarios")
 
     p_gen = sub.add_parser("gen", help="write a random scenario file")
@@ -297,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # looked up on every call, so a name replaced on this module takes effect
-    handler = {"check": cmd_check, "construct": cmd_construct, "classical": cmd_classical,
+    handler = {"check": cmd_check, "construct": cmd_construct,
                "list": cmd_list, "gen": cmd_gen}[args.command]
     try:
         return handler(args)
@@ -307,9 +243,6 @@ def main(argv=None) -> int:
     except MethodDisagreement as exc:
         print(f"internal disagreement: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
-    except (ZeroMarginal,) as exc:
-        print(f"invalid model: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except (CoarsekitError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

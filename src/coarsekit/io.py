@@ -1,11 +1,10 @@
 """JSON file formats: scenarios in, reports and channels out.
 
 Complex numbers are two-element arrays ``[re, im]``; matrices are row-major
-nested lists.  Classical probability tables are matrices of real numbers.
-Every numeric field holds a finite JSON number of its kind, never a bool.
-Every file carries ``"version": 1``.  Serialization is deterministic (sorted
-keys, no timestamps), so identical inputs and seeds give byte-identical
-reports.
+nested lists.  Every numeric field holds a finite JSON number of its kind,
+never a bool.  Every file carries ``"version": 1``.  Serialization is
+deterministic (sorted keys, no timestamps), so identical inputs and seeds
+give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Any, Optional
 import numpy as np
 
 from .channel import KrausChannel
-from .classical import ChainModel, CondTable, DoModel
 from .compat import CompatReport, EnsembleWitness, Scenario
 
 FORMAT_VERSION = 1
@@ -31,10 +29,6 @@ def matrix_to_json(m: np.ndarray) -> list:
     """Entries as [re, im] pairs; a (K, rows, cols) stack gives K matrices."""
     a = np.asarray(m, dtype=np.complex128)
     return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
-def real_matrix_to_json(m: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(m)]
 
 
 def _is_number(x: Any, kinds: type | tuple[type, ...] = (int, float)) -> bool:
@@ -62,17 +56,6 @@ def matrix_from_json(data: Any, what: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise ParseError(f"{what}: not a matrix")
     return m
-
-
-def real_array_from_json(data: Any, what: str, ndim: int = 2) -> np.ndarray:
-    """Nested lists of real numbers, ``ndim`` deep and rectangular."""
-    m = np.array(data, dtype=object)
-    if m.ndim != ndim or not all(map(_is_number, m.flat)):
-        raise ParseError(f"{what}: expected {ndim}-deep nested lists of real numbers")
-    try:
-        return m.astype(np.float64)
-    except OverflowError as exc:
-        raise ParseError(f"{what}: a number is out of range") from exc
 
 
 def dumps(obj: Any) -> str:
@@ -127,7 +110,7 @@ def config_from_json(doc: dict) -> dict:
 
 
 def scenario_from_json(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed document.
+    """Build a Scenario from a parsed document; keys it does not read are ignored.
 
     Shape problems raise ParseError; violated physical invariants (non-TP
     Kraus set, non-unitary dynamics) propagate as their own exception types
@@ -151,38 +134,6 @@ def scenario_from_json(doc: dict) -> Scenario:
     if u.shape != (big_d, big_d):
         raise ParseError(f"unitary has shape {u.shape}, expected ({big_d}, {big_d})")
     return Scenario(KrausChannel(kraus), u)
-
-
-def classical_block_from_json(doc: Any) -> dict:
-    """The ``classical`` block of a scenario file."""
-    block = _object(doc, "scenario file").get("classical")
-    if not isinstance(block, dict):
-        raise ParseError("the file has no 'classical' block")
-    return block
-
-
-def _table(doc: dict, key: str) -> CondTable:
-    return CondTable(real_array_from_json(_require(doc, key), key))
-
-
-def chain_model_from_json(doc: Any) -> ChainModel:
-    doc = _object(doc, "'chain' model")
-    return ChainModel(
-        pA=real_array_from_json(_require(doc, "pA"), "pA", ndim=1),
-        pB_given_A=_table(doc, "pB_given_A"),
-        pX_given_A=_table(doc, "pX_given_A"),
-        pY_given_B=_table(doc, "pY_given_B"),
-    )
-
-
-def do_model_from_json(doc: Any) -> DoModel:
-    doc = _object(doc, "'do' model")
-    return DoModel(
-        pA=real_array_from_json(_require(doc, "pA"), "pA", ndim=1),
-        pX_given_A=_table(doc, "pX_given_A"),
-        pB_given_AX=_table(doc, "pB_given_AX"),
-        pY_given_B=_table(doc, "pY_given_B"),
-    )
 
 
 def witness_to_json(w: EnsembleWitness) -> dict:

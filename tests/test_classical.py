@@ -119,11 +119,13 @@ class TestEmergentChannel:
             assert np.allclose(table.sum(axis=0), 1.0, atol=1e-12)
             assert np.allclose(table, enumerate_emergent(m), atol=1e-12)
 
-    def test_zero_marginal_raises(self):
+    # X=1 unreachable: from A=1 only, or from no A at all
+    @pytest.mark.parametrize("pX", [np.eye(2), [[1.0, 1.0], [0.0, 0.0]]], ids=["eye", "x0"])
+    def test_zero_marginal_raises(self, pX):
         m = cl.ChainModel(
             pA=[1.0, 0.0],
             pB_given_A=cl.CondTable(np.eye(2)),
-            pX_given_A=cl.CondTable(np.eye(2)),  # X=1 unreachable
+            pX_given_A=cl.CondTable(pX),
             pY_given_B=cl.CondTable(np.eye(2)),
         )
         with pytest.raises(ZeroMarginal):
@@ -224,10 +226,12 @@ class TestObservationalVsDo:
             obs, do = cl.observational_vs_do(m, x)
             assert np.allclose(obs, do, atol=1e-12)
 
-    def test_planted_confounder(self):
+    @pytest.mark.parametrize("x", [0, 1])
+    def test_planted_confounder(self, x):
         # A drives both X and B; B ignores X entirely
         m = do_model([[0.95, 0.95, 0.05, 0.05], [0.05, 0.05, 0.95, 0.95]])
-        obs, do = cl.observational_vs_do(m, 0)
+        obs, do = cl.observational_vs_do(m, x)
+        assert obs.sum() == pytest.approx(1.0) and do.sum() == pytest.approx(1.0)
         assert np.abs(obs - do).sum() > 0.1
 
     def test_deterministic_case(self):

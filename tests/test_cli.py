@@ -70,6 +70,13 @@ class TestCheck:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["check", str(bad)]) == 64
 
+    @pytest.mark.parametrize("doc", [[1], "x", 3], ids=repr)
+    def test_not_an_object_exit_64(self, doc, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        write_json(path, doc)
+        assert main(["check", str(path)]) == 64
+        assert "scenario file must be a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "entry",
         [[1, 0, 7], [True, False], [1, True], [1], [], ["1", "0"], [1, None], 1, "1"],
@@ -281,6 +288,21 @@ class TestCheck:
         witness = json.loads(report_path.read_text(encoding="utf-8"))["witness"]
         assert (witness["source"], witness["trial"]) == ("search", 3)
 
+    def test_classical_is_not_a_subcommand(self, capsys):
+        # the classical contrast is the library coarsekit.classical
+        with pytest.raises(SystemExit) as exc:
+            main(["classical", "model.json", "--emergent"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["check", "construct"])
+    def test_classical_block_is_ignored(self, command, tmp_path, capsys):
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        chain = {"pA": [0.5, 0.5], "pB_given_A": eye, "pX_given_A": eye, "pY_given_B": eye}
+        doc = scenario_doc([np.eye(2)], np.eye(2), classical={"chain": chain})
+        path = tmp_path / "with-classical.json"
+        write_json(path, doc)
+        assert main([command, str(path)]) == 0
+
 
 class TestConstruct:
     def test_spin_channel_file(self, tmp_path, capsys):
@@ -412,138 +434,6 @@ class TestConfigBlock:
         assert exc.value.code == 2
 
 
-class TestClassical:
-    @pytest.fixture
-    def model_file(self, tmp_path):
-        doc = scenario_doc([np.eye(2)], np.eye(2))
-        doc["classical"] = {
-            "chain": {
-                "pA": [0.5, 0.5],
-                "pB_given_A": [[0.9, 0.2], [0.1, 0.8]],
-                "pX_given_A": [[0.8, 0.3], [0.2, 0.7]],
-                "pY_given_B": [[1.0, 0.0], [0.0, 1.0]],
-            },
-            "do": {
-                "pA": [0.5, 0.5],
-                "pX_given_A": [[0.95, 0.05], [0.05, 0.95]],
-                "pB_given_AX": [[0.95, 0.95, 0.05, 0.05], [0.05, 0.05, 0.95, 0.95]],
-                "pY_given_B": [[1.0, 0.0], [0.0, 1.0]],
-            },
-        }
-        path = tmp_path / "model.json"
-        write_json(path, doc)
-        return path
-
-    def test_emergent_table(self, model_file, capsys):
-        assert main(["classical", str(model_file), "--emergent"]) == 0
-        out = capsys.readouterr().out
-        assert f"{0.39 / 0.55:.12f}" in out
-        assert f"{0.16 / 0.45:.12f}" in out
-
-    def test_emergent_json(self, model_file, tmp_path):
-        out_path = tmp_path / "table.json"
-        main(["classical", str(model_file), "--emergent", "--json", str(out_path)])
-        doc = json.loads(out_path.read_text(encoding="utf-8"))
-        assert abs(doc["emergent_table"][0][0] - 0.39 / 0.55) < 1e-12
-        assert doc["total_probability_residual"] <= 1e-12
-
-    def test_do_flags_confounding(self, model_file, capsys):
-        assert main(["classical", str(model_file), "--do", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "confounded" in out
-
-    def test_do_json(self, model_file, tmp_path, capsys):
-        out_path = tmp_path / "do.json"
-        assert main(["classical", str(model_file), "--do", "1", "--json", str(out_path)]) == 0
-        assert f"written to {out_path}" in capsys.readouterr().out
-        doc = json.loads(out_path.read_text(encoding="utf-8"))
-        assert (doc["version"], doc["x"]) == (1, 1)
-        assert sum(doc["do"]) == pytest.approx(1.0) and sum(doc["observational"]) == pytest.approx(1.0)
-        gap = sum(abs(a - b) for a, b in zip(doc["do"], doc["observational"]))
-        assert doc["l1_gap"] == pytest.approx(gap, abs=1e-15) and doc["l1_gap"] > 1e-9
-
-    @pytest.mark.parametrize(
-        "kept, flag", [("do", ["--emergent"]), ("chain", ["--do", "0"])], ids=["no-chain", "no-do"]
-    )
-    def test_missing_model_exit_64(self, kept, flag, model_file, tmp_path, capsys):
-        doc = json.loads(model_file.read_text(encoding="utf-8"))
-        doc["classical"] = {kept: doc["classical"][kept]}
-        path = tmp_path / "one-model.json"
-        write_json(path, doc)
-        assert main(["classical", str(path), *flag]) == 64
-        missing = "chain" if kept == "do" else "do"
-        assert f"classical block has no '{missing}' model" in capsys.readouterr().err
-
-    def test_identity_chain_gives_identity_table(self, tmp_path, capsys):
-        doc = scenario_doc([np.eye(2)], np.eye(2))
-        eye = [[1.0, 0.0], [0.0, 1.0]]
-        doc["classical"] = {
-            "chain": {
-                "pA": [0.5, 0.5],
-                "pB_given_A": eye,
-                "pX_given_A": eye,
-                "pY_given_B": eye,
-            }
-        }
-        path = tmp_path / "ident_chain.json"
-        write_json(path, doc)
-        assert main(["classical", str(path), "--emergent"]) == 0
-        out = capsys.readouterr().out
-        assert f"{1.0:.12f}" in out and f"{0.0:.12f}" in out
-
-    def test_zero_marginal_exit_65(self, tmp_path):
-        doc = scenario_doc([np.eye(2)], np.eye(2))
-        doc["classical"] = {
-            "chain": {
-                "pA": [1.0, 0.0],
-                "pB_given_A": [[1.0, 0.0], [0.0, 1.0]],
-                "pX_given_A": [[1.0, 1.0], [0.0, 0.0]],
-                "pY_given_B": [[1.0, 0.0], [0.0, 1.0]],
-            }
-        }
-        path = tmp_path / "zero.json"
-        write_json(path, doc)
-        assert main(["classical", str(path), "--emergent"]) == 65
-
-    def test_missing_block_exit_64(self, tmp_path):
-        path = tmp_path / "nocl.json"
-        write_json(path, scenario_doc([np.eye(2)], np.eye(2)))
-        assert main(["classical", str(path), "--emergent"]) == 64
-
-    @staticmethod
-    def write_chain(tmp_path, **tables):
-        doc = scenario_doc([np.eye(2)], np.eye(2))
-        eye = [[1.0, 0.0], [0.0, 1.0]]
-        chain = {"pA": [0.5, 0.5], "pB_given_A": eye, "pX_given_A": eye, "pY_given_B": eye}
-        doc["classical"] = {"chain": {**chain, **tables}}
-        path = tmp_path / "chain.json"
-        write_json(path, doc)
-        return str(path)
-
-    @pytest.mark.parametrize(
-        "tables",
-        [
-            {"pA": "abc"},
-            {"pA": [True, False]},
-            {"pA": [[0.5, 0.5]]},
-            {"pB_given_A": [[True, 0.0], [0.0, 1.0]]},
-            {"pX_given_A": [[1.0, "0"], [0.0, 1.0]]},
-            {"pY_given_B": [[1.0, 0.0], [0.0]]},
-        ],
-        ids=repr,
-    )
-    def test_table_not_of_real_numbers_exit_64(self, tables, tmp_path, capsys):
-        # true used to be read as 1.0, and "abc" to exit 65
-        assert main(["classical", self.write_chain(tmp_path, **tables), "--emergent"]) == 64
-
-    @pytest.mark.parametrize("doc", [[1], "x", 3, {"classical": {"chain": [1]}}], ids=repr)
-    def test_not_an_object_exit_64(self, doc, tmp_path, capsys):
-        path = tmp_path / "list.json"
-        write_json(path, doc)
-        assert main(["classical", str(path), "--emergent"]) == 64
-        assert "JSON object" in capsys.readouterr().err
-
-
 class TestNonFiniteNumbers:
     """Python's json reads the NaN, Infinity and -Infinity tokens, which are
     not JSON numbers; in any numeric field they are unreadable input."""
@@ -570,26 +460,6 @@ class TestNonFiniteNumbers:
         doc = scenario_doc([np.eye(2)], np.diag([1.0, 1j]), config={"tol": token})
         assert main([command, self.written(tmp_path, doc)]) == 64
         assert "config" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("token", TOKENS, ids=repr)
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("pA", lambda t: [t, 0.5]),
-            ("pB_given_A", lambda t: [[t, 0.0], [0.0, 1.0]]),
-            ("pX_given_A", lambda t: [[1.0, 0.0], [0.0, t]]),
-            ("pY_given_B", lambda t: [[1.0, t], [0.0, 1.0]]),
-        ],
-        ids=["pA", "pB_given_A", "pX_given_A", "pY_given_B"],
-    )
-    def test_classical_chain_exit_64(self, key, value, token, tmp_path, capsys):
-        # a NaN in pA used to print a table of nan and exit 0
-        eye = [[1.0, 0.0], [0.0, 1.0]]
-        chain = {"pA": [0.5, 0.5], "pB_given_A": eye, "pX_given_A": eye, "pY_given_B": eye}
-        doc = scenario_doc([np.eye(2)], np.eye(2))
-        doc["classical"] = {"chain": {**chain, key: value(token)}}
-        assert main(["classical", self.written(tmp_path, doc), "--emergent"]) == 64
-        assert "nan" not in capsys.readouterr().out
 
 
 class TestRepeatedCalls:

@@ -85,8 +85,9 @@ def test_dropped_name_imports_from_its_module(name, module):
     assert not hasattr(coarsekit, name)
 
 
-def test_import_does_not_load_the_classical_module():
-    probe = "import sys, coarsekit; print('coarsekit.classical' in sys.modules)"
+@pytest.mark.parametrize("module", ["coarsekit", "coarsekit.cli", "coarsekit.io"])
+def test_import_does_not_load_the_classical_module(module):
+    probe = f"import sys, {module}; print('coarsekit.classical' in sys.modules)"
     src = str(Path(coarsekit.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", probe],
