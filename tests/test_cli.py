@@ -449,10 +449,17 @@ class TestNonFiniteNumbers:
         return str(path)
 
     @pytest.mark.parametrize("token", TOKENS, ids=repr)
-    def test_complex_entry_exit_64(self, token, tmp_path):
+    @pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
+    @pytest.mark.parametrize(
+        "key, what", [("kraus", "kraus[0]"), ("unitary", "unitary")], ids=["kraus", "unitary"]
+    )
+    @pytest.mark.parametrize("command", ["check", "construct"])
+    def test_complex_entry_exit_64(self, command, key, what, part, token, tmp_path, capsys):
         doc = scenario_doc([np.eye(2)], np.eye(2))
-        doc["unitary"][0][0] = [token, 0.0]
-        assert main(["check", self.written(tmp_path, doc)]) == 64
+        matrix = doc["kraus"][0] if key == "kraus" else doc["unitary"]
+        matrix[1][0][part] = token
+        assert main([command, self.written(tmp_path, doc)]) == 64
+        assert what in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", TOKENS, ids=repr)
     @pytest.mark.parametrize("command", ["check", "construct"])
