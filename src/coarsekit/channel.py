@@ -19,7 +19,7 @@ two forms are derived on demand and cached.  All values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -133,11 +133,17 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """Choi matrix of a CPTP map, on (input x output) with input major."""
+    """Choi matrix of a CPTP map, on (input x output) with input major.
+
+    The CP check takes one ``eigh`` of the Hermitian part of ``mat``; its
+    read-only pair (w, v) stays on the instance as ``eig``, so
+    ``choi_to_kraus`` reads the Kraus form off the same decomposition.
+    """
 
     din: int
     dout: int
     mat: np.ndarray
+    eig: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = asmatrix(self.mat)
@@ -146,13 +152,16 @@ class ChoiMatrix:
             raise DimensionMismatch(f"expected {(n, n)}, got {m.shape}")
         if frob(m - m.conj().T) > 1e-10 * max(1.0, frob(m)):
             raise NotHermitian("Choi matrix is not Hermitian")
-        w = np.linalg.eigvalsh(hermitize(m))
+        w, v = np.linalg.eigh(hermitize(m))
         if w.min() < -CP_TOL:
             raise NotCP(f"Choi eigenvalue {w.min():.3e} < -{CP_TOL}")
         tp = partial_trace(m, (self.din, self.dout), keep="A")
         if frob(tp - np.eye(self.din)) > CHOI_TP_TOL:
             raise ValueError("Choi partial trace over output is not the identity")
+        w.setflags(write=False)
+        v.setflags(write=False)
         object.__setattr__(self, "mat", _freeze(m))
+        object.__setattr__(self, "eig", (w, v))
 
 
 def apply(ch: KrausChannel, rho):
@@ -229,13 +238,15 @@ def vec_from_real(y: np.ndarray, n: int) -> np.ndarray:
 def choi_to_kraus(c: ChoiMatrix, rank_tol: float = RANK_TOL) -> KrausChannel:
     """Kraus operators from the Choi eigendecomposition.
 
-    One operator per eigenvalue above ``rank_tol * max_eigenvalue`` (so
-    none is zero); each is phase-fixed so tests are deterministic: its pivot,
-    the first entry in flat (row-major) order whose modulus is within a
-    relative PHASE_TIE_RTOL of the largest, is made real >= 0, so rounding
-    cannot choose among tied entries.  ``c`` is CP by construction.
+    The decomposition is ``c.eig``, the one ``eigh`` of c's Hermitian part
+    that its CP check took, so no second one is computed.  One operator per
+    eigenvalue above ``rank_tol * max_eigenvalue`` (so none is zero); each
+    is phase-fixed so tests are deterministic: its pivot, the first entry
+    in flat (row-major) order whose modulus is within a relative
+    PHASE_TIE_RTOL of the largest, is made real >= 0, so rounding cannot
+    choose among tied entries.  ``c`` is CP by construction.
     """
-    w, v = np.linalg.eigh(hermitize(c.mat))
+    w, v = c.eig
     keep = w > rank_tol * max(w.max(), 0.0)
     # column k of v is vec(K_k), the column-stacking of a dout x din operator
     cols = v[:, keep] * np.sqrt(w[keep])

@@ -4,8 +4,9 @@ Subcommands: ``check`` (run all four criteria), ``construct`` (emit the
 effective channel), ``list`` (built-in scenarios), ``gen`` (random
 scenario to file).
 
-Exit codes: 0 compatible or success, 1 incompatible or no effective map,
-2 undecided, 64 unreadable input, 65 input that parses but violates a
+Exit codes: 0 compatible or success, 1 incompatible or no effective map
+(``construct``: an infeasible SDP), 2 undecided (``construct``: an SDP left
+undecided), 64 unreadable input, 65 input that parses but violates a
 physical invariant, 70 internal criteria disagreement.
 
 ``check`` and ``construct`` take each setting from its flag, else the file's
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .compat import CheckConfig, Scenario, construct_emergent, run_all, sdp_feasibility
+from .compat import INFEASIBLE, CheckConfig, Scenario, construct_emergent, run_all, sdp_feasibility
 from .errors import CoarsekitError, MethodDisagreement
 from .io import (
     CONFIG_KINDS,
@@ -151,9 +152,14 @@ def cmd_construct(args) -> int:
     sdp = sdp_feasibility(scenario, cfg.sdp_max_iter, cfg.sdp_tol)
     gamma = construct_emergent(scenario, sdp)
     if gamma is None:
-        print(f"{label}: no CPTP effective dynamics exists for this scenario",
-              file=sys.stderr)
-        return EXIT_INCOMPATIBLE
+        if sdp.status == INFEASIBLE:
+            print(f"{label}: no CPTP effective dynamics exists for this scenario",
+                  file=sys.stderr)
+            return EXIT_INCOMPATIBLE
+        # the SDP decided nothing, so existence is claimed neither way
+        print(f"{label}: no effective channel built; the SDP is {sdp.status} at residual "
+              f"{_e(sdp.residual)} after {sdp.iterations} iteration(s)", file=sys.stderr)
+        return EXIT_UNDECIDED
     payload = dumps(channel_to_json(gamma))
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")

@@ -90,7 +90,9 @@ class _Image(NamedTuple):
     (C_D V)* and the transfer matrix of {M_k u} maps C_D V to ``av``.
     ``candidate`` is the effective transfer matrix
     ``av diag(sigma)^-1 u*``; ``cut`` is the largest singular value the
-    rank cut dropped (0 when it dropped none)."""
+    rank cut dropped (0 when it dropped none).  ``us`` = U diag(sigma) and
+    ``e_frob`` = ||E||_F are the two terms of the SDP's residual and of
+    the diagram distance, computed once here."""
 
     u: np.ndarray  # d^2 x r
     sigma: np.ndarray  # r
@@ -102,6 +104,8 @@ class _Image(NamedTuple):
     candidate: np.ndarray  # d^2 x d^2
     t: np.ndarray  # d^2 x D^2, real
     u_real: np.ndarray  # d^2 x r, U_R
+    us: np.ndarray  # d^2 x r
+    e_frob: float
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,7 +177,8 @@ class Scenario:
         # U and A V in vec coordinates
         c = _real_to_vec(self.d)
         uc, avc = c @ u, c @ av
-        return _Image(uc, sigma, cut, a, avc, e, e @ e.T, (avc / sigma) @ uc.conj().T, t, u)
+        return _Image(uc, sigma, cut, a, avc, e, e @ e.T, (avc / sigma) @ uc.conj().T, t, u,
+                      uc * sigma, frob(e))
 
     @cached_property
     def _kernel_witness(self) -> Optional["EnsembleWitness"]:
@@ -502,16 +507,23 @@ def search_witness(
 
 
 def _channel(psd: np.ndarray, d: int) -> Optional[ChoiMatrix]:
-    """The channel at a PSD point J: the congruence by (tr_out J)^(-1/2) x I
-    makes J exactly trace preserving and keeps it PSD.  None while that
-    point is not a valid Choi matrix (tr_out J singular, as it cannot be
-    within a residual tol < 1 of the affine set)."""
+    """The channel at a PSD point J: the congruence by R x I, R =
+    (tr_out J)^(-1/2), makes J exactly trace preserving and keeps it PSD.
+    None while that point is not a valid Choi matrix (tr_out J singular, as
+    it cannot be within a residual tol < 1 of the affine set).
+
+    R x I acts on the input factor, the major index of J's rows and
+    columns, so the congruence is two products by R on J reshaped: R times
+    J read as d x d^3 on the input row index, then R^T times each row of
+    that read as d x d (input column, output column); no Kronecker product
+    is formed."""
     w, vecs = np.linalg.eigh(partial_trace(psd, (d, d), keep="A"))
     if w.min() <= 0:
         return None
-    r = np.kron((vecs / np.sqrt(w)) @ vecs.conj().T, np.eye(d))
+    r = (vecs / np.sqrt(w)) @ vecs.conj().T
     try:
-        return ChoiMatrix(d, d, hermitize(r @ psd @ r))
+        rjr = r.T @ (r @ psd.reshape(d, -1)).reshape(d * d, d, d)
+        return ChoiMatrix(d, d, hermitize(rjr.reshape(d * d, d * d)))
     except ValueError:  # NotCP included
         return None
 
@@ -571,8 +583,7 @@ def sdp_feasibility(
     d = s.d
     n = d * d
     img = s._image
-    us = img.u * img.sigma
-    off_image = frob(img.e)
+    us, off_image = img.us, img.e_frob
     # vec(I): the trace-preservation row of a transfer matrix T is tp_row @ T
     tp_row = np.eye(d, dtype=np.complex128).ravel()
 
@@ -648,7 +659,7 @@ def diagram_distance(s: Scenario, gamma: KrausChannel) -> float:
     """
     _require_effective(s, gamma)
     img = s._image
-    return float(np.hypot(frob(gamma.transfer_mat @ (img.u * img.sigma) - img.av), frob(img.e)))
+    return float(np.hypot(frob(gamma.transfer_mat @ img.us - img.av), img.e_frob))
 
 
 def verify_kraus_equivalence(

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from coarsekit import channel as qc
 from coarsekit.errors import DimensionMismatch, NotCP, NotEquivalent, NotHermitian, NotUnitary
-from coarsekit.linalg import frob, partial_trace, vec
+from coarsekit.linalg import RANK_TOL, frob, hermitize, partial_trace, vec
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 
 S2 = np.sqrt(2.0)
@@ -201,6 +201,29 @@ class TestChoi:
     def test_not_cp(self):
         with pytest.raises(NotCP):
             qc.ChoiMatrix(2, 2, np.diag([1.5, -0.5, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_choi_to_kraus_reads_the_hermitian_part_eigh(self, d):
+        # an anti-Hermitian perturbation within the 1e-10 Hermiticity bound,
+        # which eigh of m itself (it reads one triangle) would see
+        rng = np.random.default_rng(d)
+        m = rand_channel(d, d, 3, d).choi.mat.copy()
+        g = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+        m += 0.2e-10 * max(1.0, frob(m)) * (g - g.conj().T) / frob(g - g.conj().T)
+        got = qc.choi_to_kraus(qc.ChoiMatrix(d, d, m)).kraus
+        # the operators built from eigh(hermitize(m)), as choi_to_kraus builds them
+        w, v = np.linalg.eigh(hermitize(m))
+        keep = w > RANK_TOL * w.max()
+        vecs = (v[:, keep] * np.sqrt(w[keep])).T
+        flat = vecs.reshape(-1, d, d).swapaxes(1, 2).reshape(len(vecs), -1)
+        mod = np.abs(flat)
+        pivot = flat[np.arange(len(flat)), np.argmax(
+            mod >= (1 - qc.PHASE_TIE_RTOL) * mod.max(axis=1, keepdims=True), axis=1)]
+        phase = pivot.conj() / np.hypot(pivot.real, pivot.imag)
+        want = (flat * phase[:, None]).reshape(-1, d, d)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert d == 1 or not np.array_equal(np.linalg.eigh(m)[1], v)
 
 
 class TestTransfer:

@@ -354,6 +354,25 @@ class TestConstruct:
         assert main(["construct", "example1-incompatible"]) == 1
         assert "no CPTP" in capsys.readouterr().err
 
+    def test_undecided_sdp_exit_two(self, tmp_path, capsys):
+        # compatible (any block-diagonal unitary is, with no coherences),
+        # but one iteration of the loop decides nothing
+        from coarsekit.io import scenario_to_json
+        from coarsekit.rand import haar_unitary
+        from coarsekit.scenarios import example2
+
+        rng = np.random.default_rng(0)
+        named = example2(2, 2, [haar_unitary(2, rng) for _ in range(2)], "none")
+        path = tmp_path / "dephasing.json"
+        write_json(path, scenario_to_json(named.scenario))
+        assert main(["check", str(path), "--max-iter", "1"]) == 2
+        capsys.readouterr()
+        assert main(["construct", str(path), "--max-iter", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "undecided" in err and "residual" in err
+        assert "no CPTP" not in err
+        assert main(["construct", str(path)]) == 0
+
 
 class TestConfigBlock:
     """The scenario file's config block is checked before any criterion runs;

@@ -1017,3 +1017,49 @@ def test_witness_search_holds_two_factors_and_one_kraus_image(s):
     finally:
         tracemalloc.stop()
     assert peak < factors + 2 * image + blocks + 2**16
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(d=st.integers(1, 5), rank=st.integers(1, 25), seed=st.integers(0, 2**31 - 1))
+def test_channel_congruence_matches_the_kronecker_product(d, rank, seed):
+    # J = G G* scaled to trace d, of any rank up to d^2; the congruence by
+    # R x I with R = (tr_out J)^(-1/2), built with a Kronecker product here.
+    # Both sides round like eps ||R||_2^2 ||J||_F; a rank-1 J at d = 5 has
+    # shown 2e-12 ||J||_F, so the bound carries ||R||_2^2
+    rng = np.random.default_rng(seed)
+    shape = (d * d, min(rank, d * d))
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    psd = g @ g.conj().T
+    psd *= d / np.trace(psd).real
+    w, q = np.linalg.eigh(np.trace(psd.reshape(d, d, d, d), axis1=1, axis2=3))
+    r = np.kron((q / np.sqrt(w)) @ q.conj().T, np.eye(d))
+    got = compat._channel(psd, d)
+    assert got is not None
+    assert frob(got.mat - r @ psd @ r) <= 1e-13 * frob(psd) / w.min()
+
+
+def test_a_closed_form_compatible_decision_takes_two_choi_eigendecompositions(monkeypatch):
+    # the SDP's cone projection and the channel's CP check, whose pair also
+    # gives the Kraus form; the kernel check's real Gram E E^T and the d x d
+    # tr_out J of the trace normalization are not Choi matrices
+    s = random_planted_scenario(4, 4, 0).scenario
+    n = s.d**2
+    choi, krons = [], []
+    for name in ("eigh", "eigvalsh"):
+        def spy(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            if np.shape(a) == (n, n) and np.iscomplexobj(a):
+                choi.append(_name)
+            return _f(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+
+    def kron(*args, _f=np.kron):
+        krons.append(args)
+        return _f(*args)
+
+    monkeypatch.setattr(np, "kron", kron)
+    report = compat.run_all(s)
+    assert report.verdict == "compatible"
+    assert report.sdp.iterations == 0
+    assert choi == ["eigh", "eigh"]
+    assert krons == []
