@@ -31,7 +31,7 @@ from .errors import (
     NotHermitian,
     NumericalFailure,
 )
-from .linalg import RANK_TOL, asmatrix, frob, hermitize, partial_trace, pinv, require_unitary
+from .linalg import RANK_TOL, asmatrix, frob, hermitize, pinv, require_unitary
 
 TP_TOL = 1e-9
 CP_TOL = 1e-8
@@ -150,12 +150,14 @@ class ChoiMatrix:
         n = self.din * self.dout
         if m.shape != (n, n):
             raise DimensionMismatch(f"expected {(n, n)}, got {m.shape}")
-        if frob(m - m.conj().T) > 1e-10 * max(1.0, frob(m)):
+        mh = m.conj().T
+        if frob(m - mh) > 1e-10 * max(1.0, frob(m)):
             raise NotHermitian("Choi matrix is not Hermitian")
-        w, v = np.linalg.eigh(hermitize(m))
+        w, v = np.linalg.eigh((m + mh) / 2)
         if w.min() < -CP_TOL:
             raise NotCP(f"Choi eigenvalue {w.min():.3e} < -{CP_TOL}")
-        tp = partial_trace(m, (self.din, self.dout), keep="A")
+        # partial_trace(m, (din, dout), keep="A"), without its second scan for NaN
+        tp = np.einsum("ikjk->ij", m.reshape(self.din, self.dout, self.din, self.dout))
         if frob(tp - np.eye(self.din)) > CHOI_TP_TOL:
             raise ValueError("Choi partial trace over output is not the identity")
         w.setflags(write=False)

@@ -14,9 +14,9 @@ for every state rho:
    within criterion 1's tolerance;
 3. semidefinite feasibility of a CPTP effective map's Choi matrix, exact
    when the part of the square no Choi matrix can change exceeds the
-   tolerance or the affine set is one point, and otherwise decided by
-   Dykstra alternating projections; its feasible point, made exactly
-   trace preserving, is the effective channel;
+   tolerance or the affine set is one point, and otherwise by Dykstra
+   projections, whose iterate certifies an ``infeasible``; its feasible
+   point, made exactly trace preserving, is the effective channel;
 4. a randomized discrimination witness: a binary ensemble whose optimal
    guessing probability increases across the dynamics certifies that no
    CPTP effective map can exist; it is searched for at random only when
@@ -70,8 +70,6 @@ FIBER_TOL = 1e-8
 # which CheckConfig enforces, a feasible SDP implies that the kernel check holds
 SDP_TOL = FIBER_TOL
 SDP_MAX_ITER = 20000
-SDP_STALL_WINDOW = 200
-SDP_STALL_RTOL = 1e-12
 WITNESS_MARGIN = 1e-9
 
 FEASIBLE = "feasible"
@@ -523,17 +521,9 @@ def _channel(psd: np.ndarray, d: int) -> Optional[ChoiMatrix]:
     r = (vecs / np.sqrt(w)) @ vecs.conj().T
     try:
         rjr = r.T @ (r @ psd.reshape(d, -1)).reshape(d * d, d, d)
-        return ChoiMatrix(d, d, hermitize(rjr.reshape(d * d, d * d)))
+        return ChoiMatrix(d, d, rjr.reshape(d * d, d * d))
     except ValueError:  # NotCP included
         return None
-
-
-def _decide(psd, residual: float, tol: float, d: int) -> tuple[str, Optional[ChoiMatrix]]:
-    """Status and channel of a PSD-projected point with its residual."""
-    choi = _channel(psd, d) if residual <= tol else None
-    if choi is not None:
-        return FEASIBLE, choi
-    return (INFEASIBLE if residual > 100 * tol else UNDECIDED), None
 
 
 def sdp_feasibility(
@@ -544,15 +534,13 @@ def sdp_feasibility(
 
     The unknown is the effective map's Choi matrix J, constrained to be PSD
     (cone projection by eigenvalue clipping), trace preserving, and to close
-    the coarse-graining square (both affine).  Dykstra's correction on the
-    cone side makes the iteration converge to a point of the intersection
-    whenever one exists.
+    the coarse-graining square (both affine).
 
     The square T_J T_cg = A (A the transfer matrix of {M_k u}) is taken in
     the thin SVD T_cg = U S V*: its rows along V read T_J U = (A V) S^-1,
     whatever D is, and its rows off V read 0 = A - A V V*, which no J can
     change and which enters the residual as the constant ``||A - A V V*||_F``.
-    In transfer form the affine set is {T : T U = (A V) S^-1, w* T = w*},
+    In transfer form the affine set L is {T : T U = (A V) S^-1, w* T = w*},
     w = vec(I): one constraint acts on the right of T, the other on the
     left, and both hold at once because cg and {M_k u} preserve the trace.
     Its orthogonal projection is closed form,
@@ -563,14 +551,28 @@ def sdp_feasibility(
 
     The reported residual is the affine violation of the PSD-projected
     point, ``sqrt(||T_J U S - A V||^2 + ||tr_out J - I||^2 +
-    ||A - A V V*||_F^2)``: ``feasible`` when <= tol, ``infeasible`` when
-    > 100*tol, ``undecided`` in between.  It is never below its last
-    term, so once ``||A - A V V*||_F`` > tol no point can be feasible:
-    that term alone is then the residual and sets the status, at 0
-    iterations.  r = d^2 (then I - U U* = 0 and the affine set is the one
-    point T0) is decided exactly, at 0 iterations too.  Else the loop runs
-    at most ``max_iter`` times and says ``infeasible`` only once the
-    residual stalls (relative change < 1e-12 over 200 iterations).
+    ||A - A V V*||_F^2)``: ``feasible`` when <= tol.  It is never below
+    its last term, so once ``||A - A V V*||_F`` > tol no point can be
+    feasible: that term alone is then the residual and sets the status,
+    ``infeasible`` above 100*tol and ``undecided`` in between, at 0
+    iterations.  r = d^2 (then I - U U* = 0 and L is the one point T0) is
+    decided exactly by the same bands, at 0 iterations too.
+
+    Else Dykstra's alternating projections run at most ``max_iter`` times;
+    the correction p on the cone side makes them converge to a point of the
+    intersection whenever one exists.  They say ``infeasible`` only with a
+    Farkas certificate read off their own iterate (Boyle & Dykstra 1986;
+    Bauschke & Borwein, J. Approx. Theory 79, 1994).  From x = p = 0 each
+    step takes j = x + p, P = P_K(j), p <- j - P and x <- P_L(P), so it adds
+    to j the difference x - P, orthogonal to L's directions N; so is every
+    j.  Every J in L then has <j, J> = <j, J0> (J0 the Choi matrix of T0),
+    while a PSD J of trace d has <j, J> <= d max(lambda_max(j), 0).  So a
+    margin ``m = (<j, J0> - d max(lambda_max(j), 0)) / ||j||_F`` > 0 proves
+    that no CPTP J exists, and puts every PSD J of trace d at Frobenius
+    distance >= m from L.  The loop stops at m > 100*tol, the closed form's
+    band, with that iteration's residual; the cone projection's eigenvalues
+    w give lambda_max(j) and ||j||_F = sqrt(sum w^2).  A loop that reaches
+    ``max_iter`` with neither a channel nor a certificate is ``undecided``.
 
     A ``feasible`` outcome carries the channel, and only it does: the
     feasible point J after the congruence by (tr_out J)^(-1/2) x I, which
@@ -588,44 +590,40 @@ def sdp_feasibility(
     tp_row = np.eye(d, dtype=np.complex128).ravel()
 
     def project(j_mat):
-        """PSD projection of j_mat, its transfer matrix and its residual."""
+        """j_mat's eigenvalues and PSD projection, its transfer matrix and residual."""
         w, vecs = np.linalg.eigh(j_mat)
         psd = (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
         t_y = choi_to_transfer_mat(psd, d, d)
         diagram = t_y @ us - img.av
         trace = tp_row @ t_y - tp_row
         sq = np.vdot(diagram, diagram).real + np.vdot(trace, trace).real
-        return psd, t_y, float(np.sqrt(sq + off_image**2))
+        return w, psd, t_y, float(np.sqrt(sq + off_image**2))
 
     if off_image > tol:
         # every point's residual is at least off_image, so none is within tol
-        status, _ = _decide(None, off_image, tol, d)
-        return SdpOutcome(status=status, residual=off_image, iterations=0)
-    iterations = 0
+        return SdpOutcome(INFEASIBLE if off_image > 100 * tol else UNDECIDED, off_image, 0)
     if img.sigma.size == n:
-        psd_point, _, residual = project(transfer_to_choi_mat(img.candidate, d, d))
-        status, choi = _decide(psd_point, residual, tol, d)
-    else:
-        w_hat = tp_row / np.sqrt(d)
-        off_u = np.eye(n) - img.u @ img.u.conj().T
-        off_w = np.eye(n) - np.outer(w_hat, w_hat)
-        t0 = img.candidate + np.outer(w_hat, w_hat @ off_u)
-        x = p = np.zeros((n, n), dtype=np.complex128)
-        history: list[float] = []
-        status, choi = UNDECIDED, None
-        for iterations in range(1, max_iter + 1):
-            j_mat = x + p
-            psd_point, t_y, residual = project(j_mat)
-            p = j_mat - psd_point
-            x = transfer_to_choi_mat(t0 + off_w @ t_y @ off_u, d, d)
-            history.append(residual)
-            decided, choi = _decide(psd_point, residual, tol, d)
-            past = history[-SDP_STALL_WINDOW - 1] if iterations > SDP_STALL_WINDOW else np.inf
-            stalled = abs(past - residual) <= SDP_STALL_RTOL * residual
-            if choi is not None or (decided == INFEASIBLE and stalled):
-                status = decided
-                break
-    return SdpOutcome(status=status, residual=residual, iterations=iterations, choi=choi)
+        _, psd_point, _, residual = project(transfer_to_choi_mat(img.candidate, d, d))
+        choi = _channel(psd_point, d) if residual <= tol else None
+        band = INFEASIBLE if residual > 100 * tol else UNDECIDED
+        return SdpOutcome(FEASIBLE if choi is not None else band, residual, 0, choi)
+    w_hat = tp_row / np.sqrt(d)
+    off_u = np.eye(n) - img.u @ img.u.conj().T
+    off_w = np.eye(n) - np.outer(w_hat, w_hat)
+    t0 = img.candidate + np.outer(w_hat, w_hat @ off_u)
+    j0 = transfer_to_choi_mat(t0, d, d)
+    x = p = np.zeros((n, n), dtype=np.complex128)
+    for iterations in range(1, max_iter + 1):
+        j_mat = x + p
+        w, psd_point, t_y, residual = project(j_mat)
+        p = j_mat - psd_point
+        x = transfer_to_choi_mat(t0 + off_w @ t_y @ off_u, d, d)
+        choi = _channel(psd_point, d) if residual <= tol else None
+        if choi is not None:
+            return SdpOutcome(FEASIBLE, residual, iterations, choi)
+        if np.vdot(j_mat, j0).real - d * max(w[-1], 0.0) > 100 * tol * np.sqrt(np.dot(w, w)):
+            return SdpOutcome(INFEASIBLE, residual, iterations)
+    return SdpOutcome(UNDECIDED, residual, iterations)
 
 
 def construct_emergent(s: Scenario, sdp: Optional[SdpOutcome] = None) -> Optional[KrausChannel]:

@@ -61,8 +61,11 @@ class TestValidation:
             (np.eye(4) / 2 + np.triu(np.ones((4, 4)), 1) * 0.1, NotHermitian, "Hermitian"),
             # PSD but its output trace is 2 per input, not 1
             (np.eye(4), ValueError, "partial trace"),
+            # the transpose map's Choi matrix, the swap: trace preserving, eigenvalue -1
+            (np.eye(4)[[0, 2, 1, 3]], NotCP, "eigenvalue"),
+            (np.where(np.eye(4) > 0, np.nan, 0.0), ValueError, "NaN or Inf"),
         ],
-        ids=["non-square", "non-hermitian", "non-tp"],
+        ids=["non-square", "non-hermitian", "non-tp", "non-cp", "nan"],
     )
     def test_choi_matrix_invariants(self, mat, error, message):
         with pytest.raises(error, match=message):

@@ -46,6 +46,15 @@ def almost_compatible_doc(theta=4e-6):
     return scenario_doc(kraus, u)
 
 
+def cycle_doc():
+    """|0>, |0>+|1>, |0>+|1>+|2> measured and prepared, then cycled by a
+    permutation: the kernel check holds, and the SDP's loop certifies that
+    no CPTP effective map exists."""
+    eye, states = np.eye(3), np.tril(np.ones((3, 3)))
+    kraus = [np.outer(psi / np.linalg.norm(psi), eye[i]) for i, psi in enumerate(states)]
+    return scenario_doc(kraus, np.roll(eye, 1, axis=0))
+
+
 class TestCheck:
     def test_registry_compatible_exit_zero(self, capsys):
         assert main(["check", "spin-d3", "--trials", "100"]) == 0
@@ -143,6 +152,13 @@ class TestCheck:
         assert main(["check", str(path), "--trials", "0"]) == 2
         out = capsys.readouterr().out
         assert "UNDECIDED" in out
+
+    def test_certified_cycle_exit_one(self, tmp_path, capsys):
+        path, report_path = tmp_path / "cycle.json", tmp_path / "r.json"
+        write_json(path, cycle_doc())
+        assert main(["check", str(path), "--trials", "0", "--json", str(report_path)]) == 1
+        sdp = json.loads(report_path.read_text(encoding="utf-8"))["sdp"]
+        assert sdp["status"] == "infeasible" and sdp["iterations"] <= 10
 
     def test_json_report_contents(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -353,6 +369,12 @@ class TestConstruct:
     def test_incompatible_exit_one(self, capsys):
         assert main(["construct", "example1-incompatible"]) == 1
         assert "no CPTP" in capsys.readouterr().err
+
+    def test_certified_cycle_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "cycle.json"
+        write_json(path, cycle_doc())
+        assert main(["construct", str(path)]) == 1
+        assert "no CPTP effective dynamics exists" in capsys.readouterr().err
 
     def test_undecided_sdp_exit_two(self, tmp_path, capsys):
         # compatible (any block-diagonal unitary is, with no coherences),

@@ -282,9 +282,20 @@ class TestSinglePath:
         assert compat.construct_emergent(s, report.sdp) is not None
         assert len(sdp_calls) == 1
 
-    def test_undecided_cycle_runs_one_loop(self, sdp_calls):
-        # |0>, |0>+|1>, |0>+|1>+|2> cycled by a permutation
+    def test_cycle_is_certified_in_one_loop(self, sdp_calls):
+        # |0>, |0>+|1>, |0>+|1>+|2> cycled by a permutation: the loop's
+        # iterate certifies that no channel exists
         s = measure_prepare(np.tril(np.ones((3, 3))), np.roll(np.eye(3), 1, axis=0))
+        report = compat.run_all(s, compat.CheckConfig(witness_trials=0))
+        assert report.verdict == "incompatible" and report.sdp.status == compat.INFEASIBLE
+        assert len(sdp_calls) == 1 and 0 < report.sdp.iterations <= 10
+        assert report.sdp.residual > 100 * compat.SDP_TOL
+        assert report.emergent is None
+
+    def test_capped_swap_runs_to_its_cap_undecided(self, sdp_calls):
+        # the swap below needs 7540 iterations; no certificate stops a loop
+        # that a channel ends, so at a cap of 500 it decides nothing
+        s = measure_prepare(np.array([[1, 0], [1, 1]]), [[0, 1], [1, 0]])
         report = compat.run_all(s, compat.CheckConfig(witness_trials=0, sdp_max_iter=500))
         assert report.verdict == compat.UNDECIDED
         assert len(sdp_calls) == 1 and report.sdp.iterations == 500
@@ -352,6 +363,13 @@ class TestSdpFeasibility:
         assert np.vdot(vec, j0 @ vec).real == pytest.approx(quotient, abs=1e-4)
         out = compat.sdp_feasibility(s)
         assert (out.status, out.iterations) == (compat.INFEASIBLE, 0)
+
+    def test_swap_keeps_its_long_feasible_loop(self):
+        # the loop's slowest feasible case; the certificate never stops it
+        s = measure_prepare(np.array([[1, 0], [1, 1]]), [[0, 1], [1, 0]])
+        out = compat.sdp_feasibility(s)
+        assert (out.status, out.iterations) == (compat.FEASIBLE, 7540)
+        assert out.choi is not None
 
     def test_loop_goes_on_until_the_point_is_a_channel(self):
         # at tol = 10 the loop's first point, J = 0, is within tol of the
@@ -804,6 +822,19 @@ def test_feasible_outcomes_carry_a_trace_preserving_channel(d, k, planted, mixed
     assert (out.status == compat.FEASIBLE) == (out.choi is not None)
     if out.choi is not None:
         assert frob(partial_trace(out.choi.mat, (d, d), keep="A") - np.eye(d)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(k=st.integers(2, 3), d=st.integers(2, 4), seed=st.integers(0, 2**31 - 1))
+def test_decohered_example2_is_feasible_and_never_certified(k, d, seed):
+    # any block-diagonal unitary is compatible with no coherences (r = d <
+    # d^2), so the loop must reach the channel and never stop on a
+    # certificate of infeasibility
+    rng = np.random.default_rng(seed)
+    s = example2(k, d, [haar_unitary(k, rng) for _ in range(d)], "none").scenario
+    out = compat.sdp_feasibility(s)
+    assert (out.status, out.iterations) == (compat.FEASIBLE, 2)
+    assert out.choi is not None
 
 
 @pytest.mark.parametrize("name", [n for n, e in REG.items() if e.expected == "compatible"])

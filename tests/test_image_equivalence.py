@@ -8,8 +8,9 @@ writes J in an orthonormal basis of d^4 Hermitian matrices, stacks the
 affine rows into one real system and projects with that system's ``pinv``.
 The code under test works from one thin SVD of T_cg and projects onto the
 affine set in closed form.  Both project orthogonally onto the same
-affine set, so every verdict and status must be equal; residuals and
-matrices may differ by rounding.  Where the code under test decides
+affine set from zero and stop on the same Farkas certificate, so every
+verdict and status must be equal; residuals and matrices may differ by
+rounding.  Where the code under test decides
 without iterating (a failed kernel check, or r = d^2 where the affine set
 is one point) it reports 0 iterations; elsewhere its iteration count must
 equal the reference's.
@@ -69,6 +70,35 @@ def _pauli_contraction(theta):
     return compat.Scenario(cg, np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)]))
 
 
+def _block_dephased_hadamard(p):
+    """Two blocks of ``_dephased_hadamard(p)``: Kraus operators |b><b| x
+    sqrt(1 - p/2) I and |b><b| x sqrt(p/2) Z, then u = I x H.  D = d = 4
+    with r = 8 < d^2, so the loop decides."""
+    z = np.diag([1.0, -1.0])
+    ops = []
+    for b in np.eye(2):
+        proj = np.outer(b, b)
+        ops += [np.kron(proj, np.sqrt(1 - p / 2) * np.eye(2)), np.kron(proj, np.sqrt(p / 2) * z)]
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    return compat.Scenario(KrausChannel(ops), np.kron(np.eye(2), h))
+
+
+def _measure_prepare(states, u):
+    """Measure in the computational basis and prepare states[i] on outcome
+    i: T_cg has rank at most d < d^2, so the loop decides.  A permutation u
+    keeps cg's kernel, the matrices with zero diagonal."""
+    eye = np.eye(len(states))
+    ops = [np.outer(psi / np.linalg.norm(psi), eye[i]) for i, psi in enumerate(states)]
+    return compat.Scenario(KrausChannel(ops), np.asarray(u, dtype=complex))
+
+
+def _cycled_preparations(d, seed):
+    """Random complex preparations, cycled by the shift |i> -> |i + 1>."""
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return _measure_prepare(states, np.roll(np.eye(d), 1, axis=0))
+
+
 CASES = {
     **{name: (lambda name=name: registry()[name].scenario) for name in registry()},
     **{
@@ -84,10 +114,21 @@ CASES = {
     "dephased-hadamard-p0.5": lambda: _dephased_hadamard(0.5),
     "pauli-contraction-4e-4": lambda: _pauli_contraction(4e-4),
     "pauli-contraction-4e-6": lambda: _pauli_contraction(4e-6),
+    "block-dephased-hadamard-p0.1": lambda: _block_dephased_hadamard(0.1),
+    "block-dephased-hadamard-p0.5": lambda: _block_dephased_hadamard(0.5),
+    "cycle-d3": lambda: _measure_prepare(np.tril(np.ones((3, 3))), np.roll(np.eye(3), 1, axis=0)),
+    **{
+        f"cycled-preparations-d{d}-s{seed}": (lambda d=d, seed=seed: _cycled_preparations(d, seed))
+        for d, seed in [(3, 0), (3, 3), (4, 0), (4, 1)]
+    },
 }
-# the reference runs to its cap on this undecided case; 300 iterations are
-# past the stall window and keep it undecided
-ORACLE_MAX_ITER = {"pauli-contraction-4e-6": 300}
+# the loop cases the reference stops with a certificate, from 2 to 27 iterations
+CERTIFIED = [
+    "block-dephased-hadamard-p0.1",
+    "block-dephased-hadamard-p0.5",
+    "cycle-d3",
+    *(case for case in CASES if case.startswith("cycled-preparations")),
+]
 
 
 def _rhs(s):
@@ -121,51 +162,75 @@ def _hermitian_basis(n):
     return out
 
 
-def _dense_sdp(s, max_iter=compat.SDP_MAX_ITER, tol=compat.SDP_TOL):
-    """Dykstra iteration with all d^2 D^2 diagram rows."""
+def _dense_system(s):
+    """The affine rows, all d^2 D^2 diagram rows and the trace rows, in the
+    coordinates of ``_hermitian_basis(d^2)``: (a, b, basis) with the rows
+    reading a y = b."""
     d = s.d
-    n = d * d
     t_cg = s.cg.transfer_mat
     rhs = _rhs(s)
-    basis = _hermitian_basis(n)
+    basis = _hermitian_basis(d * d)
     cols = []
     for b_el in basis:
         diagram = (choi_to_transfer_mat(b_el, d, d) @ t_cg).ravel()
         tp = partial_trace(b_el, (d, d), keep="A").ravel()
         cols.append(np.concatenate([diagram.real, diagram.imag, tp.real, tp.imag]))
-    a = np.array(cols).T
     b_vec = np.concatenate(
         [rhs.ravel().real, rhs.ravel().imag, np.eye(d).ravel(), np.zeros(d * d)]
     )
+    return np.array(cols).T, b_vec, basis
+
+
+def _band(residual, tol):
+    return compat.INFEASIBLE if residual > 100 * tol else compat.UNDECIDED
+
+
+def _dense_sdp(s, max_iter=compat.SDP_MAX_ITER, tol=compat.SDP_TOL):
+    """Dykstra iteration with all d^2 D^2 diagram rows, from zero, and the
+    iterate j = x + p it stopped at.  It says ``infeasible`` only with the
+    certificate of the code under test, in these coordinates: j is
+    orthogonal to the null space of the rows, so <j, y> = <j, y0> on the
+    affine set (y0 = a^+ b), against <= d max(lambda_max(j), 0) on a PSD
+    point of trace d.  Inconsistent rows (no affine set) are decided by
+    their least-squares residual at 0 iterations; rows of full column rank
+    (the affine set is one point) by the residual bands on the iteration
+    that reaches that point, iteration 2."""
+    d = s.d
+    a, b_vec, basis = _dense_system(s)
     a_pinv = np.linalg.pinv(a, rcond=1e-13)
-    x = np.zeros(n * n)
-    p = np.zeros(n * n)
-    history = []
+    y0 = a_pinv @ b_vec
+    off_image = float(np.linalg.norm(a @ y0 - b_vec))
+    if off_image > tol:
+        return compat.SdpOutcome(_band(off_image, tol), off_image, 0), np.zeros_like(y0)
+    sv = np.linalg.svd(a, compute_uv=False)
+    one_point = sv[-1] > 1e-13 * sv[0]
+    x = p = np.zeros(a.shape[1])
     status = compat.UNDECIDED
     for iterations in range(1, max_iter + 1):
-        w, vecs = np.linalg.eigh(np.einsum("a,aij->ij", x + p, basis))
+        j = x + p
+        w, vecs = np.linalg.eigh(np.einsum("a,aij->ij", j, basis))
         psd_point = (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
         y = np.einsum("aij,ji->a", basis, psd_point).real
-        p = x + p - y
+        p = j - y
         violation = a @ y - b_vec
         x = y - a_pinv @ violation
         residual = float(np.linalg.norm(violation))
-        history.append(residual)
         if residual <= tol:
             status = compat.FEASIBLE
             break
-        if iterations > compat.SDP_STALL_WINDOW and residual > 100 * tol:
-            past = history[-compat.SDP_STALL_WINDOW - 1]
-            if abs(past - residual) <= compat.SDP_STALL_RTOL * residual:
-                status = compat.INFEASIBLE
-                break
+        if one_point and iterations == 2:
+            status = _band(residual, tol)
+            break
+        if j @ y0 - d * max(w[-1], 0.0) > 100 * tol * np.linalg.norm(j):
+            status = compat.INFEASIBLE
+            break
     choi = None
     if status == compat.FEASIBLE:
         try:
             choi = ChoiMatrix(d, d, hermitize(psd_point))
         except ValueError:
             choi = None
-    return compat.SdpOutcome(status, residual, iterations, choi)
+    return compat.SdpOutcome(status, residual, iterations, choi), j
 
 
 def _dense_candidate(s):
@@ -185,7 +250,7 @@ def _dense_construct(s, diagram_tol=compat.FIBER_TOL):
     tp_err = frob(partial_trace(j_mat, (d, d), keep="A") - np.eye(d))
     if frob(j_raw - j_raw.conj().T) <= 1e-8 and w_min >= -1e-8 and tp_err <= 1e-8:
         return choi_to_kraus(ChoiMatrix(d, d, j_mat))
-    out = _dense_sdp(s, tol=1e-9)
+    out, _ = _dense_sdp(s, tol=1e-9)
     if out.status == compat.FEASIBLE and out.choi is not None:
         return choi_to_kraus(out.choi)
     return None
@@ -208,7 +273,7 @@ def test_fiber_check_matches_dense_kernel(case):
 def test_sdp_matches_full_diagram_rows(case):
     s = CASES[case]()
     out = compat.sdp_feasibility(s)
-    ref = _dense_sdp(s, max_iter=ORACLE_MAX_ITER.get(case, compat.SDP_MAX_ITER))
+    ref, _ = _dense_sdp(s)
     assert out.status == ref.status
     assert (out.choi is None) == (ref.choi is None)
     _, off_image = _dense_candidate(s)
@@ -247,6 +312,22 @@ def test_construct_matches_dense(case):
     if got is not None:
         assert isinstance(got, KrausChannel)
         assert frob(got.choi.mat - ref.choi.mat) <= 1e-10
+
+
+@pytest.mark.parametrize("case", CERTIFIED)
+def test_a_certificate_stop_holds_a_farkas_certificate(case):
+    # the reference's j is orthogonal to the directions of the affine set,
+    # so <j, y> = <j, y0> on it, while a PSD y of trace d has <j, y> <= d
+    # lambda_max(j): a margin above 0 leaves no feasible point
+    s = CASES[case]()
+    ref, j = _dense_sdp(s)
+    assert (ref.status, ref.choi) == (compat.INFEASIBLE, None) and ref.iterations > 0
+    a, b_vec, basis = _dense_system(s)
+    norm = np.linalg.norm(j)
+    assert np.linalg.norm(kernel_basis(a).conj().T @ j) <= 1e-12 * norm
+    lam = np.linalg.eigvalsh(np.einsum("a,aij->ij", j, basis))[-1]
+    y0 = np.linalg.lstsq(a, b_vec, rcond=None)[0]
+    assert (j @ y0 - s.d * max(lam, 0.0)) / norm > 100 * compat.SDP_TOL
 
 
 def test_cases_cover_both_sides_of_the_rank_question():
