@@ -31,7 +31,7 @@ from .errors import (
     NotHermitian,
     NumericalFailure,
 )
-from .linalg import RANK_TOL, asmatrix, frob, hermitize, pinv, require_unitary
+from .linalg import RANK_TOL, asmatrix, frob, minus_identity, pinv, require_unitary
 
 TP_TOL = 1e-9
 CP_TOL = 1e-8
@@ -56,20 +56,22 @@ class DensityMatrix:
         m = asmatrix(self.mat)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
-        if frob(m - m.conj().T) > 1e-10 * max(1.0, frob(m)):
+        mh = m.conj().T
+        if frob(m - mh) > 1e-10 * max(1.0, frob(m)):
             raise NotHermitian("density matrix is not Hermitian")
         # the Hermitian part h has no eigenvalue below -1e-10 iff h + 1e-10 I
         # has a Cholesky factor; the eigenvalues are computed only to report
         # a failure
-        shifted = hermitize(m)
+        shifted = (m + mh) / 2
         shifted.flat[:: len(m) + 1] += 1e-10
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            w = np.linalg.eigvalsh(hermitize(m))
+            w = np.linalg.eigvalsh((m + mh) / 2)
             raise ValueError(f"negative eigenvalue {w.min():.3e}") from None
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise ValueError(f"trace {np.trace(m)} != 1")
+        tr = np.trace(m)
+        if abs(tr.real - 1.0) > 1e-10 or abs(tr.imag) > 1e-10:
+            raise ValueError(f"trace {tr} != 1")
         object.__setattr__(self, "mat", _freeze(m))
 
     @property
@@ -109,7 +111,7 @@ class KrausChannel:
         _, dout, din = ops.shape
         if require_tp:
             x = ops.reshape(-1, din)
-            err = frob(x.conj().T @ x - np.eye(din))
+            err = frob(minus_identity(x.conj().T @ x))
             if err > tp_tol:
                 raise ValueError(f"not trace preserving: ||sum K*K - I|| = {err:.3e}")
         self.kraus = ops
@@ -158,7 +160,7 @@ class ChoiMatrix:
             raise NotCP(f"Choi eigenvalue {w.min():.3e} < -{CP_TOL}")
         # partial_trace(m, (din, dout), keep="A"), without its second scan for NaN
         tp = np.einsum("ikjk->ij", m.reshape(self.din, self.dout, self.din, self.dout))
-        if frob(tp - np.eye(self.din)) > CHOI_TP_TOL:
+        if frob(minus_identity(tp)) > CHOI_TP_TOL:
             raise ValueError("Choi partial trace over output is not the identity")
         w.setflags(write=False)
         v.setflags(write=False)

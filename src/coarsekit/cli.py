@@ -96,7 +96,8 @@ def _config(args, doc: Optional[dict]) -> CheckConfig:
 
 
 def _config_echo(cfg: CheckConfig, s: Scenario) -> dict:
-    return {**dataclasses.asdict(cfg), "ancilla_dims": list(cfg.resolved_ancillas(s))}
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    return {**fields, "ancilla_dims": list(cfg.resolved_ancillas(s))}
 
 
 def _e(x: float) -> str:

@@ -146,7 +146,7 @@ class Scenario:
     @cached_property
     def _kraus_after(self) -> np.ndarray:
         """The coarse-graining after u: the read-only (K, d, D) stack {M_k u}."""
-        ops = self.cg.kraus @ self.u
+        ops = (self.cg.kraus.reshape(-1, self.D) @ self.u).reshape(self.cg.kraus.shape)
         ops.setflags(write=False)
         return ops
 
@@ -241,14 +241,15 @@ class Scenario:
 
 def _require_count(name: str, value, low: int) -> None:
     """The range rule of every count and seed: an integer (Python or NumPy,
-    not 2.5 or "3") >= low."""
-    if not (isinstance(value, numbers.Integral) and value >= low):
+    not 2.5, "3" or a bool) >= low."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _require_tol(name: str, value) -> None:
-    """The range rule of every tolerance: a finite real number > 0."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+    """The range rule of every tolerance: a finite real number > 0, not a bool."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 

@@ -22,13 +22,20 @@ def asmatrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    # a complex entry is finite iff both its parts are, so one scan checks both
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
 
 def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, "fro"))
+
+
+def minus_identity(g: np.ndarray) -> np.ndarray:
+    """g - I, in place on a fresh C-contiguous square g; no identity is built."""
+    g.ravel()[:: len(g) + 1] -= 1.0
+    return g
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -45,7 +52,7 @@ def require_unitary(m, what: str) -> np.ndarray:
     """``m`` as a complex matrix; NotUnitary unless it is square with
     ``||M*M - I||_F <= UNITARY_TOL``."""
     m = asmatrix(m)
-    if m.shape[0] != m.shape[1] or frob(m.conj().T @ m - np.eye(m.shape[0])) > UNITARY_TOL:
+    if m.shape[0] != m.shape[1] or frob(minus_identity(m.conj().T @ m)) > UNITARY_TOL:
         raise NotUnitary(f"{what} must be unitary")
     return m
 

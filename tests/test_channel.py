@@ -80,6 +80,27 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             qc.KrausChannel([np.eye(2), np.zeros((3, 2))])
 
+    @pytest.mark.parametrize("tp_tol", [qc.TP_TOL, 10 * qc.TP_TOL])
+    def test_kraus_tp_tolerance(self, tp_tol):
+        ops = random_kraus_ops(2, 2, 3, np.random.default_rng(0))
+        # stretching one input by 1 + e moves ||sum K*K - I||_F by about 2 e
+        qc.KrausChannel(ops @ np.diag([1 + 0.4 * tp_tol, 1.0]), tp_tol=tp_tol)
+        with pytest.raises(ValueError, match="not trace preserving"):
+            qc.KrausChannel(ops @ np.diag([1 + 0.6 * tp_tol, 1.0]), tp_tol=tp_tol)
+
+    def test_choi_tp_tolerance(self):
+        j = rand_channel(2, 2, 3, 0).choi.mat
+
+        def stretched(e):
+            # the congruence by D x I, D = diag(1 + e, 1), acts on the input factor
+            # and keeps J PSD, so tr_out moves to D^2, about 2 e from the identity
+            big = np.kron(np.diag([1 + e, 1.0]), np.eye(2))
+            return big @ j @ big
+
+        qc.ChoiMatrix(2, 2, stretched(0.4 * qc.CHOI_TP_TOL))
+        with pytest.raises(ValueError, match="partial trace"):
+            qc.ChoiMatrix(2, 2, stretched(0.6 * qc.CHOI_TP_TOL))
+
     def test_random_channels_are_cptp(self):
         for seed in range(8):
             ch = rand_channel(3, 2, 3, seed)

@@ -532,6 +532,24 @@ def test_check_config_rejects_out_of_range_settings(field, value):
 
 
 @pytest.mark.parametrize(
+    "field, value, name",
+    [
+        ("fiber_tol", True, "fiber_tol"),
+        ("sdp_tol", True, "sdp_tol"),
+        ("sdp_max_iter", True, "sdp_max_iter"),
+        ("seed", True, "seed"),
+        ("seed", False, "seed"),
+        ("witness_trials", False, "witness_trials"),
+        ("ancilla_dims", (True,), "each of ancilla_dims"),
+    ],
+)
+def test_check_config_rejects_bools(field, value, name):
+    # a bool is an int in Python, but never a number here, as in a scenario file
+    with pytest.raises(ValueError, match=f"^{name} must be an? (integer|finite number)"):
+        compat.CheckConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
     "call, name",
     [
         (lambda s: compat.sdp_feasibility(s, max_iter=2.5), "max_iter"),
@@ -549,11 +567,19 @@ def test_check_config_rejects_out_of_range_settings(field, value):
                                                    tol=float("nan")), "tol"),
         (lambda s: compat.verify_kraus_equivalence(s, KrausChannel([np.eye(s.d)]),
                                                    tol=float("inf")), "tol"),
+        (lambda s: compat.check_fiber_preservation(s, True), "tol"),
+        (lambda s: compat.sdp_feasibility(s, max_iter=True), "max_iter"),
+        (lambda s: compat.sdp_feasibility(s, tol=True), "tol"),
+        (lambda s: compat.search_witness(s, True), "trials"),
+        (lambda s: compat.search_witness(s, 3, True), "ancilla_dim"),
+        (lambda s: compat.search_witness(s, 2, 1, False), "seed"),
     ],
     ids=["sdp-max_iter-2.5", "sdp-max_iter-0", "sdp-tol-nan", "sdp-tol-inf",
          "search-trials-2.5", "search-ancilla-1.5", "search-seed--1",
          "fiber-tol-nan", "fiber-tol-inf", "algebraic-tol-nan", "algebraic-tol-inf",
-         "kraus-equivalence-tol-nan", "kraus-equivalence-tol-inf"],
+         "kraus-equivalence-tol-nan", "kraus-equivalence-tol-inf",
+         "fiber-tol-true", "sdp-max_iter-true", "sdp-tol-true", "search-trials-true",
+         "search-ancilla-true", "search-seed-false"],
 )
 def test_criteria_share_the_range_rule(call, name):
     # the same rule as CheckConfig's, with the argument named: a NaN

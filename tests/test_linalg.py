@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coarsekit import linalg
-from coarsekit.channel import KrausChannel, unitary_channel
+from coarsekit.channel import ChoiMatrix, DensityMatrix, KrausChannel, unitary_channel
 from coarsekit.compat import Scenario
 from coarsekit.errors import DimensionMismatch, NotUnitary
 from coarsekit.scenarios import example1, example2
@@ -136,3 +136,26 @@ class TestRequireUnitary:
         linalg.require_unitary(u @ np.diag([1 + 0.4 * linalg.UNITARY_TOL, 1.0]), "u")
         with pytest.raises(NotUnitary):
             linalg.require_unitary(u @ np.diag([1 + 0.6 * linalg.UNITARY_TOL, 1.0]), "u")
+
+
+# every check that scans a complex matrix for NaN/Inf, with a matrix it accepts
+FINITE_TAKERS = {
+    "asmatrix": (linalg.asmatrix, np.eye(2)),
+    "require_unitary": (lambda m: linalg.require_unitary(m, "u"), np.eye(2)),
+    "DensityMatrix": (DensityMatrix, np.eye(2) / 2),
+    "ChoiMatrix": (lambda m: ChoiMatrix(2, 2, m), np.eye(4) / 2),
+    "Scenario": (lambda u: Scenario(KrausChannel([np.eye(2)]), u), np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("taker", sorted(FINITE_TAKERS))
+def test_one_scan_rejects_a_non_finite_part(taker, bad, part):
+    # one isfinite over the complex array: an entry is finite iff both parts are
+    build, good = FINITE_TAKERS[taker]
+    build(good)
+    m = good.astype(np.complex128)
+    m[0, 1] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        build(m)
