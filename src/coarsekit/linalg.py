@@ -33,8 +33,9 @@ def frob(a: np.ndarray) -> float:
 
 
 def minus_identity(g: np.ndarray) -> np.ndarray:
-    """g - I, in place on a fresh C-contiguous square g; no identity is built."""
-    g.ravel()[:: len(g) + 1] -= 1.0
+    """g - I, in place on a fresh square g of any memory layout; no identity
+    is built.  ``einsum("ii->i", g)`` is a writable view of the diagonal."""
+    np.einsum("ii->i", g)[...] -= 1.0
     return g
 
 

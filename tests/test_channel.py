@@ -101,6 +101,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="partial trace"):
             qc.ChoiMatrix(2, 2, stretched(0.6 * qc.CHOI_TP_TOL))
 
+    @pytest.mark.parametrize("layout", [np.asarray, np.asfortranarray, lambda j: j.T],
+                             ids=["c-order", "f-order", "transpose"])
+    def test_choi_tp_check_ignores_memory_layout(self, layout):
+        # J.T = conj(J) is the Choi matrix of the conjugate channel, also CPTP;
+        # the partial trace of a column-major J comes out column-major
+        qc.ChoiMatrix(2, 2, layout(rand_channel(2, 2, 3, 0).choi.mat))
+        with pytest.raises(ValueError, match="partial trace"):
+            qc.ChoiMatrix(2, 2, layout(np.zeros((4, 4))))
+
     def test_random_channels_are_cptp(self):
         for seed in range(8):
             ch = rand_channel(3, 2, 3, seed)

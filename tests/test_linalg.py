@@ -107,6 +107,17 @@ UNITARY_TAKERS = {
 }
 
 
+@pytest.mark.parametrize("layout", [lambda a: np.array(a, order="C"),
+                                    lambda a: np.array(a, order="F"),
+                                    lambda a: np.kron(a, np.ones((2, 2)))[::2, ::2]],
+                         ids=["c-order", "f-order", "strided"])
+def test_minus_identity_in_any_memory_layout(layout):
+    a = np.arange(9.0).reshape(3, 3) + 1j
+    g = layout(a)
+    assert linalg.minus_identity(g) is g
+    assert np.array_equal(g, a - np.eye(3))
+
+
 class TestRequireUnitary:
     """``require_unitary`` is the one unitarity check; every constructor that
     takes a unitary goes through it and names the matrix it rejects."""
