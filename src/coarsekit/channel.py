@@ -57,7 +57,7 @@ class DensityMatrix:
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
         mh = m.conj().T
-        if frob(m - mh) > 1e-10 * max(1.0, frob(m)):
+        if not frob(m - mh) <= 1e-10 * max(1.0, frob(m)):
             raise NotHermitian("density matrix is not Hermitian")
         # the Hermitian part h has no eigenvalue below -1e-10 iff h + 1e-10 I
         # has a Cholesky factor; the eigenvalues are computed only to report
@@ -70,7 +70,7 @@ class DensityMatrix:
             w = np.linalg.eigvalsh((m + mh) / 2)
             raise ValueError(f"negative eigenvalue {w.min():.3e}") from None
         tr = np.trace(m)
-        if abs(tr.real - 1.0) > 1e-10 or abs(tr.imag) > 1e-10:
+        if not (abs(tr.real - 1.0) <= 1e-10 and abs(tr.imag) <= 1e-10):
             raise ValueError(f"trace {tr} != 1")
         object.__setattr__(self, "mat", _freeze(m))
 
@@ -112,7 +112,7 @@ class KrausChannel:
         if require_tp:
             x = ops.reshape(-1, din)
             err = frob(minus_identity(x.conj().T @ x))
-            if err > tp_tol:
+            if not err <= tp_tol:
                 raise ValueError(f"not trace preserving: ||sum K*K - I|| = {err:.3e}")
         self.kraus = ops
         self.din = din
@@ -153,14 +153,14 @@ class ChoiMatrix:
         if m.shape != (n, n):
             raise DimensionMismatch(f"expected {(n, n)}, got {m.shape}")
         mh = m.conj().T
-        if frob(m - mh) > 1e-10 * max(1.0, frob(m)):
+        if not frob(m - mh) <= 1e-10 * max(1.0, frob(m)):
             raise NotHermitian("Choi matrix is not Hermitian")
         w, v = np.linalg.eigh((m + mh) / 2)
         if w.min() < -CP_TOL:
             raise NotCP(f"Choi eigenvalue {w.min():.3e} < -{CP_TOL}")
         # partial_trace(m, (din, dout), keep="A"), without its second scan for NaN
         tp = np.einsum("ikjk->ij", m.reshape(self.din, self.dout, self.din, self.dout))
-        if frob(minus_identity(tp)) > CHOI_TP_TOL:
+        if not frob(minus_identity(tp)) <= CHOI_TP_TOL:
             raise ValueError("Choi partial trace over output is not the identity")
         w.setflags(write=False)
         v.setflags(write=False)
@@ -327,6 +327,6 @@ def connecting_unitary(a: KrausChannel, b: KrausChannel, tol: float = EQ_TOL) ->
     # column i is vec(K_i(a) - sum_j W[i, j] K_j(b)), so its norm is that
     # operator's Frobenius norm
     residual = float(np.linalg.norm(va - vb @ w.T, axis=0).max())
-    if residual > 10 * tol:
+    if not residual <= 10 * tol:
         raise NumericalFailure(f"connecting unitary residual {residual:.3e} > {10 * tol:.1e}")
     return w

@@ -78,8 +78,7 @@ def _resolve_input(name_or_path: str) -> tuple[Scenario, str, Optional[dict]]:
 
 
 # the CheckConfig field each setting of a config block (and its flag) sets
-_FIELDS = {"fiber_tol": "tol", "sdp_tol": "tol",
-           "sdp_max_iter": "max_iter", "witness_trials": "trials", "seed": "seed"}
+_FIELDS = {"tol": "tol", "sdp_max_iter": "max_iter", "witness_trials": "trials", "seed": "seed"}
 
 
 def _config(args, doc: Optional[dict]) -> CheckConfig:
@@ -150,7 +149,7 @@ def cmd_check(args) -> int:
 def cmd_construct(args) -> int:
     scenario, label, doc = _resolve_input(args.input)
     cfg = _config(args, doc)
-    sdp = sdp_feasibility(scenario, cfg.sdp_max_iter, cfg.sdp_tol)
+    sdp = sdp_feasibility(scenario, cfg.sdp_max_iter, cfg.tol)
     gamma = construct_emergent(scenario, sdp)
     if gamma is None:
         if sdp.status == INFEASIBLE:
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=None,
                          help="seed of the random witness search, the only random step "
                          "(fallback: the file's, then 0)")
-    add_sdp(p_check, "override the decision tolerances of all criteria")
+    add_sdp(p_check, "the one decision tolerance of all four criteria (default 1e-8)")
     p_check.add_argument("--trials", type=int, default=None,
                          help="random witness-search trials per ancilla dimension, spent only "
                          "when no effective channel is built and the kernel check yields no "

@@ -11,7 +11,7 @@ for every state rho:
 2. a one-sided algebraic shortcut: a single d x d matrix V intertwining
    every Kraus operator, ``M_k u == V M_k`` (sufficient, not necessary),
    accepted when the bound its residual puts on criterion 1's residual is
-   within criterion 1's tolerance;
+   within the tolerance;
 3. semidefinite feasibility of a CPTP effective map's Choi matrix, exact
    when the part of the square no Choi matrix can change exceeds the
    tolerance or the affine set is one point, and otherwise by Dykstra
@@ -22,8 +22,8 @@ for every state rho:
    CPTP effective map can exist; it is searched for at random only when
    criterion 3 builds no channel and criterion 1 yields no witness.
 
-``run_all`` aggregates the four verdicts, cross-checks their logical
-consistency, and returns the SDP's channel when one exists.
+``run_all`` holds all four to one tolerance, ``CheckConfig.tol``, checks
+their verdicts against each other, and returns the SDP's channel if any.
 """
 
 from __future__ import annotations
@@ -65,10 +65,9 @@ from .rand import state_from_factor
 from .linalg import kernel_basis, pinv  # noqa: F401
 from .rand import random_density_mat, random_pure_state_mat  # noqa: F401
 
-FIBER_TOL = 1e-8
-# feasibility bounds ||A - A V V*||_F by sdp_tol, so with sdp_tol <= fiber_tol,
-# which CheckConfig enforces, a feasible SDP implies that the kernel check holds
-SDP_TOL = FIBER_TOL
+TOL = 1e-8
+# past BAND * tol a residual or Farkas margin proves that no channel exists
+BAND = 100
 SDP_MAX_ITER = 20000
 WITNESS_MARGIN = 1e-9
 
@@ -246,34 +245,26 @@ def _require_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def _require_tol(name: str, value) -> None:
+def _require_tol(value) -> None:
     """The range rule of every tolerance: a finite real number > 0, not a bool."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        raise ValueError(f"tol must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Tolerances, iteration caps, and sampling settings for run_all;
-    ``sdp_tol`` must not exceed ``fiber_tol``."""
+    """Settings of run_all: ``tol``, the one decision tolerance of all its
+    checks, the SDP's iteration cap and the witness search's settings."""
 
-    fiber_tol: float = FIBER_TOL
-    sdp_tol: float = SDP_TOL
+    tol: float = TOL
     sdp_max_iter: int = SDP_MAX_ITER
     witness_trials: int = 1000
     ancilla_dims: Optional[tuple[int, ...]] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("fiber_tol", "sdp_tol"):
-            _require_tol(name, getattr(self, name))
-        # feasibility bounds ||A - A V V*||_F by sdp_tol, so a feasible SDP
-        # implies the kernel check only when sdp_tol <= fiber_tol
-        if self.sdp_tol > self.fiber_tol:
-            raise ValueError(
-                f"sdp_tol must be <= fiber_tol, got {self.sdp_tol!r} > {self.fiber_tol!r}"
-            )
+        _require_tol(self.tol)
         if self.ancilla_dims is not None and not self.ancilla_dims:
             raise ValueError("ancilla_dims must be non-empty when given")
         _require_count("sdp_max_iter", self.sdp_max_iter, 1)
@@ -286,6 +277,11 @@ class CheckConfig:
         if self.ancilla_dims is not None:
             return self.ancilla_dims
         return tuple(sorted({1, s.d, s.D}))
+
+    # a read-only alias of tol for perfbench's sdp_setup_probe, which reads it
+    @property
+    def sdp_tol(self) -> float:
+        return self.tol
 
 
 @dataclass(frozen=True)
@@ -338,7 +334,7 @@ class CompatReport:
     verdict: str = UNDECIDED
 
 
-def check_fiber_preservation(s: Scenario, tol: float = FIBER_TOL) -> tuple[bool, float]:
+def check_fiber_preservation(s: Scenario, tol: float = TOL) -> tuple[bool, float]:
     """Exact test that conjugation by u maps ker(cg) into ker(cg).
 
     Two microscopic states have the same coarse-grained image iff they differ
@@ -361,7 +357,7 @@ def check_fiber_preservation(s: Scenario, tol: float = FIBER_TOL) -> tuple[bool,
     (``Scenario._kernel_witness``), cached on the scenario, so the verdict
     carries it at no further cost.
     """
-    _require_tol("tol", tol)
+    _require_tol(tol)
     residual = float(np.sqrt(max(np.linalg.eigvalsh(s._image.gram)[-1], 0.0)))
     if residual > tol:
         s._kernel_witness  # built and cached on first access
@@ -400,7 +396,7 @@ def _algebraic_lstsq(s: Scenario) -> tuple[np.ndarray, float, float]:
     return v, rho, float(bound)
 
 
-def solve_algebraic_V(s: Scenario, tol: float = FIBER_TOL) -> tuple[Optional[np.ndarray], float]:
+def solve_algebraic_V(s: Scenario, tol: float = TOL) -> tuple[Optional[np.ndarray], float]:
     """Search for a single matrix V with ``M_k u == V M_k`` for every k.
 
     Returns (V, residual), with V reported only when the bound that the
@@ -410,7 +406,7 @@ def solve_algebraic_V(s: Scenario, tol: float = FIBER_TOL) -> tuple[Optional[np.
     sufficient for a well-defined effective dynamics but not necessary:
     absence proves nothing.
     """
-    _require_tol("tol", tol)
+    _require_tol(tol)
     v, residual, bound = _algebraic_lstsq(s)
     return (v if bound <= tol else None), residual
 
@@ -528,7 +524,7 @@ def _channel(psd: np.ndarray, d: int) -> Optional[ChoiMatrix]:
 
 
 def sdp_feasibility(
-    s: Scenario, max_iter: int = SDP_MAX_ITER, tol: float = SDP_TOL
+    s: Scenario, max_iter: int = SDP_MAX_ITER, tol: float = TOL
 ) -> SdpOutcome:
     """Decide existence of a CPTP effective map, in closed form where the
     affine set allows and by alternating projections otherwise.
@@ -555,7 +551,7 @@ def sdp_feasibility(
     ||A - A V V*||_F^2)``: ``feasible`` when <= tol.  It is never below
     its last term, so once ``||A - A V V*||_F`` > tol no point can be
     feasible: that term alone is then the residual and sets the status,
-    ``infeasible`` above 100*tol and ``undecided`` in between, at 0
+    ``infeasible`` above BAND*tol and ``undecided`` in between, at 0
     iterations.  r = d^2 (then I - U U* = 0 and L is the one point T0) is
     decided exactly by the same bands, at 0 iterations too.
 
@@ -570,7 +566,7 @@ def sdp_feasibility(
     while a PSD J of trace d has <j, J> <= d max(lambda_max(j), 0).  So a
     margin ``m = (<j, J0> - d max(lambda_max(j), 0)) / ||j||_F`` > 0 proves
     that no CPTP J exists, and puts every PSD J of trace d at Frobenius
-    distance >= m from L.  The loop stops at m > 100*tol, the closed form's
+    distance >= m from L.  The loop stops at m > BAND*tol, the closed form's
     band, with that iteration's residual; the cone projection's eigenvalues
     w give lambda_max(j) and ||j||_F = sqrt(sum w^2).  A loop that reaches
     ``max_iter`` with neither a channel nor a certificate is ``undecided``.
@@ -582,7 +578,7 @@ def sdp_feasibility(
     yet a valid Choi matrix.
     """
     _require_count("max_iter", max_iter, 1)
-    _require_tol("tol", tol)
+    _require_tol(tol)
     d = s.d
     n = d * d
     img = s._image
@@ -602,11 +598,11 @@ def sdp_feasibility(
 
     if off_image > tol:
         # every point's residual is at least off_image, so none is within tol
-        return SdpOutcome(INFEASIBLE if off_image > 100 * tol else UNDECIDED, off_image, 0)
+        return SdpOutcome(INFEASIBLE if off_image > BAND * tol else UNDECIDED, off_image, 0)
     if img.sigma.size == n:
         _, psd_point, _, residual = project(transfer_to_choi_mat(img.candidate, d, d))
         choi = _channel(psd_point, d) if residual <= tol else None
-        band = INFEASIBLE if residual > 100 * tol else UNDECIDED
+        band = INFEASIBLE if residual > BAND * tol else UNDECIDED
         return SdpOutcome(FEASIBLE if choi is not None else band, residual, 0, choi)
     w_hat = tp_row / np.sqrt(d)
     off_u = np.eye(n) - img.u @ img.u.conj().T
@@ -622,7 +618,7 @@ def sdp_feasibility(
         choi = _channel(psd_point, d) if residual <= tol else None
         if choi is not None:
             return SdpOutcome(FEASIBLE, residual, iterations, choi)
-        if np.vdot(j_mat, j0).real - d * max(w[-1], 0.0) > 100 * tol * np.sqrt(np.dot(w, w)):
+        if np.vdot(j_mat, j0).real - d * max(w[-1], 0.0) > BAND * tol * np.sqrt(np.dot(w, w)):
             return SdpOutcome(INFEASIBLE, residual, iterations)
     return SdpOutcome(UNDECIDED, residual, iterations)
 
@@ -662,7 +658,7 @@ def diagram_distance(s: Scenario, gamma: KrausChannel) -> float:
 
 
 def verify_kraus_equivalence(
-    s: Scenario, gamma: KrausChannel, tol: float = 1e-8
+    s: Scenario, gamma: KrausChannel, tol: float = TOL
 ) -> tuple[bool, Optional[np.ndarray]]:
     """Check that {K_i M_j} and {M_k u} are unitarily equivalent Kraus sets.
 
@@ -671,7 +667,7 @@ def verify_kraus_equivalence(
     other.  Returns (True, V) with the mixing matrix on success; the per-
     operator reconstruction residual is bounded by 10*tol.
     """
-    _require_tol("tol", tol)
+    _require_tol(tol)
     _require_effective(s, gamma)
     upper = compose(gamma, s.cg)
     # cg after u: the channel with Kraus operators M_k u
@@ -706,33 +702,34 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
     channel is built and either the kernel check holds or its witness
     misses WITNESS_MARGIN; ``witness_trials`` is that search's budget alone.
 
-    ``method_agreement`` holds the cross-checks that can fail: an intertwiner
-    or a feasible SDP each implies that the kernel check holds.  The
-    intertwiner is accepted on the bound its residual puts on the kernel
-    residual (``_algebraic_lstsq``), held to ``fiber_tol``, so its flag
-    can fail only by rounding in the two computed residuals.  A feasible
-    SDP bounds the kernel residual by ``sdp_tol`` <= ``fiber_tol``
-    (``CheckConfig`` enforces the order).  The SDP is feasible exactly
-    when it yields the channel, so no witness meets either.
+    All four criteria are held to the one ``cfg.tol``.  ``method_agreement``
+    holds the cross-checks that can fail: an intertwiner or a feasible SDP
+    each implies that the kernel check holds.  The intertwiner is accepted
+    on the bound its residual puts on the kernel residual
+    (``_algebraic_lstsq``), so its flag can fail only by rounding in the
+    two computed residuals.  A feasible SDP's residual is at least
+    ``||E||_F``, so ``||E||_2 <= ||E||_F <= tol``: the kernel check holds.
+    The SDP is feasible exactly when it yields the channel, so no witness
+    meets either.
 
     Raises MethodDisagreement when the verdicts are logically inconsistent
     (a bug or a tolerance pathology; never ignored silently).
     """
     cfg = cfg or CheckConfig()
-    fiber_ok, fiber_res = check_fiber_preservation(s, cfg.fiber_tol)
+    fiber_ok, fiber_res = check_fiber_preservation(s, cfg.tol)
 
     # solve_algebraic_V's rule; the least-squares V also feeds the dual identity
     v_lsq, alg_res, alg_bound = _algebraic_lstsq(s)
-    v_opt = v_lsq if alg_bound <= cfg.fiber_tol else None
+    v_opt = v_lsq if alg_bound <= cfg.tol else None
     dual_res = verify_dual_identity(s, v_lsq)
 
-    sdp = sdp_feasibility(s, max_iter=cfg.sdp_max_iter, tol=cfg.sdp_tol)
+    sdp = sdp_feasibility(s, max_iter=cfg.sdp_max_iter, tol=cfg.tol)
 
     emergent = construct_emergent(s, sdp)
     diag_res = diagram_distance(s, emergent) if emergent is not None else None
     # the channel's diagram residual is the SDP's, within tol, plus the O(tol)
-    # shift of its trace normalization; past 100*tol the SDP would say infeasible
-    if diag_res is not None and diag_res > 100 * cfg.sdp_tol:
+    # shift of its trace normalization; past BAND*tol the SDP would say infeasible
+    if diag_res is not None and diag_res > BAND * cfg.tol:
         raise MethodDisagreement(
             f"constructed effective map fails to close the diagram: {diag_res:.3e}"
         )

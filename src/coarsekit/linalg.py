@@ -51,9 +51,10 @@ def vec(a: np.ndarray) -> np.ndarray:
 
 def require_unitary(m, what: str) -> np.ndarray:
     """``m`` as a complex matrix; NotUnitary unless it is square with
-    ``||M*M - I||_F <= UNITARY_TOL``."""
+    ``||M*M - I||_F <= UNITARY_TOL``, which a Gram that overflows to NaN
+    fails."""
     m = asmatrix(m)
-    if m.shape[0] != m.shape[1] or frob(minus_identity(m.conj().T @ m)) > UNITARY_TOL:
+    if m.shape[0] != m.shape[1] or not frob(minus_identity(m.conj().T @ m)) <= UNITARY_TOL:
         raise NotUnitary(f"{what} must be unitary")
     return m
 

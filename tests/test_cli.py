@@ -144,6 +144,16 @@ class TestCheck:
         write_json(path, doc)
         assert main(["check", str(path)]) == 65
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unitary_with_an_overflowing_gram_exit_65(self, tmp_path, capsys):
+        # u is finite, but u*u overflows to NaN: the unitarity check rejects
+        # it before any criterion runs into a non-finite matrix
+        doc = scenario_doc([np.eye(2)], np.diag([1e200 * (1 + 1j), 1.0]))
+        path = tmp_path / "overflow.json"
+        write_json(path, doc)
+        assert main(["check", str(path)]) == 65
+        assert "must be unitary" in capsys.readouterr().err
+
     def test_undecided_exit_two(self, tmp_path, capsys):
         # with the witness budget at zero, the remaining criteria cannot
         # decide this nearly-compatible scenario at default tolerances
@@ -439,8 +449,7 @@ class TestConfigBlock:
         assert main(["check", self.write(tmp_path, config), "--json", str(report_path)]) == 0
         echo = json.loads(report_path.read_text(encoding="utf-8"))["config"]
         assert echo == {
-            "fiber_tol": 1e-7,
-            "sdp_tol": 1e-7,
+            "tol": 1e-7,
             "sdp_max_iter": 5,
             "witness_trials": 7,
             "ancilla_dims": [2],

@@ -136,7 +136,7 @@ def _rhs(s):
     return s.cg.transfer_mat @ np.kron(s.u.conj(), s.u)
 
 
-def _dense_fiber(s, tol=compat.FIBER_TOL):
+def _dense_fiber(s, tol=compat.TOL):
     ker = kernel_basis(s.cg.transfer_mat)
     if ker.shape[1] == 0:
         return True, 0.0
@@ -182,10 +182,10 @@ def _dense_system(s):
 
 
 def _band(residual, tol):
-    return compat.INFEASIBLE if residual > 100 * tol else compat.UNDECIDED
+    return compat.INFEASIBLE if residual > compat.BAND * tol else compat.UNDECIDED
 
 
-def _dense_sdp(s, max_iter=compat.SDP_MAX_ITER, tol=compat.SDP_TOL):
+def _dense_sdp(s, max_iter=compat.SDP_MAX_ITER, tol=compat.TOL):
     """Dykstra iteration with all d^2 D^2 diagram rows, from zero, and the
     iterate j = x + p it stopped at.  It says ``infeasible`` only with the
     certificate of the code under test, in these coordinates: j is
@@ -221,7 +221,7 @@ def _dense_sdp(s, max_iter=compat.SDP_MAX_ITER, tol=compat.SDP_TOL):
         if one_point and iterations == 2:
             status = _band(residual, tol)
             break
-        if j @ y0 - d * max(w[-1], 0.0) > 100 * tol * np.linalg.norm(j):
+        if j @ y0 - d * max(w[-1], 0.0) > compat.BAND * tol * np.linalg.norm(j):
             status = compat.INFEASIBLE
             break
     choi = None
@@ -239,7 +239,7 @@ def _dense_candidate(s):
     return t_gamma, frob(t_gamma @ t_cg - _rhs(s))
 
 
-def _dense_construct(s, diagram_tol=compat.FIBER_TOL):
+def _dense_construct(s, diagram_tol=compat.TOL):
     d = s.d
     t_gamma, residual = _dense_candidate(s)
     if residual > diagram_tol:
@@ -277,7 +277,7 @@ def test_sdp_matches_full_diagram_rows(case):
     assert out.status == ref.status
     assert (out.choi is None) == (ref.choi is None)
     _, off_image = _dense_candidate(s)
-    if off_image > 100 * compat.SDP_TOL:
+    if off_image > compat.BAND * compat.TOL:
         # the kernel check decides: no J changes ||A - A V V*||_F
         assert out.iterations == 0
         assert abs(out.residual - off_image) <= TOL
@@ -327,7 +327,7 @@ def test_a_certificate_stop_holds_a_farkas_certificate(case):
     assert np.linalg.norm(kernel_basis(a).conj().T @ j) <= 1e-12 * norm
     lam = np.linalg.eigvalsh(np.einsum("a,aij->ij", j, basis))[-1]
     y0 = np.linalg.lstsq(a, b_vec, rcond=None)[0]
-    assert (j @ y0 - s.d * max(lam, 0.0)) / norm > 100 * compat.SDP_TOL
+    assert (j @ y0 - s.d * max(lam, 0.0)) / norm > compat.BAND * compat.TOL
 
 
 def test_cases_cover_both_sides_of_the_rank_question():

@@ -148,6 +148,16 @@ class TestRequireUnitary:
         with pytest.raises(NotUnitary):
             linalg.require_unitary(u @ np.diag([1 + 0.6 * linalg.UNITARY_TOL, 1.0]), "u")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_gram_that_overflows_is_rejected(self):
+        # u is finite, but u*u holds inf - inf = NaN, so its deviation from I
+        # is NaN, which no tolerance accepts
+        u = np.diag([1e200 * (1 + 1j), 1.0])
+        with pytest.raises(NotUnitary, match="must be unitary"):
+            linalg.require_unitary(u, "u")
+        with pytest.raises(ValueError, match="not trace preserving"):
+            KrausChannel([u])
+
 
 # every check that scans a complex matrix for NaN/Inf, with a matrix it accepts
 FINITE_TAKERS = {

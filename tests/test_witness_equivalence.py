@@ -356,7 +356,7 @@ def test_narrowly_failed_check_falls_back_to_the_search(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(compat, "search_witness", spy)
-    cfg = compat.CheckConfig(fiber_tol=tol, sdp_tol=tol, witness_trials=8)
+    cfg = compat.CheckConfig(tol=tol, witness_trials=8)
     report = compat.run_all(s, cfg)
     assert tol < report.fiber_residual < 1.3 * tol
     assert not report.fiber_preserved and s._kernel_witness is None
