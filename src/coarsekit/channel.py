@@ -24,13 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotCP,
-    NotEquivalent,
-    NotHermitian,
-    NumericalFailure,
-)
+from .errors import DimensionMismatch, NotCP, NotEquivalent, NotHermitian, NumericalFailure
 from .linalg import RANK_TOL, asmatrix, frob, minus_identity, pinv, require_unitary
 
 TP_TOL = 1e-9
@@ -111,7 +105,8 @@ class KrausChannel:
         _, dout, din = ops.shape
         if require_tp:
             x = ops.reshape(-1, din)
-            err = frob(minus_identity(x.conj().T @ x))
+            with np.errstate(over="ignore", invalid="ignore"):  # NaN fails the test below
+                err = frob(minus_identity(x.conj().T @ x))
             if not err <= tp_tol:
                 raise ValueError(f"not trace preserving: ||sum K*K - I|| = {err:.3e}")
         self.kraus = ops
@@ -239,28 +234,37 @@ def vec_from_real(y: np.ndarray, n: int) -> np.ndarray:
     return ((0.5 + 0.5j) * y3 + (0.5 - 0.5j) * yt).reshape(y.shape)
 
 
-def choi_to_kraus(c: ChoiMatrix, rank_tol: float = RANK_TOL) -> KrausChannel:
-    """Kraus operators from the Choi eigendecomposition.
+def _kept_columns(w: np.ndarray, v: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """The columns v_k sqrt(w_k) of the eigenpairs (w, v) with w_k above
+    ``rank_tol * max(w)`` (so none is zero): the vecs of a Kraus set."""
+    keep = w > rank_tol * max(w.max(), 0.0)
+    return v[:, keep] * np.sqrt(w[keep])
 
-    The decomposition is ``c.eig``, the one ``eigh`` of c's Hermitian part
-    that its CP check took, so no second one is computed.  One operator per
-    eigenvalue above ``rank_tol * max_eigenvalue`` (so none is zero); each
-    is phase-fixed so tests are deterministic: its pivot, the first entry
+
+def _phase_fixed(cols: np.ndarray, din: int, dout: int) -> np.ndarray:
+    """The (K, dout, din) Kraus stack whose vecs are the K columns of cols,
+    each phase-fixed so tests are deterministic: its pivot, the first entry
     in flat (row-major) order whose modulus is within a relative
     PHASE_TIE_RTOL of the largest, is made real >= 0, so rounding cannot
-    choose among tied entries.  ``c`` is CP by construction.
-    """
-    w, v = c.eig
-    keep = w > rank_tol * max(w.max(), 0.0)
-    # column k of v is vec(K_k), the column-stacking of a dout x din operator
-    cols = v[:, keep] * np.sqrt(w[keep])
-    flat = cols.T.reshape(-1, c.din, c.dout).swapaxes(1, 2).reshape(len(cols.T), -1)
+    choose among tied entries."""
+    flat = cols.T.reshape(-1, din, dout).swapaxes(1, 2).reshape(len(cols.T), -1)
     mod = np.abs(flat)
     pivot_at = np.argmax(mod >= (1 - PHASE_TIE_RTOL) * mod.max(axis=1, keepdims=True), axis=1)
     pivot = flat[np.arange(len(flat)), pivot_at]
     # hypot rounds as abs() of one complex scalar does; np.abs of an array may not
     phase = pivot.conj() / np.hypot(pivot.real, pivot.imag)
-    ops = (flat * phase[:, None]).reshape(-1, c.dout, c.din)
+    return (flat * phase[:, None]).reshape(-1, dout, din)
+
+
+def choi_to_kraus(c: ChoiMatrix, rank_tol: float = RANK_TOL) -> KrausChannel:
+    """Kraus operators from the Choi eigendecomposition.
+
+    The decomposition is ``c.eig``, the one ``eigh`` of c's Hermitian part
+    that its CP check took, so no second one is computed.  One operator per
+    eigenvalue above ``rank_tol * max_eigenvalue``, phase-fixed.  ``c`` is
+    CP by construction.
+    """
+    ops = _phase_fixed(_kept_columns(*c.eig, rank_tol), c.din, c.dout)
     # eigendecomposition reproduces TP only as well as the Choi satisfied it
     return KrausChannel(ops, tp_tol=10 * CHOI_TP_TOL)
 

@@ -38,30 +38,16 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .channel import (
-    ChoiMatrix,
-    DensityMatrix,
-    KrausChannel,
-    TP_TOL,
-    choi_to_kraus,
-    choi_to_transfer_mat,
-    compose,
-    connecting_unitary,
-    kraus_to_real_transfer_mat,
-    transfer_to_choi_mat,
-    vec_from_real,
-)
-from .errors import (
-    DimensionMismatch,
-    MethodDisagreement,
-    NotEquivalent,
-    NumericalFailure,
-)
-from .linalg import RANK_TOL, asmatrix, frob, hermitize, partial_trace, require_unitary
+from .channel import (CHOI_TP_TOL, TP_TOL, DensityMatrix, KrausChannel, _kept_columns,
+                      _phase_fixed, choi_to_transfer_mat, compose, connecting_unitary,
+                      kraus_to_real_transfer_mat, transfer_to_choi_mat, vec_from_real)
+from .errors import DimensionMismatch, MethodDisagreement, NotEquivalent, NumericalFailure
+from .linalg import RANK_TOL, asmatrix, frob, hermitize, require_unitary
 from .rand import state_from_factor
 
-# No criterion calls these four; they stay importable from this module
+# No criterion calls these five; they stay importable from this module
 # because perfbench wraps them here.
+from .channel import choi_to_kraus  # noqa: F401
 from .linalg import kernel_basis, pinv  # noqa: F401
 from .rand import random_density_mat, random_pure_state_mat  # noqa: F401
 
@@ -311,10 +297,13 @@ class EnsembleWitness:
 
 @dataclass(frozen=True)
 class SdpOutcome:
+    """``channel``, the effective channel, is set exactly when ``status``
+    is ``feasible``; its Choi matrix is ``channel.choi``, built on use."""
+
     status: str
     residual: float
     iterations: int
-    choi: Optional[ChoiMatrix] = None
+    channel: Optional[KrausChannel] = None
 
 
 @dataclass(frozen=True)
@@ -501,25 +490,25 @@ def search_witness(
     return None
 
 
-def _channel(psd: np.ndarray, d: int) -> Optional[ChoiMatrix]:
-    """The channel at a PSD point J: the congruence by R x I, R =
-    (tr_out J)^(-1/2), makes J exactly trace preserving and keeps it PSD.
-    None while that point is not a valid Choi matrix (tr_out J singular, as
-    it cannot be within a residual tol < 1 of the affine set).
-
-    R x I acts on the input factor, the major index of J's rows and
-    columns, so the congruence is two products by R on J reshaped: R times
-    J read as d x d^3 on the input row index, then R^T times each row of
-    that read as d x d (input column, output column); no Kronecker product
-    is formed."""
-    w, vecs = np.linalg.eigh(partial_trace(psd, (d, d), keep="A"))
-    if w.min() <= 0:
+def _channel(w: np.ndarray, vecs: np.ndarray, d: int) -> Optional[KrausChannel]:
+    """The channel at a cone projection's PSD point J, in Kraus form, read
+    off its eigenpairs (w, vecs): the columns c_k = v_k sqrt(w_k) that
+    ``choi_to_kraus``'s rank rule keeps are the vecs of a Kraus set of J_+,
+    J less the eigenvalues that rule drops.  The congruence by R x I,
+    R = (tr_out J_+)^(-1/2), makes J_+ exactly trace preserving and maps c_k
+    to (R x I) c_k: read as d x (d m), the columns' Gram is tr_out J_+ and R
+    multiplies them from the left, so no second decomposition and no
+    Kronecker product is formed.  None while J_+ is no channel: tr_out J_+
+    singular, as it cannot be within a residual tol < 1 of the affine set,
+    or trace preservation missed by CHOI_TP_TOL."""
+    y = _kept_columns(w, vecs).reshape(d, -1)
+    s, q = np.linalg.eigh(y @ y.conj().T)
+    if s.min() <= 0:
         return None
-    r = (vecs / np.sqrt(w)) @ vecs.conj().T
+    r = (q / np.sqrt(s)) @ q.conj().T
     try:
-        rjr = r.T @ (r @ psd.reshape(d, -1)).reshape(d * d, d, d)
-        return ChoiMatrix(d, d, rjr.reshape(d * d, d * d))
-    except ValueError:  # NotCP included
+        return KrausChannel(_phase_fixed((r @ y).reshape(d * d, -1), d, d), tp_tol=CHOI_TP_TOL)
+    except ValueError:
         return None
 
 
@@ -562,20 +551,23 @@ def sdp_feasibility(
     Bauschke & Borwein, J. Approx. Theory 79, 1994).  From x = p = 0 each
     step takes j = x + p, P = P_K(j), p <- j - P and x <- P_L(P), so it adds
     to j the difference x - P, orthogonal to L's directions N; so is every
-    j.  Every J in L then has <j, J> = <j, J0> (J0 the Choi matrix of T0),
-    while a PSD J of trace d has <j, J> <= d max(lambda_max(j), 0).  So a
-    margin ``m = (<j, J0> - d max(lambda_max(j), 0)) / ||j||_F`` > 0 proves
-    that no CPTP J exists, and puts every PSD J of trace d at Frobenius
-    distance >= m from L.  The loop stops at m > BAND*tol, the closed form's
-    band, with that iteration's residual; the cone projection's eigenvalues
-    w give lambda_max(j) and ||j||_F = sqrt(sum w^2).  A loop that reaches
+    j.  The first step is closed form, with no ``eigh``: P_K(0) = 0 leaves
+    p = 0 and x = J0 (the Choi matrix of T0), at the zero point's residual.
+    Every J in L has <j, J> = <j, J0>, while a PSD J of trace d has
+    <j, J> <= d max(lambda_max(j), 0).  So a margin
+    ``m = (<j, J0> - d max(lambda_max(j), 0)) / ||j||_F`` > 0 proves that no
+    CPTP J exists, and puts every PSD J of trace d at Frobenius distance
+    >= m from L.  The loop stops at m > BAND*tol, the closed form's band,
+    with that iteration's residual; the cone projection's eigenvalues w give
+    lambda_max(j) and ||j||_F = sqrt(sum w^2).  A loop that reaches
     ``max_iter`` with neither a channel nor a certificate is ``undecided``.
 
     A ``feasible`` outcome carries the channel, and only it does: the
     feasible point J after the congruence by (tr_out J)^(-1/2) x I, which
     keeps it PSD, makes it exactly trace preserving and moves its diagram
-    residual by O(tol).  The loop goes on while a point within tol is not
-    yet a valid Choi matrix.
+    residual by O(tol); its Kraus operators are read off the cone
+    projection's eigenpairs (``_channel``).  The loop goes on while a point
+    within tol is not yet a valid channel.
     """
     _require_count("max_iter", max_iter, 1)
     _require_tol(tol)
@@ -587,53 +579,56 @@ def sdp_feasibility(
     tp_row = np.eye(d, dtype=np.complex128).ravel()
 
     def project(j_mat):
-        """j_mat's eigenvalues and PSD projection, its transfer matrix and residual."""
+        """j_mat's eigenpairs and PSD projection, its transfer matrix and residual."""
         w, vecs = np.linalg.eigh(j_mat)
         psd = (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
         t_y = choi_to_transfer_mat(psd, d, d)
         diagram = t_y @ us - img.av
         trace = tp_row @ t_y - tp_row
         sq = np.vdot(diagram, diagram).real + np.vdot(trace, trace).real
-        return w, psd, t_y, float(np.sqrt(sq + off_image**2))
+        return w, vecs, psd, t_y, float(np.sqrt(sq + off_image**2))
 
     if off_image > tol:
         # every point's residual is at least off_image, so none is within tol
         return SdpOutcome(INFEASIBLE if off_image > BAND * tol else UNDECIDED, off_image, 0)
     if img.sigma.size == n:
-        _, psd_point, _, residual = project(transfer_to_choi_mat(img.candidate, d, d))
-        choi = _channel(psd_point, d) if residual <= tol else None
+        w, vecs, _, _, residual = project(transfer_to_choi_mat(img.candidate, d, d))
+        channel = _channel(w, vecs, d) if residual <= tol else None
         band = INFEASIBLE if residual > BAND * tol else UNDECIDED
-        return SdpOutcome(FEASIBLE if choi is not None else band, residual, 0, choi)
+        return SdpOutcome(FEASIBLE if channel is not None else band, residual, 0, channel)
     w_hat = tp_row / np.sqrt(d)
     off_u = np.eye(n) - img.u @ img.u.conj().T
     off_w = np.eye(n) - np.outer(w_hat, w_hat)
     t0 = img.candidate + np.outer(w_hat, w_hat @ off_u)
     j0 = transfer_to_choi_mat(t0, d, d)
-    x = p = np.zeros((n, n), dtype=np.complex128)
-    for iterations in range(1, max_iter + 1):
+    # iteration 1 projects j = 0, which P_K keeps: p = 0, x = P_L(0) = J0, and
+    # the residual is ``project``'s at J = 0, in its order, with no eigh
+    residual = float(np.sqrt(np.vdot(img.av, img.av).real + d + off_image**2))
+    x, p = j0, np.zeros((n, n), dtype=np.complex128)
+    for iterations in range(2, max_iter + 1):
         j_mat = x + p
-        w, psd_point, t_y, residual = project(j_mat)
+        w, vecs, psd_point, t_y, residual = project(j_mat)
         p = j_mat - psd_point
         x = transfer_to_choi_mat(t0 + off_w @ t_y @ off_u, d, d)
-        choi = _channel(psd_point, d) if residual <= tol else None
-        if choi is not None:
-            return SdpOutcome(FEASIBLE, residual, iterations, choi)
+        channel = _channel(w, vecs, d) if residual <= tol else None
+        if channel is not None:
+            return SdpOutcome(FEASIBLE, residual, iterations, channel)
         if np.vdot(j_mat, j0).real - d * max(w[-1], 0.0) > BAND * tol * np.sqrt(np.dot(w, w)):
             return SdpOutcome(INFEASIBLE, residual, iterations)
-    return SdpOutcome(UNDECIDED, residual, iterations)
+    return SdpOutcome(UNDECIDED, residual, max_iter)
 
 
 def construct_emergent(s: Scenario, sdp: Optional[SdpOutcome] = None) -> Optional[KrausChannel]:
     """The effective channel in Kraus form, or None when the SDP finds none.
 
-    The channel is the SDP's feasible point made exactly trace preserving
-    (see ``sdp_feasibility``), so it closes the square to the SDP's
-    tolerance.  ``sdp`` is an outcome of ``sdp_feasibility(s)``; without
-    one the SDP runs with its default tolerance and iteration cap.
+    The channel is ``sdp.channel``, the SDP's feasible point made exactly
+    trace preserving (see ``sdp_feasibility``), so it closes the square to
+    the SDP's tolerance.  ``sdp`` is an outcome of ``sdp_feasibility(s)``;
+    without one the SDP runs with its default tolerance and iteration cap.
     """
     if sdp is None:
         sdp = sdp_feasibility(s)
-    return None if sdp.choi is None else choi_to_kraus(sdp.choi)
+    return sdp.channel
 
 
 def _require_effective(s: Scenario, gamma: KrausChannel) -> None:

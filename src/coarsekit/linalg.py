@@ -54,8 +54,9 @@ def require_unitary(m, what: str) -> np.ndarray:
     ``||M*M - I||_F <= UNITARY_TOL``, which a Gram that overflows to NaN
     fails."""
     m = asmatrix(m)
-    if m.shape[0] != m.shape[1] or not frob(minus_identity(m.conj().T @ m)) <= UNITARY_TOL:
-        raise NotUnitary(f"{what} must be unitary")
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected, not warned about
+        if m.shape[0] != m.shape[1] or not frob(minus_identity(m.conj().T @ m)) <= UNITARY_TOL:
+            raise NotUnitary(f"{what} must be unitary")
     return m
 
 

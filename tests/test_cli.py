@@ -144,15 +144,26 @@ class TestCheck:
         write_json(path, doc)
         assert main(["check", str(path)]) == 65
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_unitary_with_an_overflowing_gram_exit_65(self, tmp_path, capsys):
         # u is finite, but u*u overflows to NaN: the unitarity check rejects
-        # it before any criterion runs into a non-finite matrix
+        # it before any criterion runs into a non-finite matrix, and the
+        # overflow prints no warning
         doc = scenario_doc([np.eye(2)], np.diag([1e200 * (1 + 1j), 1.0]))
         path = tmp_path / "overflow.json"
         write_json(path, doc)
         assert main(["check", str(path)]) == 65
         assert "must be unitary" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_kraus_with_an_overflowing_gram_exit_65(self, tmp_path, capsys):
+        # the same entry in a Kraus operator: sum K*K overflows to NaN, which
+        # the trace check rejects
+        doc = scenario_doc([np.diag([1e200 * (1 + 1j), 1.0])], np.eye(2))
+        path = tmp_path / "kraus-overflow.json"
+        write_json(path, doc)
+        assert main(["check", str(path)]) == 65
+        assert "not trace preserving" in capsys.readouterr().err
 
     def test_undecided_exit_two(self, tmp_path, capsys):
         # with the witness budget at zero, the remaining criteria cannot

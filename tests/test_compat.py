@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import coarsekit as ck
 from coarsekit import compat
 from coarsekit.channel import (
+    ChoiMatrix,
     KrausChannel,
     channels_equal,
     compose,
@@ -275,7 +276,7 @@ class TestSinglePath:
         assert report.diagram_residual <= compat.BAND * tol
         # the point is made exactly trace preserving: at tol = 1e-7 its trace
         # error would otherwise fail the trace check of compose
-        tp = partial_trace(report.sdp.choi.mat, (2, 2), keep="A")
+        tp = partial_trace(report.sdp.channel.choi.mat, (2, 2), keep="A")
         assert frob(tp - np.eye(2)) <= 1e-12
         hadamard = unitary_channel(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
         assert frob(report.emergent.choi.mat - hadamard.choi.mat) <= compat.BAND * tol
@@ -308,9 +309,9 @@ class TestSdpFeasibility:
         s = identity_scenario(dim=2, seed=5)
         out = compat.sdp_feasibility(s)
         assert out.status == compat.FEASIBLE
-        assert out.choi is not None
+        assert out.channel is not None
         expected = unitary_channel(s.u).choi.mat
-        assert frob(out.choi.mat - expected) < 1e-6
+        assert frob(out.channel.choi.mat - expected) < 1e-6
 
     def test_example2_equal_blocks_feasible(self):
         out = compat.sdp_feasibility(REG["example2-compatible"].scenario)
@@ -370,7 +371,7 @@ class TestSdpFeasibility:
         s = measure_prepare(np.array([[1, 0], [1, 1]]), [[0, 1], [1, 0]])
         out = compat.sdp_feasibility(s)
         assert (out.status, out.iterations) == (compat.FEASIBLE, 7540)
-        assert out.choi is not None
+        assert out.channel is not None
 
     def test_loop_goes_on_until_the_point_is_a_channel(self):
         # at tol = 10 the loop's first point, J = 0, is within tol of the
@@ -378,7 +379,7 @@ class TestSdpFeasibility:
         s = example2(3, 2, [np.eye(3)] * 2, "none").scenario
         out = compat.sdp_feasibility(s, tol=10.0)
         assert (out.status, out.iterations) == (compat.FEASIBLE, 2)
-        assert out.choi is not None
+        assert out.channel is not None
 
     def test_feasible_implies_fiber(self):
         # one-directional sanity across a small mixed family
@@ -840,9 +841,9 @@ def test_feasible_outcomes_carry_a_trace_preserving_channel(d, k, planted, mixed
             # a Haar unitary across the blocks tears the fibers
             s = ck.Scenario(s.cg, haar_unitary(k * d, rng))
     out = compat.sdp_feasibility(s)
-    assert (out.status == compat.FEASIBLE) == (out.choi is not None)
-    if out.choi is not None:
-        assert frob(partial_trace(out.choi.mat, (d, d), keep="A") - np.eye(d)) <= 1e-12
+    assert (out.status == compat.FEASIBLE) == (out.channel is not None)
+    if out.channel is not None:
+        assert frob(partial_trace(out.channel.choi.mat, (d, d), keep="A") - np.eye(d)) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -855,7 +856,7 @@ def test_decohered_example2_is_feasible_and_never_certified(k, d, seed):
     s = example2(k, d, [haar_unitary(k, rng) for _ in range(d)], "none").scenario
     out = compat.sdp_feasibility(s)
     assert (out.status, out.iterations) == (compat.FEASIBLE, 2)
-    assert out.choi is not None
+    assert out.channel is not None
 
 
 @pytest.mark.parametrize("name", [n for n, e in REG.items() if e.expected == "compatible"])
@@ -1077,10 +1078,11 @@ def test_witness_search_holds_two_factors_and_one_kraus_image(s):
 @settings(max_examples=60, deadline=None, database=None)
 @given(d=st.integers(1, 5), rank=st.integers(1, 25), seed=st.integers(0, 2**31 - 1))
 def test_channel_congruence_matches_the_kronecker_product(d, rank, seed):
-    # J = G G* scaled to trace d, of any rank up to d^2; the congruence by
-    # R x I with R = (tr_out J)^(-1/2), built with a Kronecker product here.
-    # Both sides round like eps ||R||_2^2 ||J||_F; a rank-1 J at d = 5 has
-    # shown 2e-12 ||J||_F, so the bound carries ||R||_2^2
+    # J = G G* scaled to trace d, of any rank up to d^2, given to _channel as
+    # its eigenpairs; the congruence by R x I with R = (tr_out J)^(-1/2),
+    # built with a Kronecker product here.  Both sides round like
+    # eps ||R||_2^2 ||J||_F; a rank-1 J at d = 5 has shown 2e-12 ||J||_F, so
+    # the bound carries ||R||_2^2
     rng = np.random.default_rng(seed)
     shape = (d * d, min(rank, d * d))
     g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -1088,33 +1090,84 @@ def test_channel_congruence_matches_the_kronecker_product(d, rank, seed):
     psd *= d / np.trace(psd).real
     w, q = np.linalg.eigh(np.trace(psd.reshape(d, d, d, d), axis1=1, axis2=3))
     r = np.kron((q / np.sqrt(w)) @ q.conj().T, np.eye(d))
-    got = compat._channel(psd, d)
+    got = compat._channel(*np.linalg.eigh(psd), d)
     assert got is not None
-    assert frob(got.mat - r @ psd @ r) <= 1e-13 * frob(psd) / w.min()
+    assert frob(got.choi.mat - r @ psd @ r) <= 1e-13 * frob(psd) / w.min()
+    x = got.kraus.reshape(-1, d)
+    assert frob(x.conj().T @ x - np.eye(d)) <= 1e-12
 
 
-def test_a_closed_form_compatible_decision_takes_two_choi_eigendecompositions(monkeypatch):
-    # the SDP's cone projection and the channel's CP check, whose pair also
-    # gives the Kraus form; the kernel check's real Gram E E^T and the d x d
-    # tr_out J of the trace normalization are not Choi matrices
-    s = random_planted_scenario(4, 4, 0).scenario
-    n = s.d**2
-    choi, krons = [], []
+def _complex_eighs(monkeypatch, n):
+    """The names of the eigensolvers called on complex n x n matrices, in
+    call order."""
+    calls = []
     for name in ("eigh", "eigvalsh"):
         def spy(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
             if np.shape(a) == (n, n) and np.iscomplexobj(a):
-                choi.append(_name)
+                calls.append(_name)
             return _f(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def test_a_closed_form_compatible_decision_takes_one_choi_eigendecomposition(monkeypatch):
+    # the SDP's cone projection, whose eigenpairs also give the channel's
+    # Kraus form; the kernel check's real Gram E E^T and the d x d tr_out J
+    # of the trace normalization are not Choi matrices
+    s = random_planted_scenario(4, 4, 0).scenario
+    choi = _complex_eighs(monkeypatch, s.d**2)
+    krons = []
 
     def kron(*args, _f=np.kron):
         krons.append(args)
         return _f(*args)
 
     monkeypatch.setattr(np, "kron", kron)
+    built = []
+    monkeypatch.setattr(ChoiMatrix, "__post_init__",
+                        lambda self, _f=ChoiMatrix.__post_init__: built.append(self) or _f(self))
     report = compat.run_all(s)
     assert report.verdict == "compatible"
     assert report.sdp.iterations == 0
-    assert choi == ["eigh", "eigh"]
+    assert choi == ["eigh"]
     assert krons == []
+    assert built == []
+
+
+def test_a_feasible_loop_decision_takes_one_eigendecomposition_per_later_iteration(monkeypatch):
+    # a decohered example2 scenario (r = d < d^2) is decided by the loop,
+    # whose first step projects the zero matrix in closed form
+    rng = np.random.default_rng(3)
+    s = example2(3, 3, [haar_unitary(3, rng) for _ in range(3)], "none").scenario
+    choi = _complex_eighs(monkeypatch, s.d**2)
+    report = compat.run_all(s, compat.CheckConfig(witness_trials=0))
+    assert report.verdict == "compatible"
+    assert report.sdp.status == compat.FEASIBLE and report.sdp.iterations >= 2
+    assert choi == ["eigh"] * (report.sdp.iterations - 1)
+
+
+@pytest.mark.parametrize("name", ["dephasing", "swap", "cycle"])
+def test_a_one_iteration_loop_is_undecided_at_the_zero_point(monkeypatch, name):
+    # iteration 1 projects J = 0 and takes no eigh; its residual is the
+    # zero point's, computed as a projection of J = 0 computes it
+    if name == "dephasing":
+        rng = np.random.default_rng(0)
+        s = example2(2, 2, [haar_unitary(2, rng) for _ in range(2)], "none").scenario
+    elif name == "swap":
+        s = measure_prepare(np.array([[1, 0], [1, 1]]), [[0, 1], [1, 0]])
+    else:
+        s = measure_prepare(np.tril(np.ones((3, 3))), np.roll(np.eye(3), 1, axis=0))
+    img, n = s._image, s.d**2
+    # r < d^2 and no residual off the image: the loop decides
+    assert img.sigma.size < n and img.e_frob <= compat.TOL
+    calls = _complex_eighs(monkeypatch, n)
+    out = compat.sdp_feasibility(s, max_iter=1)
+    assert (out.status, out.iterations, out.channel) == (compat.UNDECIDED, 1, None)
+    assert calls == []
+    zero = np.zeros((n, n), dtype=np.complex128)
+    tp_row = np.eye(s.d, dtype=np.complex128).ravel()
+    diagram = zero @ img.us - img.av
+    trace = tp_row @ zero - tp_row
+    sq = np.vdot(diagram, diagram).real + np.vdot(trace, trace).real
+    assert out.residual == float(np.sqrt(sq + img.e_frob**2))

@@ -230,7 +230,8 @@ def _dense_sdp(s, max_iter=compat.SDP_MAX_ITER, tol=compat.TOL):
             choi = ChoiMatrix(d, d, hermitize(psd_point))
         except ValueError:
             choi = None
-    return compat.SdpOutcome(status, residual, iterations, choi), j
+    return compat.SdpOutcome(status, residual, iterations,
+                             None if choi is None else choi_to_kraus(choi)), j
 
 
 def _dense_candidate(s):
@@ -251,8 +252,8 @@ def _dense_construct(s, diagram_tol=compat.TOL):
     if frob(j_raw - j_raw.conj().T) <= 1e-8 and w_min >= -1e-8 and tp_err <= 1e-8:
         return choi_to_kraus(ChoiMatrix(d, d, j_mat))
     out, _ = _dense_sdp(s, tol=1e-9)
-    if out.status == compat.FEASIBLE and out.choi is not None:
-        return choi_to_kraus(out.choi)
+    if out.status == compat.FEASIBLE and out.channel is not None:
+        return out.channel
     return None
 
 
@@ -275,7 +276,7 @@ def test_sdp_matches_full_diagram_rows(case):
     out = compat.sdp_feasibility(s)
     ref, _ = _dense_sdp(s)
     assert out.status == ref.status
-    assert (out.choi is None) == (ref.choi is None)
+    assert (out.channel is None) == (ref.channel is None)
     _, off_image = _dense_candidate(s)
     if off_image > compat.BAND * compat.TOL:
         # the kernel check decides: no J changes ||A - A V V*||_F
@@ -286,8 +287,8 @@ def test_sdp_matches_full_diagram_rows(case):
         # the affine set is one point, which the reference reaches and keeps
         assert out.iterations == 0
         assert _close(out.residual, ref.residual)
-        if out.choi is not None:
-            assert frob(out.choi.mat - ref.choi.mat) <= TOL
+        if out.channel is not None:
+            assert frob(out.channel.choi.mat - ref.channel.choi.mat) <= TOL
     else:
         assert out.iterations == ref.iterations
         assert _close(out.residual, ref.residual)
@@ -321,7 +322,7 @@ def test_a_certificate_stop_holds_a_farkas_certificate(case):
     # lambda_max(j): a margin above 0 leaves no feasible point
     s = CASES[case]()
     ref, j = _dense_sdp(s)
-    assert (ref.status, ref.choi) == (compat.INFEASIBLE, None) and ref.iterations > 0
+    assert (ref.status, ref.channel) == (compat.INFEASIBLE, None) and ref.iterations > 0
     a, b_vec, basis = _dense_system(s)
     norm = np.linalg.norm(j)
     assert np.linalg.norm(kernel_basis(a).conj().T @ j) <= 1e-12 * norm

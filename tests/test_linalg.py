@@ -148,7 +148,7 @@ class TestRequireUnitary:
         with pytest.raises(NotUnitary):
             linalg.require_unitary(u @ np.diag([1 + 0.6 * linalg.UNITARY_TOL, 1.0]), "u")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_a_gram_that_overflows_is_rejected(self):
         # u is finite, but u*u holds inf - inf = NaN, so its deviation from I
         # is NaN, which no tolerance accepts
