@@ -6,7 +6,7 @@ Conventions, fixed package-wide:
   ``{K}`` has transfer matrix ``sum_k kron(K.conj(), K)``;
 - the Choi matrix is ``sum_k outer(vec(K), vec(K).conj())`` and lives on
   (input x output) with the input factor as the major index, hence trace
-  preservation reads ``partial_trace(choi, (din, dout), keep="A") == I``;
+  preservation reads ``tr_out J = I``;
 - a Hermitian X has the real coordinates ``y(X) = vec(Re X + Im X)``, an
   isometry onto R^(n^2) with inverse ``X = sym(Y) + i antisym(Y)`` for
   Y = unvec(y) (``vec_from_real``); a channel acts on them by its real
@@ -153,7 +153,7 @@ class ChoiMatrix:
         w, v = np.linalg.eigh((m + mh) / 2)
         if w.min() < -CP_TOL:
             raise NotCP(f"Choi eigenvalue {w.min():.3e} < -{CP_TOL}")
-        # partial_trace(m, (din, dout), keep="A"), without its second scan for NaN
+        # tr_out J, the trace over the output factor
         tp = np.einsum("ikjk->ij", m.reshape(self.din, self.dout, self.din, self.dout))
         if not frob(minus_identity(tp)) <= CHOI_TP_TOL:
             raise ValueError("Choi partial trace over output is not the identity")

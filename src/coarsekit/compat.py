@@ -164,6 +164,11 @@ class Scenario:
                       uc * sigma, frob(e))
 
     @cached_property
+    def _gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``eigh`` of E E^T, for a kernel check that can fail and its witness."""
+        return np.linalg.eigh(self._image.gram)
+
+    @cached_property
     def _kernel_witness(self) -> Optional["EnsembleWitness"]:
         """An ensemble witness read off a failed kernel check, in closed form
         (after Buscemi, Commun. Math. Phys. 310, 625, 2012), or None; the
@@ -185,7 +190,7 @@ class Scenario:
         within WITNESS_MARGIN, as for a check that fails only by rounding.
         """
         img, d = self._image, self.d
-        _, vecs = np.linalg.eigh(img.gram)
+        _, vecs = self._gram_eigh
         # x = E^T y for the top eigenvector y of E E^T.  E's rounding puts x off
         # the kernel by about eps ||A||, which ||x|| = ||E||_2 does not dwarf
         # when the check fails narrowly, so V V^T x = T_R^T U_R S^-2 U_R^T T_R x
@@ -337,17 +342,20 @@ def check_fiber_preservation(s: Scenario, tol: float = TOL) -> tuple[bool, float
     thin SVD T_R = U S V^T (rank r <= d^2), the kernel is the complement of
     V, and T_cg . T_u = A is the real d^2 x D^2 transfer matrix of
     {M_k u}, so the residual is ``||E||_2`` with E = A - A V V^T, taken as
-    sqrt(lambda_max(E E^T)) from one d^2 x d^2 ``eigvalsh``: a Gram of E
-    alone keeps its largest singular value to a few ulps.  The kernel is
-    closed under adjoints, so its complex span adds no direction and this
-    is the complex check's residual too.  No D^2 x D^2 array is formed.
+    sqrt(lambda_max(E E^T)): a Gram of E alone keeps its largest singular
+    value to a few ulps.  Only ||E||_F >= ||E||_2 above tol can fail the
+    check; its ``eigh`` (``Scenario._gram_eigh``) then also gives the
+    witness its vector.  The kernel is closed under adjoints, so its complex
+    span adds no direction and this is the complex check's residual too.
+    No D^2 x D^2 array is formed.
 
     A failed check also builds its ensemble witness
     (``Scenario._kernel_witness``), cached on the scenario, so the verdict
     carries it at no further cost.
     """
     _require_tol(tol)
-    residual = float(np.sqrt(max(np.linalg.eigvalsh(s._image.gram)[-1], 0.0)))
+    eigvals = s._gram_eigh[0] if s._image.e_frob > tol else np.linalg.eigvalsh(s._image.gram)
+    residual = float(np.sqrt(max(eigvals[-1], 0.0)))
     if residual > tol:
         s._kernel_witness  # built and cached on first access
     return residual <= tol, residual

@@ -2,9 +2,9 @@
 
 Complex numbers are two-element arrays ``[re, im]``; matrices are row-major
 nested lists.  Every numeric field holds a finite JSON number of its kind,
-never a bool.  Every file carries ``"version": 1``.  Serialization is
-deterministic (sorted keys, no timestamps), so identical inputs and seeds
-give byte-identical reports.
+never a bool.  Every file carries ``"version": 1``.  ``dumps`` writes each
+as one compact line (sorted keys, no timestamps), so identical inputs and
+seeds give byte-identical files; readers accept any whitespace.
 """
 
 from __future__ import annotations
@@ -40,26 +40,33 @@ def _is_number(x: Any, kinds: type | tuple[type, ...] = (int, float)) -> bool:
     return isinstance(x, int) or math.isfinite(x)
 
 
-def _complex_from_json(entry: Any) -> complex:
-    """An ``[re, im]`` pair of two real numbers."""
-    if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
-        raise ValueError(f"not an [re, im] pair: {entry!r}")
-    return complex(*entry)
-
-
 def matrix_from_json(data: Any, what: str = "matrix") -> np.ndarray:
+    """Nested rows of ``[re, im]`` pairs, checked as one (rows, cols, 2) array
+    whose parts are each exactly an int or a float, finite as a float; rows
+    with no entries give rows x 0.  The matrix views the pairs, keeping -0.0."""
+    not_pairs = f"{what}: expected nested rows of [re, im] pairs"
     try:
-        m = np.array([[_complex_from_json(entry) for entry in row] for row in data],
-                     dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{what}: expected nested rows of [re, im] pairs") from exc
-    if m.ndim != 2:
+        parts = np.array(data, dtype=object)
+    except ValueError as exc:
+        raise ParseError(not_pairs) from exc
+    if parts.shape == (0,):
         raise ParseError(f"{what}: not a matrix")
-    return m
+    if parts.ndim == 2 and parts.shape[1] == 0:
+        return np.zeros(parts.shape, dtype=np.complex128)
+    if parts.ndim != 3 or parts.shape[2] != 2 or not set(map(type, parts.flat)) <= {int, float}:
+        raise ParseError(not_pairs)
+    try:
+        pairs = parts.astype(np.float64)
+    except OverflowError as exc:  # an int beyond float range
+        raise ParseError(not_pairs) from exc
+    if not np.isfinite(pairs).all():
+        raise ParseError(not_pairs)
+    return pairs.view(np.complex128)[..., 0]
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # without indent, json runs its C encoder
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def scenario_to_json(s: Scenario, name: Optional[str] = None) -> dict:
@@ -128,9 +135,7 @@ def scenario_from_json(doc: dict) -> Scenario:
     u = matrix_from_json(_require(doc, "unitary"), "unitary")
     for i, k in enumerate(kraus):
         if k.shape != (small_d, big_d):
-            raise ParseError(
-                f"kraus[{i}] has shape {k.shape}, expected ({small_d}, {big_d})"
-            )
+            raise ParseError(f"kraus[{i}] has shape {k.shape}, expected ({small_d}, {big_d})")
     if u.shape != (big_d, big_d):
         raise ParseError(f"unitary has shape {u.shape}, expected ({big_d}, {big_d})")
     return Scenario(KrausChannel(kraus), u)

@@ -81,20 +81,3 @@ def kernel_basis(a, rank_tol: float = RANK_TOL) -> np.ndarray:
     cutoff = rank_tol * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return vh.conj().T[:, rank:]
-
-
-def partial_trace(a, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
-    """Partial trace of an operator on a bipartite space of shape dA*dB.
-
-    ``keep="A"`` traces out the second factor, ``keep="B"`` the first.
-    """
-    dA, dB = dims
-    m = asmatrix(a)
-    if m.shape != (dA * dB, dA * dB):
-        raise DimensionMismatch(f"expected {(dA * dB, dA * dB)}, got {m.shape}")
-    t = m.reshape(dA, dB, dA, dB)
-    if keep == "A":
-        return np.einsum("ikjk->ij", t)
-    if keep == "B":
-        return np.einsum("kikj->ij", t)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")

@@ -255,31 +255,35 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
+def _in_pm_basis(m: np.ndarray) -> np.ndarray:
+    hadamard = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+    return hadamard @ m @ hadamard
+
+
+def _fourier_rotated(block: np.ndarray) -> np.ndarray:
+    f2 = _fourier(2)
+    return f2 @ _rotation(np.pi / 3) @ f2.conj().T @ block
+
+
+_BUILDERS = {
+    # phases on |+>,|-> of span{|1>,|2>}: eigenvectors preserved
+    "example1-compatible": lambda n: example1(
+        _in_pm_basis(np.diag(np.exp(1j * np.array([np.pi / 3, -np.pi / 5])))), name=n),
+    # rotation by pi/4 between |+> and |->: eigenvectors mixed
+    "example1-incompatible": lambda n: example1(_in_pm_basis(_rotation(np.pi / 4)), name=n),
+    "example2-compatible": lambda n: example2(2, 2, [_rotation(0.4)] * 2, "full", name=n),
+    "example2-incompatible": lambda n: example2(
+        2, 2, [_rotation(0.4), _fourier_rotated(_rotation(0.4))], "full", name=n),
+    "spin-d3": lambda n: spin_dichotomization(3, np.pi / 2, (0.0, 0.0, 1.0), name=n),
+}
+
+
 def registry(name: str | None = None) -> dict[str, NamedScenario]:
     """The built-in named scenarios, keyed by their CLI identifiers.
 
-    With ``name``, only that entry is built and returned (an empty dict
-    when no entry has that name).
+    With ``name``, only that entry is built (an empty dict when no entry
+    has that name); no other entry's matrices are evaluated.
     """
-    s2 = np.sqrt(2.0)
-    hadamard = np.array([[1, 1], [1, -1]], dtype=np.complex128) / s2
-
-    # phases on |+>,|-> of span{|1>,|2>}: eigenvectors preserved
-    u2_ok = hadamard @ np.diag(np.exp(1j * np.array([np.pi / 3, -np.pi / 5]))) @ hadamard
-    # rotation by pi/4 between |+> and |->: eigenvectors mixed
-    u2_bad = hadamard @ _rotation(np.pi / 4) @ hadamard
-
-    f2 = _fourier(2)
-    block = _rotation(0.4)
-    block_off = f2 @ _rotation(np.pi / 3) @ f2.conj().T @ block
-
-    builders = {
-        "example1-compatible": lambda n: example1(u2_ok, name=n),
-        "example1-incompatible": lambda n: example1(u2_bad, name=n),
-        "example2-compatible": lambda n: example2(2, 2, [block, block], "full", name=n),
-        "example2-incompatible": lambda n: example2(2, 2, [block, block_off], "full", name=n),
-        "spin-d3": lambda n: spin_dichotomization(3, np.pi / 2, (0.0, 0.0, 1.0), name=n),
-    }
-    if name is not None:
-        builders = {name: builders[name]} if name in builders else {}
-    return {n: build(n) for n, build in builders.items()}
+    if name is None:
+        return {n: build(n) for n, build in _BUILDERS.items()}
+    return {name: _BUILDERS[name](name)} if name in _BUILDERS else {}

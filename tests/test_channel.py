@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from coarsekit import channel as qc
 from coarsekit.errors import DimensionMismatch, NotCP, NotEquivalent, NotHermitian, NotUnitary
-from coarsekit.linalg import RANK_TOL, frob, hermitize, partial_trace, vec
+from coarsekit.linalg import RANK_TOL, frob, hermitize, vec
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 
 S2 = np.sqrt(2.0)
@@ -25,6 +25,11 @@ def example2_kraus():
         [[1 / S2, -1 / S2, 0, 0], [0, 0, 1 / S2, -1 / S2]], dtype=complex
     )
     return [k0, k1]
+
+
+def _tr_in(m, din, dout):
+    """Partial trace over the input (major) factor of an operator on din x dout."""
+    return np.einsum("kikj->ij", m.reshape(din, dout, din, dout))
 
 
 def rand_channel(din, dout, n_kraus, seed):
@@ -293,9 +298,7 @@ class TestTransfer:
         ch = rand_channel(3, 2, 2, 77)
         rng = np.random.default_rng(78)
         rho = random_density_mat(3, rng)
-        contracted = partial_trace(
-            ch.choi.mat @ np.kron(rho.T, np.eye(2)), (3, 2), keep="B"
-        )
+        contracted = _tr_in(ch.choi.mat @ np.kron(rho.T, np.eye(2)), 3, 2)
         direct = sum(k @ rho @ k.conj().T for k in ch.kraus)
         assert frob(contracted - direct) < 1e-9
 

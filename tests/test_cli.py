@@ -570,6 +570,16 @@ class TestListAndGen:
         code = main(["check", str(path), "--trials", "30"])
         assert code in (0, 1, 2)
 
+    def test_every_file_written_is_one_line(self, tmp_path, capsys):
+        report, channel, gen = (tmp_path / f"{n}.json" for n in ("report", "channel", "gen"))
+        assert main(["check", "spin-d3", "--trials", "0", "--json", str(report)]) == 0
+        assert main(["construct", "spin-d3", "--out", str(channel)]) == 0
+        assert main(["gen", "16", "4", "4", "--out", str(gen), "--seed", "7"]) == 0
+        for path in (report, channel, gen):
+            text = path.read_text(encoding="utf-8")
+            assert text.count("\n") == 1 and text.endswith("\n")
+            assert dumps(json.loads(text)) == text
+
     def test_gen_deterministic(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -18,7 +18,7 @@ from coarsekit.channel import (
     unitary_channel,
 )
 from coarsekit.errors import DimensionMismatch, MethodDisagreement, NotEquivalent, NumericalFailure
-from coarsekit.linalg import RANK_TOL, frob, partial_trace, vec
+from coarsekit.linalg import RANK_TOL, frob, vec
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 from coarsekit.scenarios import (
     emergent_spin_rotation,
@@ -31,6 +31,11 @@ from coarsekit.scenarios import (
 )
 
 REG = registry()
+
+
+def _tr_out(m, din, dout):
+    """Partial trace over the output (minor) factor of an operator on din x dout."""
+    return np.einsum("ikjk->ij", m.reshape(din, dout, din, dout))
 
 
 def identity_scenario(u=None, dim=2, seed=0):
@@ -276,7 +281,7 @@ class TestSinglePath:
         assert report.diagram_residual <= compat.BAND * tol
         # the point is made exactly trace preserving: at tol = 1e-7 its trace
         # error would otherwise fail the trace check of compose
-        tp = partial_trace(report.sdp.channel.choi.mat, (2, 2), keep="A")
+        tp = _tr_out(report.sdp.channel.choi.mat, 2, 2)
         assert frob(tp - np.eye(2)) <= 1e-12
         hadamard = unitary_channel(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
         assert frob(report.emergent.choi.mat - hadamard.choi.mat) <= compat.BAND * tol
@@ -843,7 +848,7 @@ def test_feasible_outcomes_carry_a_trace_preserving_channel(d, k, planted, mixed
     out = compat.sdp_feasibility(s)
     assert (out.status == compat.FEASIBLE) == (out.channel is not None)
     if out.channel is not None:
-        assert frob(partial_trace(out.channel.choi.mat, (d, d), keep="A") - np.eye(d)) <= 1e-12
+        assert frob(_tr_out(out.channel.choi.mat, d, d) - np.eye(d)) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -1097,18 +1102,51 @@ def test_channel_congruence_matches_the_kronecker_product(d, rank, seed):
     assert frob(x.conj().T @ x - np.eye(d)) <= 1e-12
 
 
-def _complex_eighs(monkeypatch, n):
-    """The names of the eigensolvers called on complex n x n matrices, in
-    call order."""
+def _eigensolver_calls(monkeypatch, pick):
+    """The names of the eigensolvers called on the matrices that ``pick``
+    selects, in call order."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         def spy(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
-            if np.shape(a) == (n, n) and np.iscomplexobj(a):
+            if pick(a):
                 calls.append(_name)
             return _f(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
     return calls
+
+
+def _complex_eighs(monkeypatch, n):
+    """The names of the eigensolvers called on complex n x n matrices."""
+    return _eigensolver_calls(monkeypatch, lambda a: np.shape(a) == (n, n) and np.iscomplexobj(a))
+
+
+def _gram_eighs(monkeypatch, s):
+    """The names of the eigensolvers called on the kernel check's Gram E E^T."""
+    gram = s._image.gram
+    return _eigensolver_calls(monkeypatch, lambda a: a is gram)
+
+
+@pytest.mark.parametrize("case", ["example1-incompatible", "example2-incompatible", "random"])
+def test_a_failed_kernel_check_takes_one_gram_eigh(monkeypatch, case):
+    # the check's residual and the witness's vector come from one eigh
+    s = random_scenario(8, 2, 4, 7).scenario if case == "random" else REG[case].scenario
+    s = compat.Scenario(s.cg, s.u)  # nothing cached
+    calls = _gram_eighs(monkeypatch, s)
+    report = compat.run_all(s, compat.CheckConfig(witness_trials=0))
+    assert not report.fiber_preserved
+    assert report.witness is not None and report.witness.source == "kernel"
+    assert calls == ["eigh"]
+
+
+@pytest.mark.parametrize("case", ["spin-d3", "example2-compatible", "planted"])
+def test_a_passing_kernel_check_takes_one_gram_eigvalsh(monkeypatch, case):
+    s = random_planted_scenario(3, 2, 5).scenario if case == "planted" else REG[case].scenario
+    s = compat.Scenario(s.cg, s.u)
+    calls = _gram_eighs(monkeypatch, s)
+    report = compat.run_all(s, compat.CheckConfig(witness_trials=0))
+    assert report.fiber_preserved and s._image.e_frob <= compat.TOL
+    assert calls == ["eigvalsh"]
 
 
 def test_a_closed_form_compatible_decision_takes_one_choi_eigendecomposition(monkeypatch):

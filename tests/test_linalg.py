@@ -13,11 +13,6 @@ def rand_complex(rng, rows, cols=None):
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
 
-def rand_hermitian(rng, n):
-    a = rand_complex(rng, n)
-    return (a + a.conj().T) / 2
-
-
 def test_vec_convention():
     # column stacking: vec(A X B) == kron(B.T, A) vec(X)
     rng = np.random.default_rng(0)
@@ -56,35 +51,6 @@ class TestPinv:
         assert linalg.frob(ap @ a @ ap - ap) < 1e-8
         assert linalg.frob((a @ ap).conj().T - a @ ap) < 1e-8
         assert linalg.frob((ap @ a).conj().T - ap @ a) < 1e-8
-
-
-class TestPartialTrace:
-    def test_product_state(self):
-        rng = np.random.default_rng(8)
-        rho = rand_hermitian(rng, 3)
-        sigma = rand_hermitian(rng, 2)
-        out = linalg.partial_trace(np.kron(rho, sigma), (3, 2), keep="A")
-        assert linalg.frob(out - rho * np.trace(sigma)) < 1e-12
-
-    def test_maximally_entangled(self):
-        phi = np.zeros(4, dtype=complex)
-        phi[0] = phi[3] = 1 / np.sqrt(2)
-        proj = np.outer(phi, phi.conj())
-        assert linalg.frob(linalg.partial_trace(proj, (2, 2), "A") - np.eye(2) / 2) < 1e-12
-        assert linalg.frob(linalg.partial_trace(proj, (2, 2), "B") - np.eye(2) / 2) < 1e-12
-
-    def test_trace_identity(self):
-        rng = np.random.default_rng(9)
-        g = rand_complex(rng, 8)
-        rho = g @ g.conj().T
-        rho /= np.trace(rho)
-        for keep in ("A", "B"):
-            out = linalg.partial_trace(rho, (4, 2), keep)
-            assert abs(np.trace(out) - 1.0) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            linalg.partial_trace(np.eye(5), (2, 2), "A")
 
 
 def test_kernel_basis():

@@ -259,9 +259,18 @@ class TestRegistry:
             assert list(one) == [name]
             got = one[name]
             assert (got.name, got.expected, got.notes) == (ns.name, ns.expected, ns.notes)
-            assert np.array_equal(got.scenario.u, ns.scenario.u)
-            for a, b in zip(got.scenario.cg.kraus, ns.scenario.cg.kraus, strict=True):
-                assert np.array_equal(a, b)
+            # bit for bit, signed zeros included
+            assert got.scenario.u.tobytes() == ns.scenario.u.tobytes()
+            assert got.scenario.cg.kraus.tobytes() == ns.scenario.cg.kraus.tobytes()
+
+    def test_one_name_evaluates_no_other_entry(self, monkeypatch):
+        from coarsekit import scenarios
+
+        calls = []
+        for name in ("example1", "example2", "_fourier"):
+            monkeypatch.setattr(scenarios, name, lambda *a, _n=name, **k: calls.append(_n))
+        assert list(registry("spin-d3")) == ["spin-d3"]
+        assert calls == []
 
     def test_unknown_name_gives_no_entry(self):
         assert registry("no-such-scenario") == {}
