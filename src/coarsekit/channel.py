@@ -234,10 +234,10 @@ def vec_from_real(y: np.ndarray, n: int) -> np.ndarray:
     return ((0.5 + 0.5j) * y3 + (0.5 - 0.5j) * yt).reshape(y.shape)
 
 
-def _kept_columns(w: np.ndarray, v: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def _kept_columns(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The columns v_k sqrt(w_k) of the eigenpairs (w, v) with w_k above
-    ``rank_tol * max(w)`` (so none is zero): the vecs of a Kraus set."""
-    keep = w > rank_tol * max(w.max(), 0.0)
+    ``RANK_TOL * max(w)`` (so none is zero): the vecs of a Kraus set."""
+    keep = w > RANK_TOL * max(w.max(), 0.0)
     return v[:, keep] * np.sqrt(w[keep])
 
 
@@ -256,15 +256,15 @@ def _phase_fixed(cols: np.ndarray, din: int, dout: int) -> np.ndarray:
     return (flat * phase[:, None]).reshape(-1, dout, din)
 
 
-def choi_to_kraus(c: ChoiMatrix, rank_tol: float = RANK_TOL) -> KrausChannel:
+def choi_to_kraus(c: ChoiMatrix) -> KrausChannel:
     """Kraus operators from the Choi eigendecomposition.
 
     The decomposition is ``c.eig``, the one ``eigh`` of c's Hermitian part
     that its CP check took, so no second one is computed.  One operator per
-    eigenvalue above ``rank_tol * max_eigenvalue``, phase-fixed.  ``c`` is
+    eigenvalue above ``RANK_TOL * max_eigenvalue``, phase-fixed.  ``c`` is
     CP by construction.
     """
-    ops = _phase_fixed(_kept_columns(*c.eig, rank_tol), c.din, c.dout)
+    ops = _phase_fixed(_kept_columns(*c.eig), c.din, c.dout)
     # eigendecomposition reproduces TP only as well as the Choi satisfied it
     return KrausChannel(ops, tp_tol=10 * CHOI_TP_TOL)
 

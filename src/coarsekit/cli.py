@@ -6,8 +6,10 @@ scenario to file).
 
 Exit codes: 0 compatible or success, 1 incompatible or no effective map
 (``construct``: an infeasible SDP), 2 undecided (``construct``: an SDP left
-undecided), 64 unreadable input, 65 input that parses but violates a
-physical invariant, 70 internal criteria disagreement.
+undecided), 64 unreadable input (a file that cannot be read, decoded as
+UTF-8 or parsed as JSON, or that holds no valid scenario), 65 input that
+parses but violates a physical invariant, 70 internal criteria
+disagreement, 73 an output file that cannot be written.
 
 ``check`` and ``construct`` take each setting from its flag, else the file's
 ``config`` block, else ``CheckConfig``, which range-checks it (exit 65).
@@ -49,6 +51,7 @@ EXIT_UNDECIDED = 2
 EXIT_PARSE = 64
 EXIT_INVARIANT = 65
 EXIT_DISAGREEMENT = 70
+EXIT_CANTCREAT = 73
 
 _VERDICT_CODE = {
     "compatible": EXIT_COMPATIBLE,
@@ -57,15 +60,28 @@ _VERDICT_CODE = {
 }
 
 
+class _WriteError(Exception):
+    """An output file that cannot be written (exit 73)."""
+
+
 def _load_json(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    # ValueError covers a JSONDecodeError and an int past Python's digit limit;
+    # a deep enough nesting exhausts the decoder's recursion limit
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc}") from exc
 
 
 def _resolve_input(name_or_path: str) -> tuple[Scenario, str, Optional[dict]]:
@@ -112,7 +128,7 @@ def cmd_check(args) -> int:
 
     if args.json:
         payload = report_to_json(report, label, _config_echo(cfg, scenario))
-        Path(args.json).write_text(dumps(payload), encoding="utf-8")
+        _write(args.json, dumps(payload))
         print(f"{label}: {report.verdict} (report written to {args.json})")
     else:
         print(f"scenario: {label}  (D={scenario.D} -> d={scenario.d}, "
@@ -162,7 +178,7 @@ def cmd_construct(args) -> int:
         return EXIT_UNDECIDED
     payload = dumps(channel_to_json(gamma))
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        _write(args.out, payload)
         print(f"{label}: effective channel with {len(gamma.kraus)} Kraus operator(s) "
               f"written to {args.out}")
     else:
@@ -181,7 +197,7 @@ def cmd_gen(args) -> int:
     entry = random_scenario(args.D, args.d, args.kraus, args.seed)
     doc = scenario_to_json(entry.scenario, name=entry.name)
     doc["config"] = {"seed": args.seed}
-    Path(args.out).write_text(dumps(doc), encoding="utf-8")
+    _write(args.out, dumps(doc))
     print(f"wrote {entry.name} to {args.out}")
     return EXIT_COMPATIBLE
 
@@ -246,6 +262,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except _WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
     except MethodDisagreement as exc:
         print(f"internal disagreement: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT

@@ -67,7 +67,9 @@ class _Image(NamedTuple):
     Hermitian operators (``vec_from_real``), ``t`` = T_R = U_R diag(sigma)
     V^T, cut at rank r (see ``Scenario._image``), and the real transfer
     matrix ``a`` = A of {M_k u} split along V: the part of A outside the
-    image, ``e = A - A V V^T``, with its Gram ``gram = E E^T``.
+    image, ``e = A - A V V^T``.  One ``eigh`` of its Gram E E^T gives the
+    kernel residual ``e_norm`` = ||E||_2 = sqrt(max(lambda_max, 0)) and its
+    eigenvector ``e_top``, from which the witness reads its kernel element.
     ``u = C U_R`` and ``av = C A V`` are in the vec coordinates that the
     complex transfer matrices act on: with C unitary, T_cg = u diag(sigma)
     (C_D V)* and the transfer matrix of {M_k u} maps C_D V to ``av``.
@@ -83,7 +85,8 @@ class _Image(NamedTuple):
     a: np.ndarray  # d^2 x D^2, real
     av: np.ndarray  # d^2 x r
     e: np.ndarray  # d^2 x D^2, real
-    gram: np.ndarray  # d^2 x d^2, real
+    e_norm: float
+    e_top: np.ndarray  # d^2, real
     candidate: np.ndarray  # d^2 x d^2
     t: np.ndarray  # d^2 x D^2, real
     u_real: np.ndarray  # d^2 x r, U_R
@@ -157,16 +160,12 @@ class Scenario:
         e = a - av @ v.T if r < a.shape[1] else np.zeros_like(a)
         cut = float(sigma[r]) if r < sigma.size else 0.0
         u, sigma = uh[:r].T, sigma[:r]
+        w, y = np.linalg.eigh(e @ e.T)
         # U and A V in vec coordinates
         c = _real_to_vec(self.d)
         uc, avc = c @ u, c @ av
-        return _Image(uc, sigma, cut, a, avc, e, e @ e.T, (avc / sigma) @ uc.conj().T, t, u,
-                      uc * sigma, frob(e))
-
-    @cached_property
-    def _gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """``eigh`` of E E^T, for a kernel check that can fail and its witness."""
-        return np.linalg.eigh(self._image.gram)
+        return _Image(uc, sigma, cut, a, avc, e, float(np.sqrt(max(w[-1], 0.0))), y[:, -1],
+                      (avc / sigma) @ uc.conj().T, t, u, uc * sigma, frob(e))
 
     @cached_property
     def _kernel_witness(self) -> Optional["EnsembleWitness"]:
@@ -190,12 +189,11 @@ class Scenario:
         within WITNESS_MARGIN, as for a check that fails only by rounding.
         """
         img, d = self._image, self.d
-        _, vecs = self._gram_eigh
         # x = E^T y for the top eigenvector y of E E^T.  E's rounding puts x off
         # the kernel by about eps ||A||, which ||x|| = ||E||_2 does not dwarf
         # when the check fails narrowly, so V V^T x = T_R^T U_R S^-2 U_R^T T_R x
         # is taken out once more
-        x = vecs[:, -1] @ img.e
+        x = img.e_top @ img.e
         x -= ((img.u_real / img.sigma**2) @ (img.u_real.T @ (img.t @ x))) @ img.t
         # X, then cg(X) and cg(u X u*) in vec coordinates; vecs are
         # column-stacked, so a matrix is its vec reshaped and transposed, and
@@ -343,19 +341,18 @@ def check_fiber_preservation(s: Scenario, tol: float = TOL) -> tuple[bool, float
     V, and T_cg . T_u = A is the real d^2 x D^2 transfer matrix of
     {M_k u}, so the residual is ``||E||_2`` with E = A - A V V^T, taken as
     sqrt(lambda_max(E E^T)): a Gram of E alone keeps its largest singular
-    value to a few ulps.  Only ||E||_F >= ||E||_2 above tol can fail the
-    check; its ``eigh`` (``Scenario._gram_eigh``) then also gives the
-    witness its vector.  The kernel is closed under adjoints, so its complex
-    span adds no direction and this is the complex check's residual too.
-    No D^2 x D^2 array is formed.
+    value to a few ulps.  The image takes that one ``eigh`` whatever tol
+    is, and its top eigenvector gives the witness its vector; tol only
+    decides the verdict.  The kernel is closed under adjoints, so its
+    complex span adds no direction and this is the complex check's residual
+    too.  No D^2 x D^2 array is formed.
 
     A failed check also builds its ensemble witness
     (``Scenario._kernel_witness``), cached on the scenario, so the verdict
     carries it at no further cost.
     """
     _require_tol(tol)
-    eigvals = s._gram_eigh[0] if s._image.e_frob > tol else np.linalg.eigvalsh(s._image.gram)
-    residual = float(np.sqrt(max(eigvals[-1], 0.0)))
+    residual = s._image.e_norm
     if residual > tol:
         s._kernel_witness  # built and cached on first access
     return residual <= tol, residual

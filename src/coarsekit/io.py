@@ -31,7 +31,7 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _is_number(x: Any, kinds: type | tuple[type, ...] = (int, float)) -> bool:
+def _is_number(x: Any, kinds: type | tuple[type, ...]) -> bool:
     """A JSON number of these kinds; a bool is never a number here, and
     neither are the ``NaN`` and ``Infinity`` tokens that ``json`` reads."""
     if not isinstance(x, kinds) or isinstance(x, bool):

@@ -60,24 +60,21 @@ def require_unitary(m, what: str) -> np.ndarray:
     return m
 
 
-def pinv(a, rank_tol: float = RANK_TOL) -> np.ndarray:
+def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse.
 
-    Singular values below ``rank_tol * s_max`` are treated as exactly zero.
+    Singular values below ``RANK_TOL * s_max`` are treated as exactly zero.
     """
-    m = asmatrix(a)
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    return np.linalg.pinv(m, rcond=rank_tol)
+    return np.linalg.pinv(asmatrix(a), rcond=RANK_TOL)
 
 
-def kernel_basis(a, rank_tol: float = RANK_TOL) -> np.ndarray:
+def kernel_basis(a) -> np.ndarray:
     """Orthonormal basis of the (right) null space, as columns.
 
     Returns a ``(cols, k)`` array; ``k`` may be zero.
     """
     m = asmatrix(a)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    cutoff = rank_tol * (s[0] if s.size else 0.0)
+    cutoff = RANK_TOL * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return vh.conj().T[:, rank:]

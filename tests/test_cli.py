@@ -79,6 +79,24 @@ class TestCheck:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["check", str(bad)]) == 64
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"version": 1, "D": 2\xff}',
+            b'{"version": 1, "D": ' + b"1" * 5000 + b"}",
+            b"[" * 100000 + b"]" * 100000,
+        ],
+        ids=["undecodable-byte", "int-past-the-digit-limit", "nested-100000-deep"],
+    )
+    def test_unreadable_file_exit_64_with_one_line(self, content, tmp_path, capsys):
+        # not UTF-8, an int Python will not convert, and a nesting past the
+        # decoder's recursion limit: each is a file that cannot be read
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["check", str(bad)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("doc", [[1], "x", 3], ids=repr)
     def test_not_an_object_exit_64(self, doc, tmp_path, capsys):
         path = tmp_path / "list.json"
@@ -579,6 +597,22 @@ class TestListAndGen:
             text = path.read_text(encoding="utf-8")
             assert text.count("\n") == 1 and text.endswith("\n")
             assert dumps(json.loads(text)) == text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "spin-d3", "--trials", "0", "--json"],
+            ["construct", "spin-d3", "--out"],
+            ["gen", "4", "2", "2", "--out"],
+        ],
+        ids=["check-json", "construct-out", "gen-out"],
+    )
+    def test_unwritable_output_exit_73_with_one_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "out.json"
+        assert main([*argv, str(out)]) == 73
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+        assert not out.parent.exists()
 
     def test_gen_deterministic(self, tmp_path):
         a = tmp_path / "a.json"

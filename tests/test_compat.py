@@ -1121,32 +1121,41 @@ def _complex_eighs(monkeypatch, n):
     return _eigensolver_calls(monkeypatch, lambda a: np.shape(a) == (n, n) and np.iscomplexobj(a))
 
 
-def _gram_eighs(monkeypatch, s):
-    """The names of the eigensolvers called on the kernel check's Gram E E^T."""
-    gram = s._image.gram
-    return _eigensolver_calls(monkeypatch, lambda a: a is gram)
+def _real_eighs(monkeypatch, n):
+    """The names of the eigensolvers called on real n x n matrices."""
+    return _eigensolver_calls(monkeypatch, lambda a: np.shape(a) == (n, n) and np.isrealobj(a))
 
 
-@pytest.mark.parametrize("case", ["example1-incompatible", "example2-incompatible", "random"])
-def test_a_failed_kernel_check_takes_one_gram_eigh(monkeypatch, case):
-    # the check's residual and the witness's vector come from one eigh
-    s = random_scenario(8, 2, 4, 7).scenario if case == "random" else REG[case].scenario
-    s = compat.Scenario(s.cg, s.u)  # nothing cached
-    calls = _gram_eighs(monkeypatch, s)
-    report = compat.run_all(s, compat.CheckConfig(witness_trials=0))
-    assert not report.fiber_preserved
-    assert report.witness is not None and report.witness.source == "kernel"
-    assert calls == ["eigh"]
+_KERNEL_CASES = {
+    "example1-incompatible": lambda: REG["example1-incompatible"].scenario,
+    "example2-incompatible": lambda: REG["example2-incompatible"].scenario,
+    "random": lambda: random_scenario(8, 2, 4, 7).scenario,
+    "spin-d3": lambda: REG["spin-d3"].scenario,
+    "example2-compatible": lambda: REG["example2-compatible"].scenario,
+    "planted": lambda: random_planted_scenario(3, 2, 5).scenario,
+}
 
 
-@pytest.mark.parametrize("case", ["spin-d3", "example2-compatible", "planted"])
-def test_a_passing_kernel_check_takes_one_gram_eigvalsh(monkeypatch, case):
-    s = random_planted_scenario(3, 2, 5).scenario if case == "planted" else REG[case].scenario
-    s = compat.Scenario(s.cg, s.u)
-    calls = _gram_eighs(monkeypatch, s)
-    report = compat.run_all(s, compat.CheckConfig(witness_trials=0))
-    assert report.fiber_preserved and s._image.e_frob <= compat.TOL
-    assert calls == ["eigvalsh"]
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_the_kernel_check_takes_one_gram_eigh_whatever_tol(monkeypatch, case):
+    # the residual and the witness's vector come from one eigh of E E^T,
+    # the only real d^2 x d^2 eigenproblem of a decision; tol decides the
+    # verdict but never which solver runs
+    for tol in (1e-14, compat.TOL, 10.0):
+        named = _KERNEL_CASES[case]()
+        s = compat.Scenario(named.cg, named.u)  # nothing cached
+        with monkeypatch.context() as m:
+            calls = _real_eighs(m, s.d**2)
+            report = compat.run_all(s, compat.CheckConfig(tol=tol, witness_trials=0))
+        assert calls == ["eigh"]
+        # eigh and eigvalsh of one symmetric n x n Gram G each put lambda_max
+        # within c n eps ||G||_2 of the exact value, with c a small constant,
+        # and ||G||_2 = lambda_max; sqrt halves the relative error, so with
+        # c = 1 the residuals agree to within n eps of the residual
+        e = s._image.e
+        want = float(np.sqrt(max(np.linalg.eigvalsh(e @ e.T)[-1], 0.0)))
+        assert abs(report.fiber_residual - want) <= s.d**2 * np.finfo(float).eps * want
+        assert report.fiber_preserved == (report.fiber_residual <= tol)
 
 
 def test_a_closed_form_compatible_decision_takes_one_choi_eigendecomposition(monkeypatch):
