@@ -72,12 +72,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @classmethod
-    def pure(cls, state) -> "DensityMatrix":
-        v = np.asarray(state, dtype=np.complex128).ravel()
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
 
 class KrausChannel:
     """A linear map given by Kraus operators, trace preserving by default.

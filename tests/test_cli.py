@@ -4,14 +4,28 @@ import numpy as np
 import pytest
 
 from coarsekit import cli
+from coarsekit.channel import KrausChannel, channels_equal, unitary_channel
 from coarsekit.cli import main
 from coarsekit.errors import MethodDisagreement
 from coarsekit.io import dumps, matrix_to_json
-from coarsekit.scenarios import registry
+from coarsekit.linalg import frob
+from coarsekit.scenarios import emergent_spin_rotation, registry
+
+from builders import (
+    decohered_example2,
+    dephased_hadamard,
+    lift,
+    pauli_contraction,
+    rotated_example1,
+    three_cycle,
+    write_scenario,
+)
 
 
 def write_json(path, doc):
+    """Write ``doc`` at ``path`` and return the path as a string."""
     path.write_text(dumps(doc), encoding="utf-8")
+    return str(path)
 
 
 def scenario_doc(kraus, unitary, **extra):
@@ -24,35 +38,6 @@ def scenario_doc(kraus, unitary, **extra):
     }
     doc.update(extra)
     return doc
-
-
-def almost_compatible_doc(theta=4e-6):
-    """Anisotropic Pauli contraction + tiny z-rotation.
-
-    The kernel of the coarse-graining is trivial, so a linear effective map
-    always exists, but for small nonzero rotation angles it misses complete
-    positivity by a margin the feasibility SDP can neither certify nor
-    refute at its default tolerances.
-    """
-    probs = [0.8875, 0.0625, 0.0125, 0.0375]  # Bloch contraction (0.9, 0.8, 0.85)
-    paulis = [
-        np.eye(2, dtype=complex),
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]]),
-        np.diag([1.0, -1.0]).astype(complex),
-    ]
-    kraus = [np.sqrt(p) * s for p, s in zip(probs, paulis)]
-    u = np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
-    return scenario_doc(kraus, u)
-
-
-def cycle_doc():
-    """|0>, |0>+|1>, |0>+|1>+|2> measured and prepared, then cycled by a
-    permutation: the kernel check holds, and the SDP's loop certifies that
-    no CPTP effective map exists."""
-    eye, states = np.eye(3), np.tril(np.ones((3, 3)))
-    kraus = [np.outer(psi / np.linalg.norm(psi), eye[i]) for i, psi in enumerate(states)]
-    return scenario_doc(kraus, np.roll(eye, 1, axis=0))
 
 
 class TestCheck:
@@ -99,9 +84,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("doc", [[1], "x", 3], ids=repr)
     def test_not_an_object_exit_64(self, doc, tmp_path, capsys):
-        path = tmp_path / "list.json"
-        write_json(path, doc)
-        assert main(["check", str(path)]) == 64
+        assert main(["check", write_json(tmp_path / "list.json", doc)]) == 64
         assert "scenario file must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -113,9 +96,7 @@ class TestCheck:
         # the first entry of the identity read as 1 would pass every check
         doc = scenario_doc([np.eye(2)], np.eye(2))
         doc["unitary"][0][0] = entry
-        path = tmp_path / "entry.json"
-        write_json(path, doc)
-        assert main(["check", str(path)]) == 64
+        assert main(["check", write_json(tmp_path / "entry.json", doc)]) == 64
 
     @pytest.mark.parametrize(
         "key, value", [("D", "abc"), ("D", 2.7), ("D", 2.0), ("D", True), ("d", "2")], ids=repr
@@ -124,9 +105,7 @@ class TestCheck:
         # 2.7 used to be truncated to 2 and "2" read as 2, both passing every check
         doc = scenario_doc([np.eye(2)], np.eye(2))
         doc[key] = value
-        path = tmp_path / "dims.json"
-        write_json(path, doc)
-        assert main(["check", str(path)]) == 64
+        assert main(["check", write_json(tmp_path / "dims.json", doc)]) == 64
         assert repr(key) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -145,22 +124,16 @@ class TestCheck:
     def test_scenario_file_shape_exit_64(self, edit, message, tmp_path, capsys):
         doc = scenario_doc([np.eye(2)], np.eye(2))
         edit(doc)
-        path = tmp_path / "shape.json"
-        write_json(path, doc)
-        assert main(["check", str(path)]) == 64
+        assert main(["check", write_json(tmp_path / "shape.json", doc)]) == 64
         assert message in capsys.readouterr().err
 
     def test_invariant_violation_exit_65(self, tmp_path):
         doc = scenario_doc([np.eye(2) * 0.5], np.eye(2))
-        path = tmp_path / "non_tp.json"
-        write_json(path, doc)
-        assert main(["check", str(path)]) == 65
+        assert main(["check", write_json(tmp_path / "non_tp.json", doc)]) == 65
 
     def test_non_unitary_dynamics_exit_65(self, tmp_path):
         doc = scenario_doc([np.eye(2)], np.diag([1.0, 0.5]))
-        path = tmp_path / "non_unitary.json"
-        write_json(path, doc)
-        assert main(["check", str(path)]) == 65
+        assert main(["check", write_json(tmp_path / "non_unitary.json", doc)]) == 65
 
     @pytest.mark.filterwarnings("error")
     def test_unitary_with_an_overflowing_gram_exit_65(self, tmp_path, capsys):
@@ -168,34 +141,31 @@ class TestCheck:
         # it before any criterion runs into a non-finite matrix, and the
         # overflow prints no warning
         doc = scenario_doc([np.eye(2)], np.diag([1e200 * (1 + 1j), 1.0]))
-        path = tmp_path / "overflow.json"
-        write_json(path, doc)
-        assert main(["check", str(path)]) == 65
-        assert "must be unitary" in capsys.readouterr().err
+        assert main(["check", write_json(tmp_path / "overflow.json", doc)]) == 65
+        err = capsys.readouterr().err
+        assert "must be unitary" in err and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
     def test_kraus_with_an_overflowing_gram_exit_65(self, tmp_path, capsys):
         # the same entry in a Kraus operator: sum K*K overflows to NaN, which
         # the trace check rejects
         doc = scenario_doc([np.diag([1e200 * (1 + 1j), 1.0])], np.eye(2))
-        path = tmp_path / "kraus-overflow.json"
-        write_json(path, doc)
-        assert main(["check", str(path)]) == 65
-        assert "not trace preserving" in capsys.readouterr().err
+        assert main(["check", write_json(tmp_path / "kraus-overflow.json", doc)]) == 65
+        err = capsys.readouterr().err
+        assert "not trace preserving" in err and err.count("\n") == 1
 
     def test_undecided_exit_two(self, tmp_path, capsys):
         # with the witness budget at zero, the remaining criteria cannot
         # decide this nearly-compatible scenario at default tolerances
-        path = tmp_path / "almost.json"
-        write_json(path, almost_compatible_doc())
-        assert main(["check", str(path), "--trials", "0"]) == 2
+        path = write_scenario(tmp_path / "almost.json", pauli_contraction(4e-6))
+        assert main(["check", path, "--trials", "0"]) == 2
         out = capsys.readouterr().out
         assert "UNDECIDED" in out
 
     def test_certified_cycle_exit_one(self, tmp_path, capsys):
-        path, report_path = tmp_path / "cycle.json", tmp_path / "r.json"
-        write_json(path, cycle_doc())
-        assert main(["check", str(path), "--trials", "0", "--json", str(report_path)]) == 1
+        path = write_scenario(tmp_path / "cycle.json", three_cycle())
+        report_path = tmp_path / "r.json"
+        assert main(["check", path, "--trials", "0", "--json", str(report_path)]) == 1
         sdp = json.loads(report_path.read_text(encoding="utf-8"))["sdp"]
         assert sdp["status"] == "infeasible" and sdp["iterations"] <= 10
 
@@ -238,9 +208,8 @@ class TestCheck:
         assert "none found" not in out
 
     def test_undecided_check_says_none_found(self, tmp_path, capsys):
-        path = tmp_path / "almost.json"
-        write_json(path, almost_compatible_doc())
-        assert main(["check", str(path), "--trials", "0"]) == 2
+        path = write_scenario(tmp_path / "almost.json", pauli_contraction(4e-6))
+        assert main(["check", path, "--trials", "0"]) == 2
         assert "witness search : none found   (trials=0" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
@@ -335,13 +304,19 @@ class TestCheck:
         # the kernel is trivial and the SDP builds no channel, so neither the
         # kernel check nor a channel rules out the search; at seed 0 it finds
         # a witness at trial 3
-        path, report_path = tmp_path / "dephased.json", tmp_path / "r.json"
-        kraus = [np.sqrt(0.75) * np.eye(2), np.sqrt(0.25) * np.diag([1.0, -1.0])]
-        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        write_json(path, scenario_doc(kraus, h))
-        assert main(["check", str(path), "--json", str(report_path)]) == 1
+        path = write_scenario(tmp_path / "dephased.json", dephased_hadamard(0.5))
+        report_path = tmp_path / "r.json"
+        assert main(["check", path, "--json", str(report_path)]) == 1
         witness = json.loads(report_path.read_text(encoding="utf-8"))["witness"]
         assert (witness["source"], witness["trial"]) == ("search", 3)
+
+    def test_narrowly_failed_kernel_check_on_a_lifted_scenario_exit_one(self, tmp_path, capsys):
+        # example1 with u2 = H R(5e-9) H on a discarded 8-level environment
+        # (D = 24): the kernel check fails narrowly while the intertwiner's
+        # residual is small, and the criteria do not disagree, which would exit 70
+        path = write_scenario(tmp_path / "lifted.json", lift(rotated_example1(5e-9), 8))
+        assert main(["check", path]) == 1
+        assert capsys.readouterr().err == ""
 
     def test_classical_is_not_a_subcommand(self, capsys):
         # the classical contrast is the library coarsekit.classical
@@ -354,15 +329,15 @@ class TestCheck:
         eye = [[1.0, 0.0], [0.0, 1.0]]
         chain = {"pA": [0.5, 0.5], "pB_given_A": eye, "pX_given_A": eye, "pY_given_B": eye}
         doc = scenario_doc([np.eye(2)], np.eye(2), classical={"chain": chain})
-        path = tmp_path / "with-classical.json"
-        write_json(path, doc)
-        assert main([command, str(path)]) == 0
+        assert main([command, write_json(tmp_path / "with-classical.json", doc)]) == 0
 
 
 class TestConstruct:
     def test_spin_channel_file(self, tmp_path, capsys):
-        out_path = tmp_path / "gamma.json"
+        out_path, again = tmp_path / "gamma.json", tmp_path / "again.json"
         assert main(["construct", "spin-d3", "--out", str(out_path)]) == 0
+        assert main(["construct", "spin-d3", "--out", str(again)]) == 0
+        assert out_path.read_bytes() == again.read_bytes()
         doc = json.loads(out_path.read_text(encoding="utf-8"))
         assert doc["din"] == doc["dout"] == 2
         kraus = [
@@ -371,26 +346,17 @@ class TestConstruct:
         ]
         assert len(kraus) == 1
         # the effective dynamics is the half-angle qubit rotation
-        from coarsekit.scenarios import emergent_spin_rotation
-        from coarsekit.channel import KrausChannel, unitary_channel
-        from coarsekit.linalg import frob
-
         got = KrausChannel(kraus)
         expected = unitary_channel(emergent_spin_rotation(np.pi / 2, (0, 0, 1)))
-        assert frob(got.choi.mat - expected.choi.mat) < 1e-7
+        assert frob(got.choi.mat - expected.choi.mat) <= 1e-8
 
     def test_identity_scenario_returns_u(self, tmp_path, capsys):
         u = np.diag([1.0, 1j])
-        path = tmp_path / "ident.json"
-        write_json(path, scenario_doc([np.eye(2)], u))
+        path = write_json(tmp_path / "ident.json", scenario_doc([np.eye(2)], u))
         out_path = tmp_path / "gamma.json"
-        assert main(["construct", str(path), "--out", str(out_path)]) == 0
+        assert main(["construct", path, "--out", str(out_path)]) == 0
         doc = json.loads(out_path.read_text(encoding="utf-8"))
-        got = np.array(
-            [[complex(re, im) for re, im in row] for row in doc["kraus"][0]]
-        )
-        from coarsekit.channel import KrausChannel, channels_equal, unitary_channel
-
+        got = np.array([[complex(re, im) for re, im in row] for row in doc["kraus"][0]])
         assert channels_equal(KrausChannel([got]), unitary_channel(u))
 
     @pytest.mark.parametrize(
@@ -410,29 +376,21 @@ class TestConstruct:
         assert "no CPTP" in capsys.readouterr().err
 
     def test_certified_cycle_exit_one(self, tmp_path, capsys):
-        path = tmp_path / "cycle.json"
-        write_json(path, cycle_doc())
-        assert main(["construct", str(path)]) == 1
+        path = write_scenario(tmp_path / "cycle.json", three_cycle())
+        assert main(["construct", path]) == 1
         assert "no CPTP effective dynamics exists" in capsys.readouterr().err
 
     def test_undecided_sdp_exit_two(self, tmp_path, capsys):
         # compatible (any block-diagonal unitary is, with no coherences),
         # but one iteration of the loop decides nothing
-        from coarsekit.io import scenario_to_json
-        from coarsekit.rand import haar_unitary
-        from coarsekit.scenarios import example2
-
-        rng = np.random.default_rng(0)
-        named = example2(2, 2, [haar_unitary(2, rng) for _ in range(2)], "none")
-        path = tmp_path / "dephasing.json"
-        write_json(path, scenario_to_json(named.scenario))
-        assert main(["check", str(path), "--max-iter", "1"]) == 2
+        path = write_scenario(tmp_path / "dephasing.json", decohered_example2(2, 2, 0))
+        assert main(["check", path, "--max-iter", "1"]) == 2
         capsys.readouterr()
-        assert main(["construct", str(path), "--max-iter", "1"]) == 2
+        assert main(["construct", path, "--max-iter", "1"]) == 2
         err = capsys.readouterr().err
         assert "undecided" in err and "residual" in err
         assert "no CPTP" not in err
-        assert main(["construct", str(path)]) == 0
+        assert main(["construct", path]) == 0
 
 
 class TestConfigBlock:
@@ -441,9 +399,8 @@ class TestConfigBlock:
 
     @staticmethod
     def write(tmp_path, config):
-        path = tmp_path / "scenario.json"
-        write_json(path, scenario_doc([np.eye(2)], np.diag([1.0, 1j]), config=config))
-        return str(path)
+        doc = scenario_doc([np.eye(2)], np.diag([1.0, 1j]), config=config)
+        return write_json(tmp_path / "scenario.json", doc)
 
     @pytest.mark.parametrize("command", ["check", "construct"])
     @pytest.mark.parametrize(
@@ -485,6 +442,13 @@ class TestConfigBlock:
             "seed": 3,
         }
 
+    def test_tol_flag_reaches_the_report(self, tmp_path, capsys):
+        # given as a flag, the one decision tolerance is echoed as tol alone
+        report_path = tmp_path / "report.json"
+        assert main(["check", "spin-d3", "--tol", "1e-7", "--json", str(report_path)]) == 0
+        echo = json.loads(report_path.read_text(encoding="utf-8"))["config"]
+        assert echo["tol"] == 1e-7 and "fiber_tol" not in echo
+
     @pytest.mark.parametrize(
         "command, config",
         [
@@ -521,11 +485,9 @@ class TestNonFiniteNumbers:
 
     @staticmethod
     def written(tmp_path, doc):
-        path = tmp_path / "nonfinite.json"
-        write_json(path, doc)
-        text = path.read_text(encoding="utf-8")
+        text = dumps(doc)  # the file's contents
         assert "NaN" in text or "Infinity" in text
-        return str(path)
+        return write_json(tmp_path / "nonfinite.json", doc)
 
     @pytest.mark.parametrize("token", TOKENS, ids=repr)
     @pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
@@ -567,6 +529,14 @@ class TestRepeatedCalls:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == version
+
+
+@pytest.fixture(scope="module")
+def gen32(tmp_path_factory):
+    """A generated random scenario at D = 32, d = 4, K = 8."""
+    path = tmp_path_factory.mktemp("gen") / "gen32.json"
+    assert main(["gen", "32", "4", "8", "--seed", "7", "--out", str(path)]) == 0
+    return path
 
 
 class TestListAndGen:
@@ -613,6 +583,26 @@ class TestListAndGen:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
         assert not out.parent.exists()
+
+    def test_generated_d32_report_carries_the_kernel_witness(self, gen32, tmp_path, capsys):
+        # the kernel check fails in real coordinates and yields a witness of
+        # gap about 1/2; the report, D x D witness states included, is one
+        # line and the same bytes on a second call
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["check", str(gen32), "--json", str(first)]) == 1
+        assert main(["check", str(gen32), "--json", str(second)]) == 1
+        text = first.read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and first.read_bytes() == second.read_bytes()
+        witness = json.loads(text)["witness"]
+        assert witness["source"] == "kernel"
+        assert witness["pg_after"] - witness["pg_before"] > 0.49
+
+    def test_generated_d32_with_a_bool_entry_exit_64(self, gen32, tmp_path, capsys):
+        # the array check of a full-size matrix rejects the one entry
+        doc = json.loads(gen32.read_text(encoding="utf-8"))
+        doc["unitary"][17][5] = True
+        assert main(["check", write_json(tmp_path / "bool.json", doc)]) == 64
+        assert "unitary" in capsys.readouterr().err
 
     def test_gen_deterministic(self, tmp_path):
         a = tmp_path / "a.json"

@@ -30,78 +30,40 @@ from coarsekit.channel import (
 )
 from coarsekit.linalg import RANK_TOL, frob, hermitize, kernel_basis, pinv
 from coarsekit.rand import haar_unitary, random_kraus_ops
-from coarsekit.scenarios import (
-    example2,
-    random_planted_scenario,
-    random_scenario,
-    registry,
+from coarsekit.scenarios import random_planted_scenario, random_scenario, registry
+
+from builders import (
+    cycled,
+    decohered_example2,
+    dephased_hadamard,
+    pauli_contraction,
+    three_cycle,
+    tr_out,
 )
 
 TOL = 1e-12
-
-
-def _tr_out(m, din, dout):
-    """Partial trace over the output (minor) factor of an operator on din x dout."""
-    return np.einsum("ikjk->ij", m.reshape(din, dout, din, dout))
 
 
 def _dephasing(haar: bool) -> compat.Scenario:
     """example2 with no coherences (rank r = 2 < d^2 = 4), with its block
     unitary or with a Haar unitary that mixes the blocks."""
     rng = np.random.default_rng(11)
-    named = example2(3, 2, [haar_unitary(3, rng) for _ in range(2)], "none")
-    if not haar:
-        return named.scenario
-    return compat.Scenario(named.scenario.cg, haar_unitary(6, rng))
-
-
-def _dephased_hadamard(p):
-    """A qubit dephased with off-diagonals scaled by 1 - p, then a Hadamard:
-    D = d = 2, so the kernel check holds, but the one linear effective map
-    is not completely positive."""
-    z = np.diag([1.0, -1.0]).astype(np.complex128)
-    cg = KrausChannel([np.sqrt(1 - p / 2) * np.eye(2), np.sqrt(p / 2) * z])
-    return compat.Scenario(cg, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-
-
-def _pauli_contraction(theta):
-    """The CLI's near-compatible case: a Pauli channel with Bloch contraction
-    (0.9, 0.8, 0.85), then a z-rotation by theta."""
-    paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1.0, -1.0])]
-    probs = [0.8875, 0.0625, 0.0125, 0.0375]
-    cg = KrausChannel(
-        [np.sqrt(p) * np.asarray(m, dtype=np.complex128) for p, m in zip(probs, paulis)]
-    )
-    return compat.Scenario(cg, np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)]))
+    s = decohered_example2(3, 2, rng)
+    return compat.Scenario(s.cg, haar_unitary(6, rng)) if haar else s
 
 
 def _block_dephased_hadamard(p):
-    """Two blocks of ``_dephased_hadamard(p)``: Kraus operators |b><b| x
-    sqrt(1 - p/2) I and |b><b| x sqrt(p/2) Z, then u = I x H.  D = d = 4
-    with r = 8 < d^2, so the loop decides."""
-    z = np.diag([1.0, -1.0])
-    ops = []
-    for b in np.eye(2):
-        proj = np.outer(b, b)
-        ops += [np.kron(proj, np.sqrt(1 - p / 2) * np.eye(2)), np.kron(proj, np.sqrt(p / 2) * z)]
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    return compat.Scenario(KrausChannel(ops), np.kron(np.eye(2), h))
-
-
-def _measure_prepare(states, u):
-    """Measure in the computational basis and prepare states[i] on outcome
-    i: T_cg has rank at most d < d^2, so the loop decides.  A permutation u
-    keeps cg's kernel, the matrices with zero diagonal."""
-    eye = np.eye(len(states))
-    ops = [np.outer(psi / np.linalg.norm(psi), eye[i]) for i, psi in enumerate(states)]
-    return compat.Scenario(KrausChannel(ops), np.asarray(u, dtype=complex))
+    """Two blocks of ``dephased_hadamard(p)``: Kraus operators |b><b| x K,
+    then u = I x H.  D = d = 4 with r = 8 < d^2, so the loop decides."""
+    s = dephased_hadamard(p)
+    ops = [np.kron(np.outer(b, b), k) for b in np.eye(2) for k in s.cg.kraus]
+    return compat.Scenario(KrausChannel(ops), np.kron(np.eye(2), s.u))
 
 
 def _cycled_preparations(d, seed):
     """Random complex preparations, cycled by the shift |i> -> |i + 1>."""
     rng = np.random.default_rng(seed)
-    states = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return _measure_prepare(states, np.roll(np.eye(d), 1, axis=0))
+    return cycled(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
 
 
 CASES = {
@@ -115,13 +77,13 @@ CASES = {
     "planted-d3-e2": lambda: random_planted_scenario(3, 2, 0).scenario,
     "dephasing-block": lambda: _dephasing(haar=False),
     "dephasing-haar": lambda: _dephasing(haar=True),
-    "dephased-hadamard-p0.1": lambda: _dephased_hadamard(0.1),
-    "dephased-hadamard-p0.5": lambda: _dephased_hadamard(0.5),
-    "pauli-contraction-4e-4": lambda: _pauli_contraction(4e-4),
-    "pauli-contraction-4e-6": lambda: _pauli_contraction(4e-6),
+    "dephased-hadamard-p0.1": lambda: dephased_hadamard(0.1),
+    "dephased-hadamard-p0.5": lambda: dephased_hadamard(0.5),
+    "pauli-contraction-4e-4": lambda: pauli_contraction(4e-4),
+    "pauli-contraction-4e-6": lambda: pauli_contraction(4e-6),
     "block-dephased-hadamard-p0.1": lambda: _block_dephased_hadamard(0.1),
     "block-dephased-hadamard-p0.5": lambda: _block_dephased_hadamard(0.5),
-    "cycle-d3": lambda: _measure_prepare(np.tril(np.ones((3, 3))), np.roll(np.eye(3), 1, axis=0)),
+    "cycle-d3": three_cycle,
     **{
         f"cycled-preparations-d{d}-s{seed}": (lambda d=d, seed=seed: _cycled_preparations(d, seed))
         for d, seed in [(3, 0), (3, 3), (4, 0), (4, 1)]
@@ -178,7 +140,7 @@ def _dense_system(s):
     cols = []
     for b_el in basis:
         diagram = (choi_to_transfer_mat(b_el, d, d) @ t_cg).ravel()
-        tp = _tr_out(b_el, d, d).ravel()
+        tp = tr_out(b_el, d, d).ravel()
         cols.append(np.concatenate([diagram.real, diagram.imag, tp.real, tp.imag]))
     b_vec = np.concatenate(
         [rhs.ravel().real, rhs.ravel().imag, np.eye(d).ravel(), np.zeros(d * d)]
@@ -253,7 +215,7 @@ def _dense_construct(s, diagram_tol=compat.TOL):
     j_raw = transfer_to_choi_mat(t_gamma, d, d)
     j_mat = hermitize(j_raw)
     w_min = float(np.linalg.eigvalsh(j_mat).min())
-    tp_err = frob(_tr_out(j_mat, d, d) - np.eye(d))
+    tp_err = frob(tr_out(j_mat, d, d) - np.eye(d))
     if frob(j_raw - j_raw.conj().T) <= 1e-8 and w_min >= -1e-8 and tp_err <= 1e-8:
         return choi_to_kraus(ChoiMatrix(d, d, j_mat))
     out, _ = _dense_sdp(s, tol=1e-9)
@@ -347,11 +309,11 @@ def _noisy_dephasing(eps):
     no coherences), mixed with eps times a random full-rank channel: T_cg
     has 4 singular values of order 1 and 12 of order eps."""
     rng = np.random.default_rng(3)
-    named = example2(2, 4, [haar_unitary(2, rng) for _ in range(4)], "none")
+    s = decohered_example2(2, 4, rng)
     noise = random_kraus_ops(8, 4, 4, rng)
-    ops = [np.sqrt(1 - eps) * m for m in named.scenario.cg.kraus]
+    ops = [np.sqrt(1 - eps) * m for m in s.cg.kraus]
     ops += [np.sqrt(eps) * m for m in noise]
-    return compat.Scenario(KrausChannel(ops), named.scenario.u)
+    return compat.Scenario(KrausChannel(ops), s.u)
 
 
 @pytest.mark.parametrize("eps, rank", [(1e-6, 16), (1e-9, 16), (1e-11, 4), (1e-13, 4)])

@@ -104,7 +104,8 @@ def _outcome(parse, data):
         return str(exc)
 
 
-@settings(max_examples=800, deadline=None)
+# the one test that keeps Hypothesis's local database of failing draws
+@settings(max_examples=800, database=settings.get_profile("default").database)
 @given(_matrices())
 def test_matrix_from_json_agrees_with_the_per_entry_validator(data):
     got, want = _outcome(matrix_from_json, data), _outcome(_per_entry_oracle, data)

@@ -19,14 +19,9 @@ from hypothesis import strategies as st
 
 from coarsekit import compat
 from coarsekit.rand import haar_unitary
-from coarsekit.scenarios import (
-    _rotation,
-    example1,
-    example2,
-    random_planted_scenario,
-    random_scenario,
-    registry,
-)
+from coarsekit.scenarios import random_planted_scenario, random_scenario, registry
+
+from builders import decohered_example2, rotated_example1
 
 REG = registry()
 PG_TOL = 1e-12
@@ -141,14 +136,9 @@ def test_random_scenario_with_ancilla():
         assert_witness_holds(s, w)
 
 
-def _near_compatible():
-    # example1 with a tiny rotation: violations exceed the margin only rarely
-    h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-    return example1(h @ _rotation(8e-9) @ h).scenario
-
-
 def test_witness_past_trial_63():
-    s = _near_compatible()
+    # example1 with a tiny rotation: violations exceed the margin only rarely
+    s = rotated_example1(8e-9)
     w = assert_matches_dense(s, 200, 2, seed=1)
     assert w is not None and w.trial > 63
     assert_witness_holds(s, w)
@@ -159,17 +149,11 @@ def test_full_search_without_a_witness():
     assert assert_matches_dense(REG["example2-compatible"].scenario, 40, 4, seed=0) is None
 
 
-def _dephasing(k=4, d=4):
-    # D = k d with K = D Kraus operators
-    rng = np.random.default_rng(3)
-    return example2(k, d, [haar_unitary(k, rng) for _ in range(d)], "none").scenario
-
-
 @pytest.mark.parametrize(
     "s,n",
     [
         pytest.param(REG["example1-incompatible"].scenario, 2, id="example1-incompatible-anc2"),
-        pytest.param(_dephasing(), 1, id="dephasing-4-4-anc1"),
+        pytest.param(decohered_example2(4, 4, 3), 1, id="dephasing-4-4-anc1"),
     ],
 )
 def test_every_trial_probability_matches_dense(s, n):
@@ -198,10 +182,11 @@ def _budget_cases():
         name, n, seed = case.values
         yield pytest.param(REG[name].scenario, 300, n, seed, id=case.id)
     yield pytest.param(random_scenario(8, 2, 4, seed=0).scenario, 100, 2, 0, id="random-8-2-4")
-    yield pytest.param(_near_compatible(), 200, 2, 1, id="near-compatible")
-    yield pytest.param(_dephasing(), 300, 1, 0, id="dephasing-4-4-anc1")
+    yield pytest.param(rotated_example1(8e-9), 200, 2, 1, id="near-compatible")
+    yield pytest.param(decohered_example2(4, 4, 3), 300, 1, 0, id="dephasing-4-4-anc1")
     # the same coarse-graining after a Haar unitary: a witness at trial 6
-    haar = compat.Scenario(_dephasing().cg, haar_unitary(16, np.random.default_rng(1)))
+    cg = decohered_example2(4, 4, 3).cg
+    haar = compat.Scenario(cg, haar_unitary(16, np.random.default_rng(1)))
     yield pytest.param(haar, 300, 1, 2, id="dephasing-4-4-haar-anc1")
 
 
@@ -228,7 +213,7 @@ def test_witness_does_not_depend_on_the_trial_budget(s, trials, n, seed):
 def _image_cases():
     for name, ns in REG.items():
         yield pytest.param(ns.scenario, id=name)
-    yield pytest.param(_dephasing(), id="dephasing-4-4")
+    yield pytest.param(decohered_example2(4, 4, 3), id="dephasing-4-4")
     yield pytest.param(random_scenario(8, 2, 4, seed=0).scenario, id="random-8-2-4")
     yield pytest.param(random_planted_scenario(2, 3, 0).scenario, id="planted-2-3")
 
@@ -250,7 +235,7 @@ def test_per_operator_images_match_dense(s):
             assert abs(pg[1] - after) <= PG_TOL
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(name=st.sampled_from(sorted(REG)), seed=st.integers(0, 2**31 - 1))
 def test_registry_verdicts_hold_for_any_seed(name, seed):
     # run_all raises MethodDisagreement when the criteria contradict each other
@@ -288,7 +273,7 @@ def assert_kernel_witness(s, w):
     assert abs(w.gap - _kernel_gap(s, w)) <= 1e-12
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(
     big=st.integers(2, 10),
     small=st.integers(2, 4),
@@ -318,8 +303,7 @@ def _kernel_failed_cases():
     # the dephasing workload's Haar cases at seed 7, drawn in its order
     rng = np.random.default_rng(7)
     for k in (4, 6, 8):
-        blocks = [haar_unitary(k, rng) for _ in range(4)]
-        cg = example2(k, 4, blocks, "none").scenario.cg
+        cg = decohered_example2(k, 4, rng).cg
         s = compat.Scenario(cg, haar_unitary(4 * k, rng))
         yield pytest.param(s, id=f"dephasing-k{k}-haar")
 
@@ -337,7 +321,7 @@ def test_kernel_witness_beats_the_default_search(s):
             break
 
 
-def test_narrowly_failed_check_falls_back_to_the_search(monkeypatch):
+def test_narrowly_failed_check_falls_back_to_the_search(compat_calls):
     # along u exp(i eps G) from a compatible scenario: at eps = 1e-10 the kernel
     # residual is about 7e-10, and a tolerance 20% below it fails the check by
     # a hair; the kernel witness's gap, about half the residual, misses
@@ -348,14 +332,7 @@ def test_narrowly_failed_check_falls_back_to_the_search(monkeypatch):
     s = compat.Scenario(s0.cg, s0.u @ (q * np.exp(1e-10j * w)) @ q.conj().T)
     # a tolerance above the residual reads it without building the witness
     tol = 0.8 * compat.check_fiber_preservation(s, 1.0)[1]
-    calls = []
-    real = compat.search_witness
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(compat, "search_witness", spy)
+    calls = compat_calls("search_witness")
     cfg = compat.CheckConfig(tol=tol, witness_trials=8)
     report = compat.run_all(s, cfg)
     assert tol < report.fiber_residual < 1.3 * tol
