@@ -19,13 +19,13 @@ two forms are derived on demand and cached.  All values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotCP, NotEquivalent, NotHermitian, NumericalFailure
-from .linalg import RANK_TOL, asmatrix, frob, minus_identity, pinv, require_unitary
+from .linalg import RANK_TOL, asmatrix, frob, hermitize, minus_identity, pinv, require_unitary
 
 TP_TOL = 1e-9
 CP_TOL = 1e-8
@@ -124,17 +124,11 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """Choi matrix of a CPTP map, on (input x output) with input major.
-
-    The CP check takes one ``eigh`` of the Hermitian part of ``mat``; its
-    read-only pair (w, v) stays on the instance as ``eig``, so
-    ``choi_to_kraus`` reads the Kraus form off the same decomposition.
-    """
+    """Choi matrix of a CPTP map, on (input x output) with input major."""
 
     din: int
     dout: int
     mat: np.ndarray
-    eig: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = asmatrix(self.mat)
@@ -144,17 +138,14 @@ class ChoiMatrix:
         mh = m.conj().T
         if not frob(m - mh) <= 1e-10 * max(1.0, frob(m)):
             raise NotHermitian("Choi matrix is not Hermitian")
-        w, v = np.linalg.eigh((m + mh) / 2)
+        w = np.linalg.eigvalsh((m + mh) / 2)
         if w.min() < -CP_TOL:
             raise NotCP(f"Choi eigenvalue {w.min():.3e} < -{CP_TOL}")
         # tr_out J, the trace over the output factor
         tp = np.einsum("ikjk->ij", m.reshape(self.din, self.dout, self.din, self.dout))
         if not frob(minus_identity(tp)) <= CHOI_TP_TOL:
             raise ValueError("Choi partial trace over output is not the identity")
-        w.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "mat", _freeze(m))
-        object.__setattr__(self, "eig", (w, v))
 
 
 def apply(ch: KrausChannel, rho):
@@ -251,14 +242,11 @@ def _phase_fixed(cols: np.ndarray, din: int, dout: int) -> np.ndarray:
 
 
 def choi_to_kraus(c: ChoiMatrix) -> KrausChannel:
-    """Kraus operators from the Choi eigendecomposition.
-
-    The decomposition is ``c.eig``, the one ``eigh`` of c's Hermitian part
-    that its CP check took, so no second one is computed.  One operator per
+    """Kraus operators from the Choi eigendecomposition: one operator per
     eigenvalue above ``RANK_TOL * max_eigenvalue``, phase-fixed.  ``c`` is
     CP by construction.
     """
-    ops = _phase_fixed(_kept_columns(*c.eig), c.din, c.dout)
+    ops = _phase_fixed(_kept_columns(*np.linalg.eigh(hermitize(c.mat))), c.din, c.dout)
     # eigendecomposition reproduces TP only as well as the Choi satisfied it
     return KrausChannel(ops, tp_tol=10 * CHOI_TP_TOL)
 

@@ -34,7 +34,7 @@ from . import __version__
 from .compat import INFEASIBLE, CheckConfig, Scenario, construct_emergent, run_all, sdp_feasibility
 from .errors import CoarsekitError, MethodDisagreement
 from .io import (
-    CONFIG_KINDS,
+    CONFIG_KEYS,
     ParseError,
     channel_to_json,
     config_from_json,
@@ -84,30 +84,24 @@ def _write(path: str, text: str) -> None:
         raise _WriteError(f"cannot write {path}: {exc}") from exc
 
 
-def _resolve_input(name_or_path: str) -> tuple[Scenario, str, Optional[dict]]:
-    """Registry name or scenario file -> (scenario, label, raw document)."""
+def _resolve_input(name_or_path: str) -> tuple[Scenario, Optional[dict]]:
+    """Registry name or scenario file -> (scenario, raw document)."""
     reg = registry(name_or_path)
     if reg:
-        return reg[name_or_path].scenario, name_or_path, None
+        return reg[name_or_path].scenario, None
     doc = _load_json(name_or_path)
-    return scenario_from_json(doc), name_or_path, doc
-
-
-# the CheckConfig field each setting of a config block (and its flag) sets
-_FIELDS = {"tol": "tol", "sdp_max_iter": "max_iter", "witness_trials": "trials", "seed": "seed"}
+    return scenario_from_json(doc), doc
 
 
 def _config(args, doc: Optional[dict]) -> CheckConfig:
     """The settings of ``check`` and ``construct``: each flag given, else the
     scenario file's config block, else CheckConfig's default."""
     given = config_from_json(doc) if doc is not None else {}
-    for key in CONFIG_KINDS:
+    for key in CONFIG_KEYS:
         if getattr(args, key, None) is not None:
             given[key] = getattr(args, key)
-    fields = {field: given[key] for field, key in _FIELDS.items() if key in given}
-    if "ancilla" in given:
-        fields["ancilla_dims"] = (given["ancilla"],)
-    return CheckConfig(**fields)
+    return CheckConfig(**{CONFIG_KEYS[key][1]: (value,) if key == "ancilla" else value
+                          for key, value in given.items()})
 
 
 def _config_echo(cfg: CheckConfig, s: Scenario) -> dict:
@@ -120,18 +114,18 @@ def _e(x: float) -> str:
 
 
 def cmd_check(args) -> int:
-    scenario, label, doc = _resolve_input(args.input)
+    scenario, doc = _resolve_input(args.input)
     cfg = _config(args, doc)
     t0 = time.perf_counter()
     report = run_all(scenario, cfg)
     elapsed = time.perf_counter() - t0
 
     if args.json:
-        payload = report_to_json(report, label, _config_echo(cfg, scenario))
+        payload = report_to_json(report, args.input, _config_echo(cfg, scenario))
         _write(args.json, dumps(payload))
-        print(f"{label}: {report.verdict} (report written to {args.json})")
+        print(f"{args.input}: {report.verdict} (report written to {args.json})")
     else:
-        print(f"scenario: {label}  (D={scenario.D} -> d={scenario.d}, "
+        print(f"scenario: {args.input}  (D={scenario.D} -> d={scenario.d}, "
               f"{len(scenario.cg.kraus)} Kraus operators)")
         print(f"verdict: {report.verdict.upper()}")
         print(f"  fiber preservation : {'yes' if report.fiber_preserved else 'NO'}"
@@ -163,23 +157,23 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    scenario, label, doc = _resolve_input(args.input)
+    scenario, doc = _resolve_input(args.input)
     cfg = _config(args, doc)
     sdp = sdp_feasibility(scenario, cfg.sdp_max_iter, cfg.tol)
     gamma = construct_emergent(scenario, sdp)
     if gamma is None:
         if sdp.status == INFEASIBLE:
-            print(f"{label}: no CPTP effective dynamics exists for this scenario",
+            print(f"{args.input}: no CPTP effective dynamics exists for this scenario",
                   file=sys.stderr)
             return EXIT_INCOMPATIBLE
         # the SDP decided nothing, so existence is claimed neither way
-        print(f"{label}: no effective channel built; the SDP is {sdp.status} at residual "
+        print(f"{args.input}: no effective channel built; the SDP is {sdp.status} at residual "
               f"{_e(sdp.residual)} after {sdp.iterations} iteration(s)", file=sys.stderr)
         return EXIT_UNDECIDED
     payload = dumps(channel_to_json(gamma))
     if args.out:
         _write(args.out, payload)
-        print(f"{label}: effective channel with {len(gamma.kraus)} Kraus operator(s) "
+        print(f"{args.input}: effective channel with {len(gamma.kraus)} Kraus operator(s) "
               f"written to {args.out}")
     else:
         sys.stdout.write(payload)

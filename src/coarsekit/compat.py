@@ -28,10 +28,9 @@ their verdicts against each other, and returns the SDP's channel if any.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
@@ -94,14 +93,6 @@ class _Image(NamedTuple):
     e_frob: float
 
 
-@functools.lru_cache(maxsize=None)
-def _real_to_vec(n: int) -> np.ndarray:
-    """The unitary n^2 x n^2 matrix C of ``vec_from_real``."""
-    c = vec_from_real(np.eye(n * n), n)
-    c.setflags(write=False)
-    return c
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A coarse-graining map paired with a microscopic unitary."""
@@ -162,8 +153,7 @@ class Scenario:
         u, sigma = uh[:r].T, sigma[:r]
         w, y = np.linalg.eigh(e @ e.T)
         # U and A V in vec coordinates
-        c = _real_to_vec(self.d)
-        uc, avc = c @ u, c @ av
+        uc, avc = vec_from_real(u, self.d), vec_from_real(av, self.d)
         return _Image(uc, sigma, cut, a, avc, e, float(np.sqrt(max(w[-1], 0.0))), y[:, -1],
                       (avc / sigma) @ uc.conj().T, t, u, uc * sigma, frob(e))
 
@@ -210,7 +200,7 @@ class Scenario:
         except ValueError:  # NotHermitian included
             return None
         # p0 rho0 - p1 rho1 = X / (t0 + t1), coarse-grained before and after u
-        images = _real_to_vec(d) @ np.stack((img.t @ x, img.a @ x), axis=1)
+        images = vec_from_real(np.stack((img.t @ x, img.a @ x), axis=1), d)
         norms = np.abs(np.linalg.eigvalsh(images.T.reshape(2, d, d))).sum(axis=-1)
         pg_before, pg_after = 0.5 * (1.0 + norms / (t0 + t1))
         if pg_after <= pg_before + WITNESS_MARGIN:
@@ -235,9 +225,11 @@ def _require_count(name: str, value, low: int) -> None:
 
 
 def _require_tol(value) -> None:
-    """The range rule of every tolerance: a finite real number > 0, not a bool."""
+    """The range rule of every tolerance: a finite real number > 0, not a bool.
+    The test is a comparison, so NaN and an integer past float range (which
+    ``math.isfinite`` cannot take) fail it."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0):
+            and 0 < value <= sys.float_info.max):
         raise ValueError(f"tol must be a finite number > 0, got {value!r}")
 
 

@@ -101,19 +101,27 @@ def _integer(doc: dict, key: str) -> int:
     return value
 
 
-# the settings a scenario file's config block may hold, with their kinds
-CONFIG_KINDS = {"tol": (int, float), "seed": int, "trials": int, "max_iter": int, "ancilla": int}
+# the settings a scenario file's config block (and the flag of the same
+# name) may hold: each key's kinds and the CheckConfig field it sets, where
+# ``ancilla`` sets the one-entry ``ancilla_dims``
+CONFIG_KEYS = {
+    "tol": ((int, float), "tol"),
+    "seed": (int, "seed"),
+    "trials": (int, "witness_trials"),
+    "max_iter": (int, "sdp_max_iter"),
+    "ancilla": (int, "ancilla_dims"),
+}
 
 
 def config_from_json(doc: dict) -> dict:
     """The settings in a scenario file's optional ``config`` object: ``tol``
     a real number, the other keys integers; other keys are ignored."""
     block = _object(doc.get("config", {}), "'config'")
-    for key, kinds in CONFIG_KINDS.items():
+    for key, (kinds, _) in CONFIG_KEYS.items():
         if key in block and not _is_number(block[key], kinds):
             kind = "a real number" if key == "tol" else "an integer"
             raise ParseError(f"config '{key}' must be {kind}, got {block[key]!r}")
-    return {key: block[key] for key in CONFIG_KINDS if key in block}
+    return {key: block[key] for key in CONFIG_KEYS if key in block}
 
 
 def scenario_from_json(doc: dict) -> Scenario:

@@ -207,9 +207,7 @@ def emergent_spin_rotation(alpha: float, n) -> np.ndarray:
     return _expm_hermitian_generator(h)
 
 
-def random_scenario(
-    big_dim: int, small_dim: int, kraus_count: int, seed: int, name: str | None = None
-) -> NamedScenario:
+def random_scenario(big_dim: int, small_dim: int, kraus_count: int, seed: int) -> NamedScenario:
     """Haar-random coarse-graining and unitary; deterministic in seed."""
     _require_count("big_dim", big_dim, 1)
     _require_count("small_dim", small_dim, 1)
@@ -221,15 +219,13 @@ def random_scenario(
     cg = KrausChannel(random_kraus_ops(big_dim, small_dim, kraus_count, rng))
     u = haar_unitary(big_dim, rng)
     return NamedScenario(
-        name=name or f"random-D{big_dim}-d{small_dim}-k{kraus_count}-s{seed}",
+        name=f"random-D{big_dim}-d{small_dim}-k{kraus_count}-s{seed}",
         scenario=Scenario(cg, u),
         expected=UNKNOWN,
     )
 
 
-def random_planted_scenario(
-    small_dim: int, env_dim: int, seed: int, name: str | None = None
-) -> NamedScenario:
+def random_planted_scenario(small_dim: int, env_dim: int, seed: int) -> NamedScenario:
     """Scenario engineered to satisfy the single-V intertwining identity.
 
     The coarse-graining is an environment trace in a Haar-rotated frame and
@@ -243,7 +239,7 @@ def random_planted_scenario(
     ops = w.reshape(small_dim, env_dim, big_dim).swapaxes(0, 1)
     u = w.conj().T @ np.kron(v, np.eye(env_dim)) @ w
     return NamedScenario(
-        name=name or f"planted-d{small_dim}-e{env_dim}-s{seed}",
+        name=f"planted-d{small_dim}-e{env_dim}-s{seed}",
         scenario=Scenario(KrausChannel(ops), u),
         expected=COMPATIBLE,
         notes="intertwining matrix planted by construction",

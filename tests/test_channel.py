@@ -340,12 +340,18 @@ def test_real_transfer_matrix_acts_on_hermitian_coordinates(din, dout, k, seed):
 
 
 def test_vec_from_real_is_unitary_column_by_column():
-    n = 3
-    c = qc.vec_from_real(np.eye(n * n), n)
-    assert frob(c.conj().T @ c - np.eye(n * n)) <= 1e-14
-    # one vector and a stack of columns agree
-    y = np.random.default_rng(5).standard_normal((n * n, 2))
-    assert np.abs(qc.vec_from_real(y[:, 1], n) - (c @ y)[:, 1]).max() <= 1e-15
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        c = qc.vec_from_real(np.eye(n * n), n)
+        assert frob(c.conj().T @ c - np.eye(n * n)) <= 1e-14
+        # one vector and a stack of columns agree, and a stack's image is the
+        # product with C bit for bit, the signs of its zero parts included
+        for m in (1, 2, n * n, 3 * n * n + 1):
+            y = rng.standard_normal((n * n, m))
+            got = qc.vec_from_real(y, n)
+            assert np.array_equal(got, c @ y)
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit((c @ y).view(float)))
+            assert np.abs(qc.vec_from_real(y[:, -1], n) - got[:, -1]).max() <= 1e-15
 
 
 class TestCompose:

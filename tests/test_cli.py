@@ -182,6 +182,7 @@ class TestCheck:
         assert doc["witness"] is None
         assert len(doc["emergent"]["kraus"]) == 1
         assert doc["config"]["seed"] == 3
+        assert doc["scenario"] == "spin-d3"
         # round-trips losslessly
         assert json.loads(dumps(doc)) == doc
 
@@ -307,8 +308,9 @@ class TestCheck:
         path = write_scenario(tmp_path / "dephased.json", dephased_hadamard(0.5))
         report_path = tmp_path / "r.json"
         assert main(["check", path, "--json", str(report_path)]) == 1
-        witness = json.loads(report_path.read_text(encoding="utf-8"))["witness"]
-        assert (witness["source"], witness["trial"]) == ("search", 3)
+        doc = json.loads(report_path.read_text(encoding="utf-8"))
+        assert doc["scenario"] == path
+        assert (doc["witness"]["source"], doc["witness"]["trial"]) == ("search", 3)
 
     def test_narrowly_failed_kernel_check_on_a_lifted_scenario_exit_one(self, tmp_path, capsys):
         # example1 with u2 = H R(5e-9) H on a discarded 8-level environment
@@ -459,12 +461,17 @@ class TestConfigBlock:
             ("check", {"tol": -1e-6}),
             # construct builds the same CheckConfig, search settings included
             ("construct", {"trials": -5}),
+            # an integer past float range, which math.isfinite cannot take
+            pytest.param("check", {"tol": 10**400}, id="'check'-{'tol': 10**400}"),
+            pytest.param("construct", {"tol": 10**400}, id="'construct'-{'tol': 10**400}"),
         ],
         ids=repr,
     )
     def test_out_of_range_config_exit_65(self, command, config, tmp_path, capsys):
         assert main([command, self.write(tmp_path, config)]) == 65
-        assert "must be" in capsys.readouterr().err
+        # one stderr line, naming the setting
+        err = capsys.readouterr().err
+        assert "must be" in err and next(iter(config)) in err and err.count("\n") == 1
 
     def test_construct_reads_the_sdp_settings(self, tmp_path, capsys):
         # an iteration cap of 0 from the file is rejected before the SDP runs

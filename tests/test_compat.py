@@ -512,6 +512,8 @@ class TestKrausEquivalence:
         ("tol", 0.0),
         ("tol", float("nan")),
         ("tol", float("inf")),
+        # an integer past float range, which math.isfinite cannot take
+        pytest.param("tol", 10**400, id="tol-10**400"),
         # a bool is an int in Python, but never a number here, as in a scenario file
         ("tol", True),
         ("sdp_max_iter", True),
@@ -546,11 +548,13 @@ def test_check_config_has_one_decision_tolerance():
         (lambda s: compat.sdp_feasibility(s, max_iter=0), "max_iter"),
         (lambda s: compat.sdp_feasibility(s, tol=float("nan")), "tol"),
         (lambda s: compat.sdp_feasibility(s, tol=float("inf")), "tol"),
+        (lambda s: compat.sdp_feasibility(s, tol=10**400), "tol"),
         (lambda s: compat.search_witness(s, 2.5), "trials"),
         (lambda s: compat.search_witness(s, 3, 1.5), "ancilla_dim"),
         (lambda s: compat.search_witness(s, 2, 1, -1), "seed"),
         (lambda s: compat.check_fiber_preservation(s, float("nan")), "tol"),
         (lambda s: compat.check_fiber_preservation(s, float("inf")), "tol"),
+        (lambda s: compat.check_fiber_preservation(s, 10**400), "tol"),
         (lambda s: compat.solve_algebraic_V(s, float("nan")), "tol"),
         (lambda s: compat.solve_algebraic_V(s, float("inf")), "tol"),
         (lambda s: compat.verify_kraus_equivalence(s, KrausChannel([np.eye(s.d)]),
@@ -564,9 +568,9 @@ def test_check_config_has_one_decision_tolerance():
         (lambda s: compat.search_witness(s, 3, True), "ancilla_dim"),
         (lambda s: compat.search_witness(s, 2, 1, False), "seed"),
     ],
-    ids=["sdp-max_iter-2.5", "sdp-max_iter-0", "sdp-tol-nan", "sdp-tol-inf",
+    ids=["sdp-max_iter-2.5", "sdp-max_iter-0", "sdp-tol-nan", "sdp-tol-inf", "sdp-tol-10**400",
          "search-trials-2.5", "search-ancilla-1.5", "search-seed--1",
-         "fiber-tol-nan", "fiber-tol-inf", "algebraic-tol-nan", "algebraic-tol-inf",
+         "fiber-tol-nan", "fiber-tol-inf", "fiber-tol-10**400", "algebraic-tol-nan", "algebraic-tol-inf",
          "kraus-equivalence-tol-nan", "kraus-equivalence-tol-inf",
          "fiber-tol-true", "sdp-max_iter-true", "sdp-tol-true", "search-trials-true",
          "search-ancilla-true", "search-seed-false"],
@@ -574,8 +578,8 @@ def test_check_config_has_one_decision_tolerance():
 def test_criteria_share_the_range_rule(call, name):
     # the same rule as CheckConfig's, with the argument named: a NaN
     # tolerance passed `tol <= 0` (a compatible kernel read as not preserved),
-    # an infinite one passed every residual, and 2.5 and 1.5 raised bare
-    # TypeErrors
+    # an infinite one passed every residual, 2.5 and 1.5 raised bare
+    # TypeErrors, and 10**400 an OverflowError
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(REG["example2-compatible"].scenario)
 
