@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NotCP, NotEquivalent, NotHermitian, NumericalFailure
-from .linalg import RANK_TOL, asmatrix, frob, hermitize, minus_identity, pinv, require_unitary
+from .linalg import RANK_TOL, asmatrix, frob, hermitize, pinv, require_unitary
 
 TP_TOL = 1e-9
 CP_TOL = 1e-8
@@ -100,7 +100,7 @@ class KrausChannel:
         if require_tp:
             x = ops.reshape(-1, din)
             with np.errstate(over="ignore", invalid="ignore"):  # NaN fails the test below
-                err = frob(minus_identity(x.conj().T @ x))
+                err = frob(x.conj().T @ x - np.eye(din))
             if not err <= tp_tol:
                 raise ValueError(f"not trace preserving: ||sum K*K - I|| = {err:.3e}")
         self.kraus = ops
@@ -143,7 +143,7 @@ class ChoiMatrix:
             raise NotCP(f"Choi eigenvalue {w.min():.3e} < -{CP_TOL}")
         # tr_out J, the trace over the output factor
         tp = np.einsum("ikjk->ij", m.reshape(self.din, self.dout, self.din, self.dout))
-        if not frob(minus_identity(tp)) <= CHOI_TP_TOL:
+        if not frob(tp - np.eye(self.din)) <= CHOI_TP_TOL:
             raise ValueError("Choi partial trace over output is not the identity")
         object.__setattr__(self, "mat", _freeze(m))
 

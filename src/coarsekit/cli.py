@@ -31,7 +31,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .compat import INFEASIBLE, CheckConfig, Scenario, construct_emergent, run_all, sdp_feasibility
+from .compat import (COMPATIBLE, INCOMPATIBLE, INFEASIBLE, UNDECIDED, CheckConfig, Scenario,
+                     run_all, sdp_feasibility)
 from .errors import CoarsekitError, MethodDisagreement
 from .io import (
     CONFIG_KEYS,
@@ -54,9 +55,9 @@ EXIT_DISAGREEMENT = 70
 EXIT_CANTCREAT = 73
 
 _VERDICT_CODE = {
-    "compatible": EXIT_COMPATIBLE,
-    "incompatible": EXIT_INCOMPATIBLE,
-    "undecided": EXIT_UNDECIDED,
+    COMPATIBLE: EXIT_COMPATIBLE,
+    INCOMPATIBLE: EXIT_INCOMPATIBLE,
+    UNDECIDED: EXIT_UNDECIDED,
 }
 
 
@@ -160,7 +161,7 @@ def cmd_construct(args) -> int:
     scenario, doc = _resolve_input(args.input)
     cfg = _config(args, doc)
     sdp = sdp_feasibility(scenario, cfg.sdp_max_iter, cfg.tol)
-    gamma = construct_emergent(scenario, sdp)
+    gamma = sdp.channel
     if gamma is None:
         if sdp.status == INFEASIBLE:
             print(f"{args.input}: no CPTP effective dynamics exists for this scenario",

@@ -56,8 +56,12 @@ BAND = 100
 SDP_MAX_ITER = 20000
 WITNESS_MARGIN = 1e-9
 
+# the SDP's statuses are FEASIBLE, INFEASIBLE and UNDECIDED; the verdicts
+# are COMPATIBLE, INCOMPATIBLE and UNDECIDED
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
+COMPATIBLE = "compatible"
+INCOMPATIBLE = "incompatible"
 UNDECIDED = "undecided"
 
 
@@ -246,8 +250,11 @@ class CheckConfig:
 
     def __post_init__(self) -> None:
         _require_tol(self.tol)
-        if self.ancilla_dims is not None and not self.ancilla_dims:
-            raise ValueError("ancilla_dims must be non-empty when given")
+        if self.ancilla_dims is not None:
+            # a tuple, so the config hashes and no later change escapes the checks
+            object.__setattr__(self, "ancilla_dims", tuple(self.ancilla_dims))
+            if not self.ancilla_dims:
+                raise ValueError("ancilla_dims must be non-empty when given")
         _require_count("sdp_max_iter", self.sdp_max_iter, 1)
         _require_count("seed", self.seed, 0)
         _require_count("witness_trials", self.witness_trials, 0)
@@ -748,9 +755,9 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
         )
 
     if emergent is not None:
-        verdict = "compatible"
+        verdict = COMPATIBLE
     elif not fiber_ok or sdp.status == INFEASIBLE or witness is not None:
-        verdict = "incompatible"
+        verdict = INCOMPATIBLE
     else:
         verdict = UNDECIDED
 

