@@ -8,8 +8,9 @@ Exit codes: 0 compatible or success, 1 incompatible or no effective map
 (``construct``: an infeasible SDP), 2 undecided (``construct``: an SDP left
 undecided), 64 unreadable input (a file that cannot be read, decoded as
 UTF-8 or parsed as JSON, or that holds no valid scenario), 65 input that
-parses but violates a physical invariant, 70 internal criteria
-disagreement, 73 an output file that cannot be written.
+parses but violates a physical invariant, 70 the decision could not be
+completed: the criteria disagree, or a step ran out of memory, 73 an
+output file that cannot be written.
 
 ``check`` and ``construct`` take each setting from its flag, else the file's
 ``config`` block, else ``CheckConfig``, which range-checks it (exit 65).
@@ -262,6 +263,9 @@ def main(argv=None) -> int:
         return EXIT_CANTCREAT
     except MethodDisagreement as exc:
         print(f"internal disagreement: {exc}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
     except (CoarsekitError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

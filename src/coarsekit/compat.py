@@ -37,7 +37,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .channel import (CHOI_TP_TOL, TP_TOL, DensityMatrix, KrausChannel, _kept_columns,
+from .channel import (CHOI_TP_TOL, TP_TOL, DensityMatrix, KrausChannel, _freeze, _kept_columns,
                       _phase_fixed, choi_to_transfer_mat, compose, connecting_unitary,
                       kraus_to_real_transfer_mat, transfer_to_choi_mat, vec_from_real)
 from .errors import DimensionMismatch, MethodDisagreement, NotEquivalent, NumericalFailure
@@ -76,11 +76,10 @@ class _Image(NamedTuple):
     ``u = C U_R`` and ``av = C A V`` are in the vec coordinates that the
     complex transfer matrices act on: with C unitary, T_cg = u diag(sigma)
     (C_D V)* and the transfer matrix of {M_k u} maps C_D V to ``av``.
-    ``candidate`` is the effective transfer matrix
-    ``av diag(sigma)^-1 u*``; ``cut`` is the largest singular value the
-    rank cut dropped (0 when it dropped none).  ``us`` = U diag(sigma) and
-    ``e_frob`` = ||E||_F are the two terms of the SDP's residual and of
-    the diagram distance, computed once here."""
+    ``cut`` is the largest singular value the rank cut dropped (0 when it
+    dropped none).  ``us`` = U diag(sigma) and ``e_frob`` = ||E||_F are the
+    two terms of the SDP's residual and of the diagram distance, computed
+    once here."""
 
     u: np.ndarray  # d^2 x r
     sigma: np.ndarray  # r
@@ -90,7 +89,6 @@ class _Image(NamedTuple):
     e: np.ndarray  # d^2 x D^2, real
     e_norm: float
     e_top: np.ndarray  # d^2, real
-    candidate: np.ndarray  # d^2 x d^2
     t: np.ndarray  # d^2 x D^2, real
     u_real: np.ndarray  # d^2 x r, U_R
     us: np.ndarray  # d^2 x r
@@ -114,9 +112,7 @@ class Scenario:
         require_unitary(m, "microscopic dynamics")
         if self.cg.dout > self.cg.din:
             raise DimensionMismatch("coarse-graining must not increase dimension")
-        mm = m.astype(np.complex128)
-        mm.setflags(write=False)
-        object.__setattr__(self, "u", mm)
+        object.__setattr__(self, "u", _freeze(m))
 
     @property
     def D(self) -> int:
@@ -159,7 +155,7 @@ class Scenario:
         # U and A V in vec coordinates
         uc, avc = vec_from_real(u, self.d), vec_from_real(av, self.d)
         return _Image(uc, sigma, cut, a, avc, e, float(np.sqrt(max(w[-1], 0.0))), y[:, -1],
-                      (avc / sigma) @ uc.conj().T, t, u, uc * sigma, frob(e))
+                      t, u, uc * sigma, frob(e))
 
     @cached_property
     def _kernel_witness(self) -> Optional["EnsembleWitness"]:
@@ -595,15 +591,16 @@ def sdp_feasibility(
     if off_image > tol:
         # every point's residual is at least off_image, so none is within tol
         return SdpOutcome(INFEASIBLE if off_image > BAND * tol else UNDECIDED, off_image, 0)
+    candidate = (img.av / img.sigma) @ img.u.conj().T
     if img.sigma.size == n:
-        w, vecs, _, _, residual = project(transfer_to_choi_mat(img.candidate, d, d))
+        w, vecs, _, _, residual = project(transfer_to_choi_mat(candidate, d, d))
         channel = _channel(w, vecs, d) if residual <= tol else None
         band = INFEASIBLE if residual > BAND * tol else UNDECIDED
         return SdpOutcome(FEASIBLE if channel is not None else band, residual, 0, channel)
     w_hat = tp_row / np.sqrt(d)
     off_u = np.eye(n) - img.u @ img.u.conj().T
     off_w = np.eye(n) - np.outer(w_hat, w_hat)
-    t0 = img.candidate + np.outer(w_hat, w_hat @ off_u)
+    t0 = candidate + np.outer(w_hat, w_hat @ off_u)
     j0 = transfer_to_choi_mat(t0, d, d)
     # iteration 1 projects j = 0, which P_K keeps: p = 0, x = P_L(0) = J0, and
     # the residual is ``project``'s at J = 0, in its order, with no eigh

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChoiMatrix, KrausChannel, choi_to_kraus, transfer_to_choi_mat
+from .channel import ChoiMatrix, KrausChannel, choi_to_kraus
 from .compat import COMPATIBLE, INCOMPATIBLE, Scenario, _require_count
 from .errors import DimensionMismatch
-from .linalg import frob, hermitize, require_unitary, vec
+from .linalg import frob, hermitize, require_unitary
 from .rand import haar_unitary, random_kraus_ops
 
 UNKNOWN = "unknown"
@@ -161,10 +161,11 @@ _PAULI = (
 def spin_dichotomization(dim: int, alpha: float, n, name: str = "spin") -> NamedScenario:
     """Map a spin-(dim-1)/2 system onto a qubit through its J expectations.
 
-    The coarse state is (I + (2/(dim-1)) sum_i <J_i> sigma_i)/2; the
-    microscopic dynamics is the rotation exp(-i alpha <J, n>).  Because J
-    expectations rotate as a vector, the induced qubit dynamics is the
-    rotation by the same angle, exp(-i (alpha/2) <sigma, n>).
+    The map rho -> (tr rho I + c sum_i tr(J_i rho) sigma_i)/2, c = 2/(dim-1),
+    has the Choi matrix (I + c sum_i J_i^T (x) sigma_i)/2, input factor
+    major; the microscopic dynamics is the rotation exp(-i alpha <J, n>).
+    Because J expectations rotate as a vector, the induced qubit dynamics
+    is the rotation by the same angle, exp(-i (alpha/2) <sigma, n>).
 
     ChoiMatrix checks complete positivity of the dichotomization and raises
     NotCP when it fails for the requested dimension.
@@ -174,15 +175,12 @@ def spin_dichotomization(dim: int, alpha: float, n, name: str = "spin") -> Named
         raise ValueError("n must be a unit 3-vector")
     jx, jy, jz = spin_matrices(dim)
     coeff = 2.0 / (dim - 1)
-    eye2 = np.eye(2, dtype=np.complex128)
-    eye_d = np.eye(dim, dtype=np.complex128)
-    t_cg = 0.5 * (
-        np.outer(vec(eye2), vec(eye_d).conj())
-        + coeff
-        * sum(np.outer(vec(s), vec(j).conj()) for s, j in zip(_PAULI, (jx, jy, jz)))
-    )
-    choi_raw = transfer_to_choi_mat(t_cg, dim, 2)
-    cg = choi_to_kraus(ChoiMatrix(dim, 2, hermitize(choi_raw)))
+    m = 2 * dim
+    # the closed form, with each J_i^T (x) sigma_i one broadcast product
+    choi = 0.5 * (np.eye(m, dtype=np.complex128) + coeff * sum(
+        (j.T[:, None, :, None] * s[None, :, None, :]).reshape(m, m)
+        for s, j in zip(_PAULI, (jx, jy, jz))))
+    cg = choi_to_kraus(ChoiMatrix(dim, 2, choi))
     u = _expm_hermitian_generator(alpha * (n_vec[0] * jx + n_vec[1] * jy + n_vec[2] * jz))
     return NamedScenario(
         name=name,

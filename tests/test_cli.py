@@ -589,6 +589,26 @@ class TestListAndGen:
         assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("run_all", ["check", "spin-d3"]),
+            ("sdp_feasibility", ["construct", "spin-d3"]),
+            ("random_scenario", ["gen", "4", "2", "2", "--out", "unused.json"]),
+        ],
+        ids=["check", "construct", "gen"],
+    )
+    def test_out_of_memory_exit_70_with_one_line(self, name, argv, monkeypatch, capsys):
+        # a step too large to allocate, as numpy's _ArrayMemoryError, is no verdict:
+        # exit 1 would read as incompatible
+        def exhaust(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.16 TiB")
+
+        monkeypatch.setattr(cli, name, exhaust)
+        assert main(argv) == 70
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 1.16 TiB\n"
+
     def test_generated_d32_report_carries_the_kernel_witness(self, gen32, tmp_path, capsys):
         # the kernel check fails in real coordinates and yields a witness of
         # gap about 1/2; the report, D x D witness states included, is one

@@ -345,7 +345,8 @@ class TestSdpFeasibility:
         # J0 is not CP; J0's lowest eigenvector has a negative Rayleigh quotient
         s = dephased_hadamard(p)
         assert compat.check_fiber_preservation(s)[0]
-        j0 = transfer_to_choi_mat(s._image.candidate, 2, 2)
+        img = s._image
+        j0 = transfer_to_choi_mat((img.av / img.sigma) @ img.u.conj().T, 2, 2)
         vec = np.linalg.eigh(j0)[1][:, 0]
         assert np.vdot(vec, j0 @ vec).real == pytest.approx(quotient, abs=1e-4)
         out = compat.sdp_feasibility(s)
@@ -934,11 +935,22 @@ def test_lifted_decisions_never_raise_and_an_intertwiner_bounds_the_kernel(
         assert report.sdp.iterations == 0
 
 
+def _phase_damped_trace(seed):
+    """A 3-level environment traced out, then the qubit's coherences scaled
+    by p = 10^-(1 + seed mod 9), with a Haar u of size 6: T_cg keeps the
+    populations, so sigma_min / sigma_max = p, and the witness's re-projection
+    divides by p^2."""
+    p = 10.0 ** -(1 + seed % 9)
+    cg = lift(dephased_hadamard(1 - p), 3).cg
+    return compat.Scenario(cg, haar_unitary(6, np.random.default_rng(seed)))
+
+
 _WITNESS_BASES = {
     "example1-incompatible": lambda seed: REG["example1-incompatible"].scenario,
     "example2-incompatible": lambda seed: REG["example2-incompatible"].scenario,
     "random-5-2": lambda seed: random_scenario(5, 2, 3, seed).scenario,
     "random-6-3": lambda seed: random_scenario(6, 3, 2, seed).scenario,
+    "phase-damped-trace": _phase_damped_trace,
 }
 
 
@@ -949,6 +961,7 @@ _WITNESS_BASES = {
     m=st.sampled_from([1, 2, 4, 8]),
 )
 @example(base="example1-incompatible", seed=0, m=32)  # D = 96
+@example(base="phase-damped-trace", seed=8, m=8)  # p = 1e-9, D = 48
 def test_kernel_witness_is_a_hermitian_kernel_element(base, seed, m):
     # the witness's X = p0 rho0 - p1 rho1 is the kernel element read off the
     # real coordinates: cg(X) is as small as the rank cut lets it be

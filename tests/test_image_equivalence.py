@@ -265,7 +265,7 @@ def test_sdp_matches_full_diagram_rows(case):
 def test_candidate_matches_pseudoinverse(case):
     s = CASES[case]()
     img = s._image
-    t_gamma = img.candidate
+    t_gamma = (img.av / img.sigma) @ img.u.conj().T
     t_ref, residual_ref = _dense_candidate(s)
     assert frob(t_gamma - t_ref) <= TOL
     assert abs(frob(img.e) - residual_ref) <= TOL
@@ -333,8 +333,9 @@ def test_image_resolves_the_rank_of_the_wide_svd(eps, rank):
     assert frob(img.av @ img.av.conj().T - av @ av.conj().T) <= TOL
     # the candidate is determined to eps sigma_0 / sigma_r off the image, by
     # either SVD, and to rounding on it
-    assert frob((img.candidate - candidate) @ t_cg) <= TOL
-    assert frob(img.candidate - candidate) <= TOL * sigma[0] / sigma[-1]
+    img_candidate = (img.av / img.sigma) @ img.u.conj().T
+    assert frob((img_candidate - candidate) @ t_cg) <= TOL
+    assert frob(img_candidate - candidate) <= TOL * sigma[0] / sigma[-1]
     _, residual = compat.check_fiber_preservation(s)
     assert abs(residual - np.linalg.norm(a - av @ vh, 2)) <= TOL
     # the Gram route squares the singular values: those of order eps fall
