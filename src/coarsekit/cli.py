@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: ``check`` (run all four criteria), ``construct`` (emit the
-effective channel), ``list`` (built-in scenarios), ``gen`` (random
-scenario to file).
+Subcommands: ``check`` (run all four criteria; ``--json`` writes a version 2
+report, ``io.report_to_json``), ``construct`` (emit the effective channel),
+``list`` (built-in scenarios), ``gen`` (random scenario to file).
 
 Exit codes: 0 compatible or success, 1 incompatible or no effective map
 (``construct``: an infeasible SDP), 2 undecided (``construct``: an SDP left
@@ -136,7 +136,6 @@ def cmd_check(args) -> int:
         print(f"  algebraic intertwiner : {'found' if found else 'not found'}"
               f"   residual {_e(report.algebraic_residual)}"
               + ("" if found else "   (one-sided: absence is inconclusive)"))
-        print(f"  dual-identity residual : {_e(report.dual_identity_residual)}")
         print(f"  sdp feasibility : {report.sdp.status}"
               f"   residual {_e(report.sdp.residual)}   iterations {report.sdp.iterations}")
         if report.emergent is not None:

@@ -33,7 +33,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -248,9 +248,11 @@ class CheckConfig:
         _require_tol(self.tol)
         if self.ancilla_dims is not None:
             # a tuple, so the config hashes and no later change escapes the checks
-            object.__setattr__(self, "ancilla_dims", tuple(self.ancilla_dims))
-            if not self.ancilla_dims:
-                raise ValueError("ancilla_dims must be non-empty when given")
+            dims = tuple(self.ancilla_dims) if isinstance(self.ancilla_dims, Iterable) else ()
+            if not dims:
+                raise ValueError("ancilla_dims must be a non-empty sequence, "
+                                 f"got {self.ancilla_dims!r}")
+            object.__setattr__(self, "ancilla_dims", dims)
         _require_count("sdp_max_iter", self.sdp_max_iter, 1)
         _require_count("seed", self.seed, 0)
         _require_count("witness_trials", self.witness_trials, 0)
@@ -312,7 +314,6 @@ class CompatReport:
     fiber_residual: float
     algebraic_v: Optional[np.ndarray]
     algebraic_residual: float
-    dual_identity_residual: float
     sdp: SdpOutcome
     witness: Optional[EnsembleWitness]
     emergent: Optional[KrausChannel]
@@ -714,10 +715,7 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
     cfg = cfg or CheckConfig()
     fiber_ok, fiber_res = check_fiber_preservation(s, cfg.tol)
 
-    # solve_algebraic_V's rule; the least-squares V also feeds the dual identity
-    v_lsq, alg_res, alg_bound = _algebraic_lstsq(s)
-    v_opt = v_lsq if alg_bound <= cfg.tol else None
-    dual_res = verify_dual_identity(s, v_lsq)
+    v_opt, alg_res = solve_algebraic_V(s, cfg.tol)
 
     sdp = sdp_feasibility(s, max_iter=cfg.sdp_max_iter, tol=cfg.tol)
 
@@ -763,7 +761,6 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
         fiber_residual=fiber_res,
         algebraic_v=v_opt,
         algebraic_residual=alg_res,
-        dual_identity_residual=dual_res,
         sdp=sdp,
         witness=witness,
         emergent=emergent,

@@ -2,9 +2,10 @@
 
 Complex numbers are two-element arrays ``[re, im]``; matrices are row-major
 nested lists.  Every numeric field holds a finite JSON number of its kind,
-never a bool.  Every file carries ``"version": 1``.  ``dumps`` writes each
-as one compact line (sorted keys, no timestamps), so identical inputs and
-seeds give byte-identical files; readers accept any whitespace.
+never a bool.  Scenario and channel files carry ``"version": 1``, reports
+``"version": 2``.  ``dumps`` writes each as one compact line (sorted keys, no
+timestamps), so identical inputs and seeds give byte-identical files; readers
+accept any whitespace.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .channel import KrausChannel
 from .compat import CompatReport, EnsembleWitness, Scenario
 
 FORMAT_VERSION = 1
+REPORT_VERSION = 2
 
 
 class ParseError(ValueError):
@@ -150,11 +152,12 @@ def scenario_from_json(doc: dict) -> Scenario:
 
 
 def witness_to_json(w: EnsembleWitness) -> dict:
+    """``x`` is Y = Re X + Im X for X = p0 rho0 - p1 rho1 on the system and an
+    n-level ancilla, so X = sym(Y) + i antisym(Y) (``channel``'s coordinates);
+    pg_before = (1 + ||sum_k (M_k x I_n) X (M_k x I_n)*||_1) / 2, pg_after with M_k u."""
+    x = w.p0 * w.rho0.mat - w.p1 * w.rho1.mat
     return {
-        "p0": w.p0,
-        "p1": w.p1,
-        "rho0": matrix_to_json(w.rho0.mat),
-        "rho1": matrix_to_json(w.rho1.mat),
+        "x": (x.real + x.imag).tolist(),
         "pg_before": w.pg_before,
         "pg_after": w.pg_after,
         "ancilla_dim": w.ancilla_dim,
@@ -167,7 +170,7 @@ def report_to_json(report: CompatReport, scenario_label: str, config: dict) -> d
     from . import __version__
 
     return {
-        "version": FORMAT_VERSION,
+        "version": REPORT_VERSION,
         "tool": f"coarsekit {__version__}",
         "scenario": scenario_label,
         "config": config,
@@ -177,10 +180,8 @@ def report_to_json(report: CompatReport, scenario_label: str, config: dict) -> d
             "residual": report.fiber_residual,
         },
         "algebraic": {
-            "v_found": report.algebraic_v is not None,
             "v": None if report.algebraic_v is None else matrix_to_json(report.algebraic_v),
             "residual": report.algebraic_residual,
-            "dual_identity_residual": report.dual_identity_residual,
         },
         "sdp": {
             "status": report.sdp.status,
@@ -192,7 +193,6 @@ def report_to_json(report: CompatReport, scenario_label: str, config: dict) -> d
         if report.emergent is None
         else {"kraus": matrix_to_json(report.emergent.kraus)},
         "diagram_residual": report.diagram_residual,
-        "method_agreement": dict(report.method_agreement),
     }
 
 

@@ -222,6 +222,9 @@ def random_planted_scenario(small_dim: int, env_dim: int, seed: int) -> NamedSce
     the microscopic unitary acts as a random V on the system factor of that
     frame, so ``M_k u == V M_k`` holds exactly by construction.
     """
+    _require_count("small_dim", small_dim, 1)
+    _require_count("env_dim", env_dim, 1)
+    _require_count("seed", seed, 0)
     big_dim = small_dim * env_dim
     rng = np.random.default_rng(seed)
     w = haar_unitary(big_dim, rng)

@@ -3,11 +3,19 @@ from hypothesis import settings
 
 from coarsekit import compat
 
-# one profile for every property test: no deadline (a draw may build a
-# D = 96 scenario), no stored draws to replay unasked, and a failing run
-# prints the blob that reproduces it with @reproduce_failure
-settings.register_profile("coarsekit", deadline=None, database=None, print_blob=True)
-settings.load_profile("coarsekit")
+# two profiles for every property test, each with no deadline (a draw may
+# build a D = 96 scenario) and no stored draws to replay unasked.
+# "derandomized", the default, draws the same examples on every run, so a red
+# run replays as it is; "randomized" draws afresh on every run, and a failing
+# run prints the blob that reproduces it with @reproduce_failure.
+settings.register_profile("randomized", deadline=None, database=None, print_blob=True)
+settings.register_profile("derandomized", settings.get_profile("randomized"), derandomize=True)
+
+
+def pytest_configure(config):
+    # a profile chosen with --hypothesis-profile wins over the default
+    if not config.getoption("--hypothesis-profile"):
+        settings.load_profile("derandomized")
 
 
 @pytest.fixture

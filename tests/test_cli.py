@@ -7,7 +7,7 @@ from coarsekit import cli
 from coarsekit.channel import KrausChannel, channels_equal, unitary_channel
 from coarsekit.cli import main
 from coarsekit.errors import MethodDisagreement
-from coarsekit.io import dumps, matrix_to_json
+from coarsekit.io import dumps, matrix_to_json, scenario_from_json
 from coarsekit.linalg import frob
 from coarsekit.scenarios import emergent_spin_rotation, registry
 
@@ -611,8 +611,8 @@ class TestListAndGen:
 
     def test_generated_d32_report_carries_the_kernel_witness(self, gen32, tmp_path, capsys):
         # the kernel check fails in real coordinates and yields a witness of
-        # gap about 1/2; the report, D x D witness states included, is one
-        # line and the same bytes on a second call
+        # gap about 1/2; the report, the witness's D x D matrix x included, is
+        # one line and the same bytes on a second call
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         assert main(["check", str(gen32), "--json", str(first)]) == 1
         assert main(["check", str(gen32), "--json", str(second)]) == 1
@@ -653,3 +653,54 @@ class TestListAndGen:
         assert main(["gen", *args, "--out", str(path)]) == 65
         assert named in capsys.readouterr().err
         assert not path.exists()
+
+
+def _pg_from_x(s, y, n):
+    """(pg_before, pg_after) recomputed from a report's ``x`` alone: X =
+    sym(Y) + i antisym(Y), pushed through {M_k x I_n} and {M_k u x I_n}."""
+    y = np.asarray(y, dtype=float)
+    x = (y + y.T) / 2 + 0.5j * (y - y.T)
+    eye = np.eye(n)
+    pgs = []
+    for kraus in (s.cg.kraus, s.cg.kraus @ s.u):
+        image = sum(np.kron(m, eye) @ x @ np.kron(m, eye).conj().T for m in kraus)
+        pgs.append(0.5 * (1.0 + np.abs(np.linalg.eigvalsh(image)).sum()))
+    return pgs
+
+
+@pytest.mark.parametrize("which", ["example1-incompatible", "gen32", "dephased-hadamard"])
+def test_a_reports_witness_is_checked_from_its_x_alone(which, gen32, tmp_path, capsys):
+    # two kernel witnesses (D = 3 and the generated D = 32) and one from the search
+    if which == "gen32":
+        arg = str(gen32)
+        s = scenario_from_json(json.loads(gen32.read_text(encoding="utf-8")))
+    elif which == "dephased-hadamard":
+        s = dephased_hadamard(0.5)
+        arg = write_scenario(tmp_path / "dephased.json", s)
+    else:
+        arg, s = which, registry(which)[which].scenario
+    report_path = tmp_path / "report.json"
+    assert main(["check", arg, "--json", str(report_path)]) == 1
+    doc = json.loads(report_path.read_text(encoding="utf-8"))
+    # format 2 writes each piece of evidence once
+    assert doc["version"] == 2
+    assert "method_agreement" not in doc and set(doc["algebraic"]) == {"v", "residual"}
+    w = doc["witness"]
+    assert set(w) == {"x", "pg_before", "pg_after", "ancilla_dim", "trial", "source"}
+    n = w["ancilla_dim"]
+    assert np.shape(w["x"]) == (s.D * n, s.D * n)
+    before, after = _pg_from_x(s, w["x"], n)
+    # The bound is rounding alone.  Each pg is (1 + ||H||_1) / 2 for
+    # H = sum_k (M_k x I_n) X (M_k x I_n)*, so it moves by at most ||dH||_1 / 2,
+    # and ||dH||_1 <= (d n)^2 max |dH_ab|.  An entry of H is summed along
+    # chains of at most 2 D n + K operations; as ||X||_2 <= ||X||_1 <= 1 and
+    # sum_k M_k* M_k = I, the moduli of its terms add up to at most
+    # ((cg(I) x I_n)_aa (cg(I) x I_n)_bb)^(1/2) <= D, so it is off by at most
+    # (2 D n + K) D eps.  eigvalsh's backward error (||H||_2 <= 1) and the
+    # rounding of X itself each add at most D n eps to that.  The report's pg
+    # was rounded along another path by as much again, hence the factor 2.
+    d, big_d, k = s.d, s.D, len(s.cg.kraus)
+    bound = 2 * (d * n) ** 2 * ((2 * big_d * n + k) * big_d + big_d * n) * np.finfo(float).eps
+    assert abs(before - w["pg_before"]) <= bound
+    assert abs(after - w["pg_after"]) <= bound
+    assert w["pg_after"] - w["pg_before"] > 1e-3

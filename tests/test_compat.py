@@ -522,6 +522,8 @@ class TestKrausEquivalence:
         ("seed", False),
         ("witness_trials", False),
         ("ancilla_dims", (True,)),
+        # not a sequence at all
+        ("ancilla_dims", 3),
     ],
 )
 def test_check_config_rejects_out_of_range_settings(field, value):

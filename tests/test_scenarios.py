@@ -179,9 +179,18 @@ class TestExample2:
         (lambda: example2(2, 2, [np.eye(3)] * 2), DimensionMismatch, "blocks must be 2x2"),
         (lambda: example2(2, 2, [np.eye(2)] * 2, "some"), ValueError, "coherence_mode must be"),
         (lambda: spin_matrices(1), ValueError, "dim must be >= 2"),
+        # the range rule of random_scenario: counts >= 1, seed >= 0, never a bool
+        (lambda: random_planted_scenario(2, 2, True), ValueError, "seed must be an integer"),
+        (lambda: random_planted_scenario(2.5, 2, 1), ValueError, "small_dim must be an integer"),
+        (lambda: random_planted_scenario(True, 2, 1), ValueError, "small_dim must be an integer"),
+        (lambda: random_planted_scenario(2, 2, 1.5), ValueError, "seed must be an integer"),
+        (lambda: random_planted_scenario(0, 3, 1), ValueError, "small_dim must be an integer"),
+        (lambda: random_planted_scenario(2, 0, 1), ValueError, "env_dim must be an integer"),
+        (lambda: random_planted_scenario(2, 2, -1), ValueError, "seed must be an integer"),
     ],
     ids=["example1-block-size", "example2-block-size", "example2-coherence-mode",
-         "spin-matrices-dim"],
+         "spin-matrices-dim", "planted-bool-seed", "planted-float-dim", "planted-bool-dim",
+         "planted-float-seed", "planted-zero-dim", "planted-zero-env", "planted-negative-seed"],
 )
 def test_builders_reject_bad_arguments(build, error, message):
     with pytest.raises(error, match=message):
