@@ -27,7 +27,8 @@ print(f"  residual ||A - A V V*||_F = {out.residual:.3e}, which no effective map
 
 w = search_witness(s, trials=1000, ancilla_dim=1, seed=0)
 print(f"\nwitness search over random binary ensembles:")
-print(f"  found at trial {w.trial}: weights ({w.p0:.3f}, {w.p1:.3f})")
+# the witness is its operator X = p0 rho0 - p1 rho1, of trace p0 - p1
+print(f"  found at trial {w.trial}: tr X = p0 - p1 = {np.trace(w.x).real:.3f}")
 print(f"  optimal guessing probability before: {w.pg_before:.6f}")
 print(f"  optimal guessing probability after : {w.pg_after:.6f}")
 print(f"  gap: {w.gap:.3e}")

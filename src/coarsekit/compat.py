@@ -33,11 +33,11 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .channel import (CHOI_TP_TOL, TP_TOL, DensityMatrix, KrausChannel, _freeze, _kept_columns,
+from .channel import (CHOI_TP_TOL, TP_TOL, KrausChannel, _freeze, _kept_columns,
                       _phase_fixed, choi_to_transfer_mat, compose, connecting_unitary,
                       kraus_to_real_transfer_mat, transfer_to_choi_mat, vec_from_real)
 from .errors import DimensionMismatch, MethodDisagreement, NotEquivalent, NumericalFailure
@@ -164,19 +164,19 @@ class Scenario:
         check builds it when it fails.
 
         The top right singular vector x of E = A - A V V^T, in the real
-        coordinates of Hermitian operators, is a Hermitian X: the kernel
-        element that u pushes furthest out of the kernel, cg(X) = 0 and
-        ``||cg(u X u*)||_F = ||E||_2 ||X||_F``.  The complex kernel check
+        coordinates of Hermitian operators, is a Hermitian H: the kernel
+        element that u pushes furthest out of the kernel, cg(H) = 0 and
+        ``||cg(u H u*)||_F = ||E||_2 ||H||_F``.  The complex kernel check
         sees the same ||E||_2: the kernel is closed under adjoints, so its
-        complexification adds no direction that u pushes further.  X is
-        traceless (cg preserves the trace), and its split X = X+ - X- into
-        PSD parts of traces t0 and t1 gives rho0 = X+/t0, rho1 = X-/t1 and
-        p0 = t0/(t0+t1), so that p0 rho0 - p1 rho1 = X / ||X||_1.  Then
-        pg_before = 1/2 and ``pg_after = 1/2 + ||cg(u X u*)||_1 / (2 ||X||_1)``,
-        with no ancilla.
+        complexification adds no direction that u pushes further.  H is
+        traceless (cg preserves the trace), so X = H / ||H||_1 has PSD parts
+        X+ and X- of traces p0 = p1 = 1/2, and X = p0 rho0 - p1 rho1 with
+        rho0 = X+/p0 and rho1 = X-/p1.  Then pg_before = 1/2 and
+        ``pg_after = 1/2 + ||cg(u H u*)||_1 / (2 ||H||_1)``, with no ancilla;
+        ||H||_1 takes one ``eigvalsh``.
 
-        None when a state fails ``DensityMatrix`` validation or the gap is
-        within WITNESS_MARGIN, as for a check that fails only by rounding.
+        None when H is 0, or when the gap is within WITNESS_MARGIN, as for a
+        check that fails only by rounding.
         """
         img, d = self._image, self.d
         # x = E^T y for the top eigenvector y of E E^T.  E's rounding puts x off
@@ -185,36 +185,20 @@ class Scenario:
         # is taken out once more
         x = img.e_top @ img.e
         x -= ((img.u_real / img.sigma**2) @ (img.u_real.T @ (img.t @ x))) @ img.t
-        # X, then cg(X) and cg(u X u*) in vec coordinates; vecs are
+        # H, then cg(H) and cg(u H u*) in vec coordinates; vecs are
         # column-stacked, so a matrix is its vec reshaped and transposed, and
         # without the transpose it is the conjugate, with the same eigenvalues
         h = vec_from_real(x, self.D).reshape(self.D, self.D).T
-        w, q = np.linalg.eigh(h)
-        plus, minus = np.maximum(w, 0.0), np.maximum(-w, 0.0)
-        t0, t1 = plus.sum(), minus.sum()
-        if not (t0 > 0 and t1 > 0):
+        h_norm = np.abs(np.linalg.eigvalsh(h)).sum()
+        if not h_norm > 0:
             return None
-        try:
-            rho0 = DensityMatrix((q * (plus / t0)) @ q.conj().T)
-            rho1 = DensityMatrix((q * (minus / t1)) @ q.conj().T)
-        except ValueError:  # NotHermitian included
-            return None
-        # p0 rho0 - p1 rho1 = X / (t0 + t1), coarse-grained before and after u
         images = vec_from_real(np.stack((img.t @ x, img.a @ x), axis=1), d)
         norms = np.abs(np.linalg.eigvalsh(images.T.reshape(2, d, d))).sum(axis=-1)
-        pg_before, pg_after = 0.5 * (1.0 + norms / (t0 + t1))
+        pg_before, pg_after = 0.5 * (1.0 + norms / h_norm)
         if pg_after <= pg_before + WITNESS_MARGIN:
             return None
-        p0 = float(t0 / (t0 + t1))
-        return EnsembleWitness(
-            p0=p0,
-            p1=1.0 - p0,
-            rho0=rho0,
-            rho1=rho1,
-            pg_before=float(pg_before),
-            pg_after=float(pg_after),
-            source="kernel",
-        )
+        return EnsembleWitness(_freeze(h / h_norm), float(pg_before), float(pg_after),
+                               source="kernel")
 
 
 def _require_count(name: str, value, low: int) -> None:
@@ -248,7 +232,10 @@ class CheckConfig:
         _require_tol(self.tol)
         if self.ancilla_dims is not None:
             # a tuple, so the config hashes and no later change escapes the checks
-            dims = tuple(self.ancilla_dims) if isinstance(self.ancilla_dims, Iterable) else ()
+            try:
+                dims = tuple(self.ancilla_dims)
+            except TypeError:  # not iterable: a bare 3, or a 0-d array
+                dims = ()
             if not dims:
                 raise ValueError("ancilla_dims must be a non-empty sequence, "
                                  f"got {self.ancilla_dims!r}")
@@ -274,15 +261,15 @@ class CheckConfig:
 class EnsembleWitness:
     """A binary ensemble whose distinguishability grows across the dynamics.
 
-    pg_before / pg_after are optimal guessing probabilities for the
+    ``x`` is the ensemble's operator X = p0 rho0 - p1 rho1 on the system and
+    an ``ancilla_dim``-level ancilla: a read-only Hermitian (D n) x (D n)
+    matrix, from which p0 = (1 + tr X) / 2.  pg_before / pg_after are the
+    optimal guessing probabilities (1 + ||(cg x id)(X)||_1) / 2 of the
     coarse-grained ensemble before and after the microscopic unitary; any
     increase beyond numerical noise rules out a CPTP effective map.
     """
 
-    p0: float
-    p1: float
-    rho0: DensityMatrix
-    rho1: DensityMatrix
+    x: np.ndarray
     pg_before: float
     pg_after: float
     ancilla_dim: int = 1
@@ -414,11 +401,11 @@ def verify_dual_identity(s: Scenario, v) -> float:
 
 def helstrom_pguess(p0: float, rho0, rho1) -> float:
     """Optimal guessing probability for a binary ensemble,
-    ``(1 + || p0 rho0 - p1 rho1 ||_1) / 2``."""
+    ``(1 + || p0 rho0 - p1 rho1 ||_1) / 2``; each state is a matrix or a
+    checked state that holds one as ``.mat``."""
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"p0 must be a probability, got {p0}")
-    m0 = rho0.mat if isinstance(rho0, DensityMatrix) else asmatrix(rho0)
-    m1 = rho1.mat if isinstance(rho1, DensityMatrix) else asmatrix(rho1)
+    m0, m1 = (asmatrix(getattr(rho, "mat", rho)) for rho in (rho0, rho1))
     if m0.shape != m1.shape:
         raise DimensionMismatch(f"state shapes differ: {m0.shape} vs {m1.shape}")
     w = np.linalg.eigvalsh(hermitize(p0 * m0 - (1.0 - p0) * m1))
@@ -474,7 +461,8 @@ def search_witness(
     state pair on the system and an ancilla (``_witness_trials``) and
     compares the guessing probabilities of its coarse-grained images before
     and after the unitary (``_trial_pguess``).  Returns the first
-    violation, its states rebuilt from their factors; absence proves nothing.
+    violation, its X = p0 rho0 - p1 rho1 rebuilt from the factors; absence
+    proves nothing.
     """
     _require_count("trials", trials, 1)
     _require_count("ancilla_dim", ancilla_dim, 1)
@@ -484,8 +472,8 @@ def search_witness(
         p0, g0, g1 = next(draws)
         before, after = _trial_pguess(s, ancilla_dim, p0, g0, g1)
         if after > before + WITNESS_MARGIN:
-            rho0, rho1 = (DensityMatrix(state_from_factor(g)) for g in (g0, g1))
-            return EnsembleWitness(p0, 1.0 - p0, rho0, rho1, float(before), float(after),
+            x = p0 * state_from_factor(g0) - (1.0 - p0) * state_from_factor(g1)
+            return EnsembleWitness(_freeze(x), float(before), float(after),
                                    ancilla_dim=ancilla_dim, trial=t)
         del g0, g1  # so that the next trial's draws do not join them in memory
     return None
@@ -683,8 +671,9 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
     only when there is none: once a CPTP gamma closes the square to its
     diagram residual delta, no ensemble can gain more than
     ``sqrt(d D) delta / 2`` in guessing probability.  With
-    Delta = gamma . cg - cg(u . u*) and X = p0 rho0 - p1 rho1 on the system
-    and any ancilla (||X||_1 <= 1), the gap is half of
+    Delta = gamma . cg - cg(u . u*) and a witness's X = p0 rho0 - p1 rho1
+    (``EnsembleWitness.x``) on the system and any ancilla (||X||_1 <= 1),
+    the gap is half of
     ``||(cg(u . u*) x id)(X)||_1 - ||(cg x id)(X)||_1``; gamma x id
     contracts the trace norm, so the gap is at most ``||Delta||_<> / 2``.
     Delta is a difference of CP maps; splitting its unnormalized Choi

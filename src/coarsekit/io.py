@@ -152,12 +152,12 @@ def scenario_from_json(doc: dict) -> Scenario:
 
 
 def witness_to_json(w: EnsembleWitness) -> dict:
-    """``x`` is Y = Re X + Im X for X = p0 rho0 - p1 rho1 on the system and an
-    n-level ancilla, so X = sym(Y) + i antisym(Y) (``channel``'s coordinates);
-    pg_before = (1 + ||sum_k (M_k x I_n) X (M_k x I_n)*||_1) / 2, pg_after with M_k u."""
-    x = w.p0 * w.rho0.mat - w.p1 * w.rho1.mat
+    """``x`` is Y = Re X + Im X for the witness's X = p0 rho0 - p1 rho1
+    (``w.x``) on the system and an n-level ancilla, so X = sym(Y) + i
+    antisym(Y) (``channel``'s coordinates); pg_before = (1 + ||sum_k (M_k x
+    I_n) X (M_k x I_n)*||_1) / 2, pg_after with M_k u."""
     return {
-        "x": (x.real + x.imag).tolist(),
+        "x": (w.x.real + w.x.imag).tolist(),
         "pg_before": w.pg_before,
         "pg_after": w.pg_after,
         "ancilla_dim": w.ancilla_dim,

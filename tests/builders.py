@@ -26,6 +26,18 @@ def tr_in(m, din, dout):
     return np.einsum("kikj->ij", m.reshape(din, dout, din, dout))
 
 
+def pg_from_x(s, x, n):
+    """(pg_before, pg_after) of a witness's X on the system and an n-level
+    ancilla, recomputed densely: (1 + ||sum_k (M_k x I_n) X (M_k x I_n)*||_1)
+    / 2 through {M_k}, then through {M_k u}."""
+    eye = np.eye(n)
+    pgs = []
+    for kraus in (s.cg.kraus, s.cg.kraus @ s.u):
+        image = sum(np.kron(m, eye) @ x @ np.kron(m, eye).conj().T for m in kraus)
+        pgs.append(0.5 * (1.0 + np.abs(np.linalg.eigvalsh(image)).sum()))
+    return tuple(pgs)
+
+
 def write_scenario(path, s):
     """Write ``s`` as a scenario file at ``path`` and return the path as a string."""
     path.write_text(dumps(scenario_to_json(s)), encoding="utf-8")

@@ -1,7 +1,22 @@
+import warnings
+
 import pytest
 from hypothesis import settings
 
 from coarsekit import compat
+
+# Hypothesis's pytest plugin imports hypothesis.extra._patching when a
+# property test fails.  Where libcst is installed, that import warns
+# (mypy_extensions' DeprecationWarning), and filterwarnings = error would turn
+# the warning into an INTERNALERROR that ends the session.  Importing the
+# module once here, with that warning ignored, leaves a failure reported as a
+# failure; without libcst the import fails and the plugin never warns.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # two profiles for every property test, each with no deadline (a draw may
 # build a D = 96 scenario) and no stored draws to replay unasked.

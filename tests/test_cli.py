@@ -16,6 +16,7 @@ from builders import (
     dephased_hadamard,
     lift,
     pauli_contraction,
+    pg_from_x,
     rotated_example1,
     three_cycle,
     write_scenario,
@@ -659,13 +660,7 @@ def _pg_from_x(s, y, n):
     """(pg_before, pg_after) recomputed from a report's ``x`` alone: X =
     sym(Y) + i antisym(Y), pushed through {M_k x I_n} and {M_k u x I_n}."""
     y = np.asarray(y, dtype=float)
-    x = (y + y.T) / 2 + 0.5j * (y - y.T)
-    eye = np.eye(n)
-    pgs = []
-    for kraus in (s.cg.kraus, s.cg.kraus @ s.u):
-        image = sum(np.kron(m, eye) @ x @ np.kron(m, eye).conj().T for m in kraus)
-        pgs.append(0.5 * (1.0 + np.abs(np.linalg.eigvalsh(image)).sum()))
-    return pgs
+    return pg_from_x(s, (y + y.T) / 2 + 0.5j * (y - y.T), n)
 
 
 @pytest.mark.parametrize("which", ["example1-incompatible", "gen32", "dephased-hadamard"])

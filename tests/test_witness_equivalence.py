@@ -1,13 +1,13 @@
 """The witness search against a dense reference.
 
 The reference draws each state as a (D n) x (D n) density matrix and pushes
-it through ``kron(M_k, I_n)`` and ``kron(u, I_n)``; the search keeps each
-state as a factor G of G G*/tr and pushes G through the Kraus operators one
-at a time.  Both read three streams spawned from
-``SeedSequence([seed, ancilla_dim])`` (weights, pure-state vectors, Wishart
-factors) in trial order, one trial at a time, so they must return the same
-trial with bit-identical states; guessing probabilities may differ by
-rounding.
+X = p0 rho0 - p1 rho1 through ``kron(M_k, I_n)`` and ``kron(M_k u, I_n)``
+(``builders.pg_from_x``); the search keeps each state as a factor G of
+G G*/tr and pushes G through the Kraus operators one at a time.  Both read
+three streams spawned from ``SeedSequence([seed, ancilla_dim])`` (weights,
+pure-state vectors, Wishart factors) in trial order, one trial at a time,
+so they must return the same trial with a bit-identical X; guessing
+probabilities may differ by rounding.
 """
 
 import itertools
@@ -21,27 +21,19 @@ from coarsekit import compat
 from coarsekit.rand import haar_unitary
 from coarsekit.scenarios import random_planted_scenario, random_scenario, registry
 
-from builders import decohered_example2, rotated_example1
+from builders import decohered_example2, pg_from_x, rotated_example1
 
 REG = registry()
 PG_TOL = 1e-12
 
 
+def _dense_x(p0, rho0, rho1):
+    return p0 * rho0 - (1.0 - p0) * rho1
+
+
 def _dense_pguess(s, n, p0, rho0, rho1):
     """Guessing probabilities before and after u, through lifted operators."""
-    eye_n = np.eye(n)
-    lifted = [np.kron(m, eye_n) for m in s.cg.kraus]
-    u_lift = np.kron(s.u, eye_n)
-
-    def coarse(r):
-        return sum(k @ r @ k.conj().T for k in lifted)
-
-    def moved(r):
-        return u_lift @ r @ u_lift.conj().T
-
-    before = compat.helstrom_pguess(p0, coarse(rho0), coarse(rho1))
-    after = compat.helstrom_pguess(p0, coarse(moved(rho0)), coarse(moved(rho1)))
-    return before, after
+    return pg_from_x(s, _dense_x(p0, rho0, rho1), n)
 
 
 def _dense_draw(dim, rng, pure):
@@ -94,17 +86,15 @@ def assert_matches_dense(s, trials, n, seed):
     t, p0, rho0, rho1, before, after = want
     assert got.trial == t
     assert got.ancilla_dim == n
-    assert got.p0 == p0 and got.p1 == 1.0 - p0
-    assert np.array_equal(got.rho0.mat, rho0)
-    assert np.array_equal(got.rho1.mat, rho1)
+    assert got.x.tobytes() == _dense_x(p0, rho0, rho1).tobytes()
     assert abs(got.pg_before - before) <= PG_TOL
     assert abs(got.pg_after - after) <= PG_TOL
     return got
 
 
 def assert_witness_holds(s, w):
-    """Recompute the witness's guessing probabilities from its own states."""
-    before, after = _dense_pguess(s, w.ancilla_dim, w.p0, w.rho0.mat, w.rho1.mat)
+    """Recompute the witness's guessing probabilities from its own X."""
+    before, after = pg_from_x(s, w.x, w.ancilla_dim)
     assert abs(w.pg_before - before) <= PG_TOL
     assert abs(w.pg_after - after) <= PG_TOL
     assert after > before + compat.WITNESS_MARGIN
@@ -193,7 +183,7 @@ def _budget_cases():
 def _outcome(w):
     if w is None:
         return None
-    return w.trial, w.p0, w.pg_before, w.pg_after, w.rho0.mat.tobytes(), w.rho1.mat.tobytes()
+    return w.trial, w.pg_before, w.pg_after, w.x.tobytes()
 
 
 @pytest.mark.parametrize("s,trials,n,seed", list(_budget_cases()))
@@ -254,9 +244,9 @@ def _trace_norm(m):
 
 
 def _kernel_gap(s, w):
-    """(||cg(u H u*)||_1 - ||cg(H)||_1) / (2 ||H||_1) for H = p0 rho0 - p1 rho1,
+    """(||cg(u H u*)||_1 - ||cg(H)||_1) / (2 ||H||_1) for the witness's H = X,
     through the Kraus operators."""
-    h = w.p0 * w.rho0.mat - w.p1 * w.rho1.mat
+    h = w.x
 
     def coarse(r):
         return sum(k @ r @ k.conj().T for k in s.cg.kraus)
