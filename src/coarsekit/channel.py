@@ -1,4 +1,4 @@
-"""Quantum states and channels in Kraus, Choi, and transfer-matrix form.
+"""Quantum channels in Kraus, Choi, and transfer-matrix form.
 
 Conventions, fixed package-wide:
 
@@ -38,39 +38,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.complex128, order="C")
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A dim x dim density operator: Hermitian, PSD, unit trace."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = asmatrix(self.mat)
-        if m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
-        mh = m.conj().T
-        if not frob(m - mh) <= 1e-10 * max(1.0, frob(m)):
-            raise NotHermitian("density matrix is not Hermitian")
-        # the Hermitian part h has no eigenvalue below -1e-10 iff h + 1e-10 I
-        # has a Cholesky factor; the eigenvalues are computed only to report
-        # a failure
-        shifted = (m + mh) / 2
-        shifted.flat[:: len(m) + 1] += 1e-10
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            w = np.linalg.eigvalsh((m + mh) / 2)
-            raise ValueError(f"negative eigenvalue {w.min():.3e}") from None
-        tr = np.trace(m)
-        if not (abs(tr.real - 1.0) <= 1e-10 and abs(tr.imag) <= 1e-10):
-            raise ValueError(f"trace {tr} != 1")
-        object.__setattr__(self, "mat", _freeze(m))
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
 
 class KrausChannel:
@@ -148,15 +115,12 @@ class ChoiMatrix:
         object.__setattr__(self, "mat", _freeze(m))
 
 
-def apply(ch: KrausChannel, rho):
-    """Apply the channel; DensityMatrix in, DensityMatrix out (or raw arrays)."""
-    raw = rho.mat if isinstance(rho, DensityMatrix) else asmatrix(rho)
-    if raw.shape != (ch.din, ch.din):
-        raise DimensionMismatch(f"state has dim {raw.shape}, channel expects {ch.din}")
-    out = (ch.kraus @ raw @ ch.kraus.conj().swapaxes(1, 2)).sum(axis=0)
-    if isinstance(rho, DensityMatrix):
-        return DensityMatrix(out)
-    return out
+def apply(ch: KrausChannel, rho) -> np.ndarray:
+    """The matrix ``sum_k K rho K*``, the channel applied to rho."""
+    rho = asmatrix(rho)
+    if rho.shape != (ch.din, ch.din):
+        raise DimensionMismatch(f"state has dim {rho.shape}, channel expects {ch.din}")
+    return (ch.kraus @ rho @ ch.kraus.conj().swapaxes(1, 2)).sum(axis=0)
 
 
 def unitary_channel(u) -> KrausChannel:

@@ -1,16 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``check`` (run all four criteria; ``--json`` writes a version 2
-report, ``io.report_to_json``), ``construct`` (emit the effective channel),
-``list`` (built-in scenarios), ``gen`` (random scenario to file).
+report, ``io.report_to_json``), ``construct`` (decide as ``check --trials 0``
+does and emit the effective channel), ``list`` (built-in scenarios), ``gen``
+(random scenario to file).
 
-Exit codes: 0 compatible or success, 1 incompatible or no effective map
-(``construct``: an infeasible SDP), 2 undecided (``construct``: an SDP left
-undecided), 64 unreadable input (a file that cannot be read, decoded as
-UTF-8 or parsed as JSON, or that holds no valid scenario), 65 input that
-parses but violates a physical invariant, 70 the decision could not be
-completed: the criteria disagree, or a step ran out of memory, 73 an
-output file that cannot be written.
+Exit codes: 0 compatible or success, 1 incompatible, 2 undecided, 64
+unreadable input (a file that cannot be read, decoded as UTF-8 or parsed as
+JSON, or that holds no valid scenario), 65 input that parses but violates a
+physical invariant, 70 the decision could not be completed: the criteria
+disagree, or a step ran out of memory, 73 an output file that cannot be
+written.
 
 ``check`` and ``construct`` take each setting from its flag, else the file's
 ``config`` block, else ``CheckConfig``, which range-checks it (exit 65).
@@ -32,8 +32,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .compat import (COMPATIBLE, INCOMPATIBLE, INFEASIBLE, UNDECIDED, CheckConfig, Scenario,
-                     run_all, sdp_feasibility)
+from .compat import COMPATIBLE, INCOMPATIBLE, UNDECIDED, CheckConfig, Scenario, run_all
 from .errors import CoarsekitError, MethodDisagreement
 from .io import (
     CONFIG_KEYS,
@@ -159,18 +158,20 @@ def cmd_check(args) -> int:
 
 def cmd_construct(args) -> int:
     scenario, doc = _resolve_input(args.input)
-    cfg = _config(args, doc)
-    sdp = sdp_feasibility(scenario, cfg.sdp_max_iter, cfg.tol)
-    gamma = sdp.channel
+    # the verdict of check --trials 0: the random search is the one step that
+    # needs a seed, and a channel is written only when it closes the square
+    report = run_all(scenario, dataclasses.replace(_config(args, doc), witness_trials=0))
+    gamma = report.emergent
     if gamma is None:
-        if sdp.status == INFEASIBLE:
+        if report.verdict == INCOMPATIBLE:
             print(f"{args.input}: no CPTP effective dynamics exists for this scenario",
                   file=sys.stderr)
-            return EXIT_INCOMPATIBLE
-        # the SDP decided nothing, so existence is claimed neither way
-        print(f"{args.input}: no effective channel built; the SDP is {sdp.status} at residual "
-              f"{_e(sdp.residual)} after {sdp.iterations} iteration(s)", file=sys.stderr)
-        return EXIT_UNDECIDED
+        else:
+            sdp = report.sdp
+            print(f"{args.input}: undecided, no effective channel built; the SDP is "
+                  f"{sdp.status} at residual {_e(sdp.residual)} after {sdp.iterations} "
+                  f"iteration(s)", file=sys.stderr)
+        return _VERDICT_CODE[report.verdict]
     payload = dumps(channel_to_json(gamma))
     if args.out:
         _write(args.out, payload)
@@ -207,8 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"coarsekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_sdp(p, tol_help):
-        p.add_argument("--tol", type=float, default=None, help=tol_help)
+    def add_sdp(p):
+        p.add_argument("--tol", type=float, default=None,
+                       help="the one decision tolerance of all four criteria (default 1e-8)")
         p.add_argument("--max-iter", type=int, default=None, dest="max_iter",
                        help="iteration cap for the feasibility SDP's loop (r < d^2 only)")
 
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=None,
                          help="seed of the random witness search, the only random step "
                          "(fallback: the file's, then 0)")
-    add_sdp(p_check, "the one decision tolerance of all four criteria (default 1e-8)")
+    add_sdp(p_check)
     p_check.add_argument("--trials", type=int, default=None,
                          help="random witness-search trials per ancilla dimension, spent only "
                          "when no effective channel is built and the kernel check yields no "
@@ -228,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cons = sub.add_parser(
         "construct",
-        help="construct the effective channel: the feasibility SDP's point, made "
-        "trace preserving (--tol and --max-iter apply to that SDP)",
+        help="decide as check --trials 0 does, and write the effective channel when "
+        "one closes the square: the feasibility SDP's point, made trace preserving",
     )
     p_cons.add_argument("input", help="registry name or scenario file")
     p_cons.add_argument("--out", metavar="PATH", help="write the channel here (default: stdout)")
-    add_sdp(p_cons, "override the SDP's tolerance")
+    add_sdp(p_cons)
 
     sub.add_parser("list", help="list built-in scenarios")
 

@@ -400,12 +400,11 @@ def verify_dual_identity(s: Scenario, v) -> float:
 
 
 def helstrom_pguess(p0: float, rho0, rho1) -> float:
-    """Optimal guessing probability for a binary ensemble,
-    ``(1 + || p0 rho0 - p1 rho1 ||_1) / 2``; each state is a matrix or a
-    checked state that holds one as ``.mat``."""
+    """Optimal guessing probability for a binary ensemble of two state
+    matrices, ``(1 + || p0 rho0 - p1 rho1 ||_1) / 2``."""
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"p0 must be a probability, got {p0}")
-    m0, m1 = (asmatrix(getattr(rho, "mat", rho)) for rho in (rho0, rho1))
+    m0, m1 = asmatrix(rho0), asmatrix(rho1)
     if m0.shape != m1.shape:
         raise DimensionMismatch(f"state shapes differ: {m0.shape} vs {m1.shape}")
     w = np.linalg.eigvalsh(hermitize(p0 * m0 - (1.0 - p0) * m1))

@@ -134,7 +134,7 @@ def scenario_from_json(doc: dict) -> Scenario:
     so the CLI can distinguish exit codes 64 and 65.
     """
     version = _require(_object(doc, "scenario file"), "version")
-    if version != FORMAT_VERSION:
+    if not (_is_number(version, int) and version == FORMAT_VERSION):
         raise ParseError(f"unsupported version {version!r}")
     big_d = _integer(doc, "D")
     small_d = _integer(doc, "d")

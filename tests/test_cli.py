@@ -18,6 +18,7 @@ from builders import (
     pauli_contraction,
     pg_from_x,
     rotated_example1,
+    swap,
     three_cycle,
     write_scenario,
 )
@@ -114,13 +115,16 @@ class TestCheck:
         [
             (lambda doc: doc.pop("unitary"), "missing required key 'unitary'"),
             (lambda doc: doc.update(version=2), "unsupported version 2"),
+            # True == 1 and 1.0 == 1 in Python, but neither is the integer 1
+            (lambda doc: doc.update(version=True), "unsupported version True"),
+            (lambda doc: doc.update(version=1.0), "unsupported version 1.0"),
             (lambda doc: doc.update(kraus=[]), "'kraus' must be a non-empty list"),
             (lambda doc: doc["kraus"].append(matrix_to_json(np.eye(3))), "kraus[1] has shape"),
             (lambda doc: doc.update(unitary=matrix_to_json(np.eye(3))), "unitary has shape"),
             (lambda doc: doc.update(unitary=[]), "unitary: not a matrix"),
         ],
-        ids=["no-unitary", "version-2", "empty-kraus", "kraus-shape", "unitary-shape",
-             "not-a-matrix"],
+        ids=["no-unitary", "version-2", "version-true", "version-float", "empty-kraus",
+             "kraus-shape", "unitary-shape", "not-a-matrix"],
     )
     def test_scenario_file_shape_exit_64(self, edit, message, tmp_path, capsys):
         doc = scenario_doc([np.eye(2)], np.eye(2))
@@ -284,7 +288,6 @@ class TestCheck:
             raise AssertionError("a criterion ran")
 
         monkeypatch.setattr(cli, "run_all", fail)
-        monkeypatch.setattr(cli, "sdp_feasibility", fail)
         assert main([command, name, *flags]) == 65
         assert "must be" in capsys.readouterr().err
 
@@ -331,6 +334,22 @@ class TestCheck:
         chain = {"pA": [0.5, 0.5], "pB_given_A": eye, "pX_given_A": eye, "pY_given_B": eye}
         doc = scenario_doc([np.eye(2)], np.eye(2), classical={"chain": chain})
         assert main([command, write_json(tmp_path / "with-classical.json", doc)]) == 0
+
+
+def _parity_cases():
+    """(registry name or scenario builder, flags) for the parity of construct
+    and check --trials 0."""
+    yield from (pytest.param(name, [], id=name) for name in registry())
+    yield pytest.param(three_cycle, [], id="three-cycle")
+    yield pytest.param(lambda: dephased_hadamard(0.5), [], id="dephased-hadamard")
+    yield pytest.param(lambda: decohered_example2(2, 2, 0), ["--max-iter", "1"],
+                       id="decohered-example2-max-iter-1")
+    yield pytest.param(lambda: pauli_contraction(4e-6), [], id="pauli-contraction")
+    yield pytest.param(swap, [], id="swap")
+    for eps in (5e-9, 2e-8, 1e-7, 5e-7):
+        for m in (1, 8):
+            yield pytest.param(lambda eps=eps, m=m: lift(rotated_example1(eps), m), [],
+                               id=f"rotated-example1-{eps:g}-lift-{m}")
 
 
 class TestConstruct:
@@ -389,9 +408,27 @@ class TestConstruct:
         capsys.readouterr()
         assert main(["construct", path, "--max-iter", "1"]) == 2
         err = capsys.readouterr().err
-        assert "undecided" in err and "residual" in err
+        assert err.startswith(f"{path}: undecided")
+        assert "the SDP is undecided at residual " in err and "after 1 iteration(s)" in err
         assert "no CPTP" not in err
         assert main(["construct", path]) == 0
+
+    @pytest.mark.parametrize("build, flags", list(_parity_cases()))
+    def test_exit_code_is_that_of_check_without_the_search(self, build, flags, tmp_path, capsys):
+        # construct decides through run_all with the search off, so it claims
+        # neither more nor less than check --trials 0: the rotated example1
+        # fails the kernel check while the SDP's residual sits inside its band
+        path = build if isinstance(build, str) else write_scenario(tmp_path / "s.json", build())
+        expected = main(["check", path, "--trials", "0", *flags])
+        capsys.readouterr()
+        gamma_path = tmp_path / "gamma.json"
+        assert main(["construct", path, *flags, "--out", str(gamma_path)]) == expected
+        err = capsys.readouterr().err
+        assert gamma_path.exists() == (expected == 0)
+        if expected == 1:
+            assert err == f"{path}: no CPTP effective dynamics exists for this scenario\n"
+        elif expected == 2:
+            assert "undecided" in err
 
 
 class TestConfigBlock:
@@ -594,7 +631,7 @@ class TestListAndGen:
         "name, argv",
         [
             ("run_all", ["check", "spin-d3"]),
-            ("sdp_feasibility", ["construct", "spin-d3"]),
+            ("run_all", ["construct", "spin-d3"]),
             ("random_scenario", ["gen", "4", "2", "2", "--out", "unused.json"]),
         ],
         ids=["check", "construct", "gen"],

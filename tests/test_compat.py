@@ -847,6 +847,52 @@ def test_decohered_example2_is_feasible_and_never_certified(k, d, seed):
     assert out.channel is not None
 
 
+@st.composite
+def compatible_pairs(draw):
+    """Two scenarios of one coarse-graining, each closed by the SDP's
+    channel: decohered example2 blocks of one (k, d), spin-1 rotations of
+    one dichotomization, or example1 rotated by at most 5e-9, where the SDP
+    still builds a channel."""
+    family = draw(st.sampled_from(["decohered", "spin", "rotated"]))
+    if family == "decohered":
+        k, d = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+        return tuple(decohered_example2(k, d, draw(st.integers(0, 2**31 - 1))) for _ in range(2))
+    if family == "spin":
+        def rotation():
+            theta, phi = draw(st.floats(0, np.pi)), draw(st.floats(0, 2 * np.pi))
+            n = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+            return spin_dichotomization(3, draw(st.floats(-np.pi, np.pi)), n).scenario
+
+        return rotation(), rotation()
+    return tuple(rotated_example1(draw(st.floats(0, 5e-9))) for _ in range(2))
+
+
+@given(pair=compatible_pairs())
+# the composed distance reads 0.83 of the bound at (5e-9, 5e-9), and 1.000
+# of it at (5e-9, 1e-12): the bound is tight
+@example(pair=(rotated_example1(5e-9), rotated_example1(5e-9)))
+@example(pair=(rotated_example1(5e-9), rotated_example1(1e-12)))
+def test_composed_channels_close_the_composed_square(pair):
+    # With Delta_i = T_gi T_cg - T_cg T_ui and T_{u1 u2} = T_u1 T_u2,
+    #   T_g1 T_g2 T_cg - T_cg T_u1 T_u2 = T_g1 Delta_2 + Delta_1 T_u2.
+    # T_u2 is unitary, so ||Delta_1 T_u2||_F = delta_1.  A CPTP map contracts
+    # the trace norm of a Hermitian X, so ||g(X)||_2 <= ||g(X)||_1 <= ||X||_1
+    # <= sqrt(d) ||X||_2; T_g has the singular values of its real transfer
+    # matrix, the map on Hermitian X, so ||T_g||_2 <= sqrt(d) and
+    # compose(g1, g2) closes (cg, u1 u2) to at most delta_1 + sqrt(d) delta_2.
+    # Rounding: each of the three distances rests on an SVD of the d^2 x D^2
+    # T_cg and products of inner dimension at most D^2, of factors of spectral
+    # norm at most sqrt(D) (cg) and sqrt(d) (a channel), so each is off by a
+    # small multiple of D^2 sqrt(d D) eps.
+    s1, s2 = pair
+    assert np.array_equal(s1.cg.kraus, s2.cg.kraus)
+    g1, g2 = (compat.construct_emergent(s) for s in pair)
+    delta1, delta2 = compat.diagram_distance(s1, g1), compat.diagram_distance(s2, g2)
+    composed = compat.diagram_distance(ck.Scenario(s1.cg, s1.u @ s2.u), compose(g1, g2))
+    rounding = 3 * s1.D**2 * np.sqrt(s1.d * s1.D) * np.finfo(float).eps
+    assert composed <= delta1 + np.sqrt(s1.d) * delta2 + rounding
+
+
 @pytest.mark.parametrize("name", [n for n, e in REG.items() if e.expected == "compatible"])
 def test_verdict_flips_once_along_a_perturbed_unitary(name):
     # for a generic H, u exp(i eps H) is incompatible at every eps > 0; along

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coarsekit import linalg
-from coarsekit.channel import ChoiMatrix, DensityMatrix, KrausChannel, unitary_channel
+from coarsekit.channel import ChoiMatrix, KrausChannel, apply, unitary_channel
 from coarsekit.compat import Scenario
 from coarsekit.errors import DimensionMismatch, NotUnitary
 from coarsekit.scenarios import example1, example2
@@ -123,7 +123,7 @@ def test_asmatrix_takes_only_matrices(a):
 FINITE_TAKERS = {
     "asmatrix": (linalg.asmatrix, np.eye(2)),
     "require_unitary": (lambda m: linalg.require_unitary(m, "u"), np.eye(2)),
-    "DensityMatrix": (DensityMatrix, np.eye(2) / 2),
+    "apply": (lambda rho: apply(KrausChannel([np.eye(2)]), rho), np.eye(2) / 2),
     "ChoiMatrix": (lambda m: ChoiMatrix(2, 2, m), np.eye(4) / 2),
     "Scenario": (lambda u: Scenario(KrausChannel([np.eye(2)]), u), np.eye(2)),
 }
