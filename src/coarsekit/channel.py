@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NotCP, NotEquivalent, NotHermitian, NumericalFailure
-from .linalg import RANK_TOL, asmatrix, frob, hermitize, pinv, require_unitary
+from .linalg import RANK_TOL, asmatrix, frob, hermitize, require_unitary
 
 TP_TOL = 1e-9
 CP_TOL = 1e-8
@@ -257,11 +257,11 @@ def channels_equal(a: KrausChannel, b: KrausChannel, tol: float = EQ_TOL) -> boo
 def connecting_unitary(a: KrausChannel, b: KrausChannel, tol: float = EQ_TOL) -> np.ndarray:
     """Unitary W with ``K_i(a) = sum_j W[i, j] K_j(b)`` for equal channels.
 
-    The vectorized Kraus operators of both lists are stacked as columns and
-    zero-padded to a common count N.  The partial isometry pinv(Vb) @ Va is
-    completed to a unitary through its SVD; the completion is exact whenever
-    the two channels coincide, because equal Choi matrices force equal
-    column spans.
+    The vectorized Kraus operators of both lists are stacked as columns Va,
+    Vb and zero-padded to a common count N.  W minimizes ||Va - Vb W^T||_F
+    over all unitaries: with the SVD Vb* Va = P S Q*, W^T = P Q* (orthogonal
+    Procrustes; Schoenemann, Psychometrika 31, 1, 1966), so no rank cutoff
+    is involved.  Equal Choi matrices Va Va* = Vb Vb* make the minimum zero.
 
     Raises NotEquivalent if the channels differ beyond tol, NumericalFailure
     if the recovered W misses the residual bound 10*tol.
@@ -271,8 +271,7 @@ def connecting_unitary(a: KrausChannel, b: KrausChannel, tol: float = EQ_TOL) ->
     n = max(len(a.kraus), len(b.kraus))
     # zero columns stand for the zero operators that pad the shorter list
     va, vb = (np.pad(_vecs(ch.kraus).T, ((0, 0), (0, n - len(ch)))) for ch in (a, b))
-    wt = pinv(vb) @ va
-    p, _, qh = np.linalg.svd(wt)
+    p, _, qh = np.linalg.svd(vb.conj().T @ va)
     w = (p @ qh).T
     # column i is vec(K_i(a) - sum_j W[i, j] K_j(b)), so its norm is that
     # operator's Frobenius norm

@@ -17,6 +17,7 @@ indices row-major, so the column for (a, x) is ``a * n_x + x``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,7 +162,7 @@ def do_intervention(m: DoModel, x: int) -> np.ndarray:
     ``P(y|do(x)) = sum_a P(a) sum_b P(b|a,x) P(y|b)``.  The result never
     depends on the X|A table.
     """
-    if not 0 <= x < m.n_x:
+    if not (isinstance(x, numbers.Integral) and not isinstance(x, bool) and 0 <= x < m.n_x):
         raise IndexOutOfRange(f"x={x} outside alphabet of size {m.n_x}")
     cols = m.pB_given_AX.p[:, np.arange(m.pA.size) * m.n_x + x]
     p_b = cols @ m.pA

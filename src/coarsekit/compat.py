@@ -47,7 +47,8 @@ from .rand import state_from_factor
 # No criterion calls these five; they stay importable from this module
 # because perfbench wraps them here.
 from .channel import choi_to_kraus  # noqa: F401
-from .linalg import kernel_basis, pinv  # noqa: F401
+from .linalg import kernel_basis  # noqa: F401
+from numpy.linalg import pinv  # noqa: F401
 from .rand import random_density_mat, random_pure_state_mat  # noqa: F401
 
 TOL = 1e-8

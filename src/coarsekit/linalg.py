@@ -53,14 +53,6 @@ def require_unitary(m, what: str) -> np.ndarray:
     return m
 
 
-def pinv(a) -> np.ndarray:
-    """Moore-Penrose pseudoinverse.
-
-    Singular values below ``RANK_TOL * s_max`` are treated as exactly zero.
-    """
-    return np.linalg.pinv(asmatrix(a), rcond=RANK_TOL)
-
-
 def kernel_basis(a) -> np.ndarray:
     """Orthonormal basis of the (right) null space, as columns.
 

@@ -14,6 +14,8 @@ The registry names are stable identifiers used by the CLI:
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +93,8 @@ def example2(
     block-diagonal unitary is compatible.  The Fourier frame F cancels in
     (F* B_0 F)* (F* B_j F) = F* B_0* B_j F, and the test is B_0* B_j = c I.
     """
+    _require_count("k", k, 1)
+    _require_count("d", d, 1)
     blocks = [require_unitary(b, "block") for b in blocks]
     if len(blocks) != d:
         raise DimensionMismatch(f"need {d} blocks, got {len(blocks)}")
@@ -133,8 +137,7 @@ def spin_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Basis ordered by descending Jz eigenvalue, ladder construction.
     """
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
+    _require_count("dim", dim, 2)
     j = (dim - 1) / 2
     m = np.arange(j, -j - 1, -1.0)
     jz = np.diag(m).astype(np.complex128)
@@ -145,17 +148,26 @@ def spin_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (jp + jm) / 2, (jp - jm) / 2j, jz
 
 
-def _expm_hermitian_generator(h: np.ndarray) -> np.ndarray:
-    """exp(-i h) for Hermitian h."""
-    w, v = np.linalg.eigh(hermitize(h))
-    return (v * np.exp(-1j * w)) @ v.conj().T
-
-
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=np.complex128),
     np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
+
+
+def _spin_rotation(alpha, n, j) -> np.ndarray:
+    """exp(-i alpha <J, n>) for the three Hermitian generators J, if alpha is
+    a finite real number (not a bool) and n three finite real components of
+    unit norm within 1e-12; ValueError otherwise."""
+    n_vec = np.asarray(n, dtype=np.complex128).ravel()
+    if not (isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+            and abs(alpha) <= sys.float_info.max and n_vec.size == 3 and np.isfinite(n_vec).all()
+            and not n_vec.imag.any() and abs(np.linalg.norm(n_vec) - 1.0) <= 1e-12):
+        raise ValueError(f"need a finite real angle and a unit 3-vector, got {alpha!r}, {n!r}")
+    x, y, z = n_vec.real
+    h = alpha * (x * j[0] + y * j[1] + z * j[2])
+    w, v = np.linalg.eigh(hermitize(h))
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def spin_dichotomization(dim: int, alpha: float, n, name: str = "spin") -> NamedScenario:
@@ -170,10 +182,8 @@ def spin_dichotomization(dim: int, alpha: float, n, name: str = "spin") -> Named
     ChoiMatrix checks complete positivity of the dichotomization and raises
     NotCP when it fails for the requested dimension.
     """
-    n_vec = np.asarray(n, dtype=np.float64).ravel()
-    if n_vec.size != 3 or abs(np.linalg.norm(n_vec) - 1.0) > 1e-12:
-        raise ValueError("n must be a unit 3-vector")
     jx, jy, jz = spin_matrices(dim)
+    u = _spin_rotation(alpha, n, (jx, jy, jz))
     coeff = 2.0 / (dim - 1)
     m = 2 * dim
     # the closed form, with each J_i^T (x) sigma_i one broadcast product
@@ -181,7 +191,6 @@ def spin_dichotomization(dim: int, alpha: float, n, name: str = "spin") -> Named
         (j.T[:, None, :, None] * s[None, :, None, :]).reshape(m, m)
         for s, j in zip(_PAULI, (jx, jy, jz))))
     cg = choi_to_kraus(ChoiMatrix(dim, 2, choi))
-    u = _expm_hermitian_generator(alpha * (n_vec[0] * jx + n_vec[1] * jy + n_vec[2] * jz))
     return NamedScenario(
         name=name,
         scenario=Scenario(cg, u),
@@ -192,9 +201,7 @@ def spin_dichotomization(dim: int, alpha: float, n, name: str = "spin") -> Named
 
 def emergent_spin_rotation(alpha: float, n) -> np.ndarray:
     """The qubit rotation the dichotomized spin system inherits."""
-    n_vec = np.asarray(n, dtype=np.float64).ravel()
-    h = alpha / 2 * sum(c * s for c, s in zip(n_vec, _PAULI))
-    return _expm_hermitian_generator(h)
+    return _spin_rotation(alpha, n, [s / 2 for s in _PAULI])
 
 
 def random_scenario(big_dim: int, small_dim: int, kraus_count: int, seed: int) -> NamedScenario:

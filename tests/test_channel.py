@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsekit import channel as qc
-from coarsekit.errors import DimensionMismatch, NotCP, NotEquivalent, NotHermitian, NotUnitary
+from coarsekit.errors import (DimensionMismatch, NotCP, NotEquivalent, NotHermitian, NotUnitary,
+                             NumericalFailure)
 from coarsekit.linalg import RANK_TOL, frob, hermitize, vec
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 
@@ -497,3 +498,55 @@ class TestConnectingUnitary:
                 qc.KrausChannel([np.eye(2)]),
                 qc.unitary_channel(np.array([[0, 1], [1, 0]], dtype=complex)),
             )
+
+    def test_equal_channels_that_no_unitary_connects_fail(self):
+        # {I} and {sqrt(1-e) I, sqrt(e) Z} are equal within tol (their
+        # transfer matrices differ by 2 sqrt(2) e), but the best unitary
+        # leaves a residual near sqrt(2 e) = 4.5e-5, past the bound 10 tol
+        eps = 1e-9
+        a = qc.KrausChannel([np.eye(2)])
+        b = qc.KrausChannel([np.sqrt(1 - eps) * np.eye(2), np.sqrt(eps) * np.diag([1.0, -1.0])])
+        assert qc.channels_equal(a, b)
+        with pytest.raises(NumericalFailure, match="connecting unitary residual"):
+            qc.connecting_unitary(a, b)
+
+
+@st.composite
+def _planted_mixings(draw):
+    """A random Kraus set b of k operators, d_out x d_in, and the set a that a
+    Haar unitary W0 mixes it into, plus noise of relative size 1e-9 and a
+    renormalization to TP.  k <= d_in d_out keeps b's vecs independent."""
+    din, dout = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k = draw(st.integers(-(-din // dout), din * dout))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    b = qc.KrausChannel(random_kraus_ops(din, dout, k, rng))
+    w0 = haar_unitary(k, rng)
+    ops = np.tensordot(w0, b.kraus, axes=1)
+    g = rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape)
+    ops = ops + 1e-9 * frob(ops.reshape(k, -1)) / frob(g.reshape(k, -1)) * g
+    w, v = np.linalg.eigh(np.einsum("kji,kjl->il", ops.conj(), ops))
+    return qc.KrausChannel(ops @ ((v / np.sqrt(w)) @ v.conj().T)), b, w0
+
+
+@settings(max_examples=300)
+@given(_planted_mixings())
+def test_connecting_unitary_is_the_least_squares_unitary(planted):
+    # W minimizes ||Va - Vb W^T||_F over all unitaries, so it does at least as
+    # well as the planted W0, up to rounding.  The computed W is the exact
+    # polar factor of M = Vb* Va perturbed by dM, ||dM||_F <= m eps ||Vb||_F
+    # ||Va||_F with m = d_in d_out + k (forming M, then its SVD); Li's bound
+    # moves the polar factor by at most ||dM||_F / sigma_min(M), which moves
+    # the residual by at most ||Vb||_2 times that.  Evaluating a residual
+    # adds m eps ||Vb||_F sqrt(k) at most.  A backward-stable SVD returns P
+    # and Q unitary to a small multiple of k eps, and each product adds k eps;
+    # 10 k eps covers it (the worst of 3000 draws was 4.6 k eps).
+    a, b, w0 = planted
+    va, vb = (qc._vecs(ch.kraus).T for ch in (a, b))
+    k, m = len(b), va.shape[0] + len(b)
+    eps = np.finfo(float).eps
+    w = qc.connecting_unitary(a, b)
+    assert frob(w.conj().T @ w - np.eye(k)) <= 10 * k * eps
+    sigma_min = np.linalg.svd(vb.conj().T @ va, compute_uv=False)[-1]
+    rounding = m * eps * frob(vb) * (
+        np.linalg.norm(vb, 2) * frob(va) / sigma_min + 2 * np.sqrt(k))
+    assert frob(va - vb @ w.T) <= frob(va - vb @ w0.T) + rounding

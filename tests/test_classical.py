@@ -227,6 +227,19 @@ class TestDoIntervention:
         with pytest.raises(IndexOutOfRange):
             cl.do_intervention(m, 2)
 
+    @pytest.mark.parametrize("x", [0.0, True, -1, 2], ids=["float", "bool", "negative", "n_x"])
+    @pytest.mark.parametrize("call", [cl.do_intervention, cl.observational_vs_do])
+    def test_outcome_must_be_an_integer_in_the_alphabet(self, call, x):
+        # 0.0 used to reach numpy's indexing, and True was read as outcome 1
+        m = do_model([[0.9, 0.4, 0.2, 0.6], [0.1, 0.6, 0.8, 0.4]])
+        with pytest.raises(IndexOutOfRange, match="outside alphabet"):
+            call(m, x)
+
+    @pytest.mark.parametrize("call", [cl.do_intervention, cl.observational_vs_do])
+    def test_a_numpy_integer_outcome_is_accepted(self, call):
+        m = do_model([[0.9, 0.4, 0.2, 0.6], [0.1, 0.6, 0.8, 0.4]])
+        assert np.array_equal(call(m, np.int64(1)), call(m, 1))
+
     def test_invariant_under_px_changes(self):
         b_table = [[0.9, 0.4, 0.2, 0.6], [0.1, 0.6, 0.8, 0.4]]
         m1 = do_model(b_table, pX=[[0.95, 0.05], [0.05, 0.95]])

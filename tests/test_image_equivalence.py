@@ -28,7 +28,7 @@ from coarsekit.channel import (
     kraus_to_transfer_mat,
     transfer_to_choi_mat,
 )
-from coarsekit.linalg import RANK_TOL, frob, hermitize, kernel_basis, pinv
+from coarsekit.linalg import RANK_TOL, frob, hermitize, kernel_basis
 from coarsekit.rand import haar_unitary, random_kraus_ops
 from coarsekit.scenarios import random_planted_scenario, random_scenario, registry
 
@@ -203,7 +203,7 @@ def _dense_sdp(s, max_iter=compat.SDP_MAX_ITER, tol=compat.TOL):
 
 def _dense_candidate(s):
     t_cg = s.cg.transfer_mat
-    t_gamma = _rhs(s) @ pinv(t_cg)
+    t_gamma = _rhs(s) @ np.linalg.pinv(t_cg, rcond=RANK_TOL)
     return t_gamma, frob(t_gamma @ t_cg - _rhs(s))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from coarsekit import channel as qc
 from coarsekit.errors import DimensionMismatch
-from coarsekit.linalg import RANK_TOL, hermitize, pinv, vec
+from coarsekit.linalg import RANK_TOL, hermitize, vec
 from coarsekit.rand import haar_unitary, random_kraus_ops
 
 # stacked products add the same terms in another order, so results that are
@@ -40,7 +40,7 @@ def _loop_connecting_unitary(a, b):
     n = max(len(a.kraus), len(b.kraus))
     va, vb = (np.column_stack([vec(op) for op in ch.kraus]) for ch in (a, b))
     va, vb = (np.pad(v, ((0, 0), (0, n - v.shape[1]))) for v in (va, vb))
-    p, _, qh = np.linalg.svd(pinv(vb) @ va)
+    p, _, qh = np.linalg.svd(vb.conj().T @ va)
     return (p @ qh).T
 
 

@@ -22,37 +22,6 @@ def test_vec_convention():
     assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
-class TestPinv:
-    def test_invertible(self):
-        rng = np.random.default_rng(5)
-        a = rand_complex(rng, 2)
-        assert linalg.frob(linalg.pinv(a) - np.linalg.inv(a)) < 1e-10
-
-    def test_zero_matrix(self):
-        assert np.array_equal(linalg.pinv(np.zeros((3, 2))), np.zeros((2, 3)))
-
-    def test_rank_deficient(self):
-        rng = np.random.default_rng(6)
-        x = rand_complex(rng, 3, 1)
-        y = rand_complex(rng, 2, 1)
-        a = x @ y.conj().T
-        ap = linalg.pinv(a)
-        assert linalg.frob(a @ ap @ a - a) < 1e-8
-        assert linalg.frob(ap @ a @ ap - ap) < 1e-8
-
-    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
-    def test_penrose_identities(self, rank):
-        rng = np.random.default_rng(10 + rank)
-        a = np.zeros((4, 3), dtype=complex)
-        for _ in range(rank):
-            a += rand_complex(rng, 4, 1) @ rand_complex(rng, 1, 3)
-        ap = linalg.pinv(a)
-        assert linalg.frob(a @ ap @ a - a) < 1e-8
-        assert linalg.frob(ap @ a @ ap - ap) < 1e-8
-        assert linalg.frob((a @ ap).conj().T - a @ ap) < 1e-8
-        assert linalg.frob((ap @ a).conj().T - ap @ a) < 1e-8
-
-
 def test_kernel_basis():
     rng = np.random.default_rng(13)
     a = rand_complex(rng, 2, 5)

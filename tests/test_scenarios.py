@@ -178,7 +178,13 @@ class TestExample2:
         (lambda: example1(np.eye(3)), DimensionMismatch, "u2 must be 2x2"),
         (lambda: example2(2, 2, [np.eye(3)] * 2), DimensionMismatch, "blocks must be 2x2"),
         (lambda: example2(2, 2, [np.eye(2)] * 2, "some"), ValueError, "coherence_mode must be"),
-        (lambda: spin_matrices(1), ValueError, "dim must be >= 2"),
+        (lambda: spin_matrices(1), ValueError, "dim must be an integer >= 2"),
+        # the same range rule for the counts of example2 and spin_matrices
+        (lambda: example2(0, 2, []), ValueError, "k must be an integer >= 1"),
+        (lambda: example2(2.0, 2, [np.eye(2)] * 2), ValueError, "k must be an integer >= 1"),
+        (lambda: example2(2, 0, []), ValueError, "d must be an integer >= 1"),
+        (lambda: spin_matrices(2.5), ValueError, "dim must be an integer >= 2"),
+        (lambda: spin_dichotomization(2.5, 0.3, (0, 0, 1)), ValueError, "dim must be an integer"),
         # the range rule of random_scenario: counts >= 1, seed >= 0, never a bool
         (lambda: random_planted_scenario(2, 2, True), ValueError, "seed must be an integer"),
         (lambda: random_planted_scenario(2.5, 2, 1), ValueError, "small_dim must be an integer"),
@@ -189,8 +195,10 @@ class TestExample2:
         (lambda: random_planted_scenario(2, 2, -1), ValueError, "seed must be an integer"),
     ],
     ids=["example1-block-size", "example2-block-size", "example2-coherence-mode",
-         "spin-matrices-dim", "planted-bool-seed", "planted-float-dim", "planted-bool-dim",
-         "planted-float-seed", "planted-zero-dim", "planted-zero-env", "planted-negative-seed"],
+         "spin-matrices-dim", "example2-zero-k", "example2-float-k", "example2-zero-d",
+         "spin-matrices-float-dim", "spin-dichotomization-float-dim", "planted-bool-seed",
+         "planted-float-dim", "planted-bool-dim", "planted-float-seed", "planted-zero-dim",
+         "planted-zero-env", "planted-negative-seed"],
 )
 def test_builders_reject_bad_arguments(build, error, message):
     with pytest.raises(error, match=message):
@@ -233,6 +241,28 @@ class TestSpinDichotomization:
     def test_requires_unit_vector(self):
         with pytest.raises(ValueError):
             spin_dichotomization(3, 1.0, (1.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "alpha, n",
+        [(np.pi, (0, 1)), (np.pi, (0, 0, 2)), (np.nan, (0, 0, 1)), (np.inf, (0, 0, 1)),
+         (1.0, (0, np.nan, 1)), (1.0, (0, np.inf, 0)), (True, (0, 0, 1)), (10**400, (0, 0, 1)),
+         (1.0, (0, 0, 1j)), (1.0, ("z", 0, 1))],
+        ids=["two-components", "norm-2", "nan-angle", "inf-angle", "nan-axis", "inf-axis",
+             "bool-angle", "huge-int-angle", "complex-axis", "text-axis"],
+    )
+    @pytest.mark.parametrize("build", [lambda a, n: spin_dichotomization(3, a, n),
+                                       emergent_spin_rotation], ids=["scenario", "emergent"])
+    def test_one_rule_for_the_rotation(self, build, alpha, n):
+        # emergent_spin_rotation used to return the y rotation for (0, 1), the
+        # double angle for (0, 0, 2) and NaNs for a NaN angle;
+        # spin_dichotomization raised LinAlgError for an infinite angle; text
+        # fails numpy's conversion, itself a ValueError
+        with pytest.raises(ValueError, match="finite real angle and a unit 3-vector|malformed"):
+            build(alpha, n)
+
+    def test_a_real_axis_given_as_complex_numbers_is_accepted(self):
+        assert np.array_equal(emergent_spin_rotation(0.3, (0, 0, 1 + 0j)),
+                              emergent_spin_rotation(0.3, (0, 0, 1)))
 
     def test_cp_for_moderate_dimensions(self):
         for dim in (2, 3, 4, 5, 6):
