@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -64,6 +65,7 @@ class KrausChannel:
         if not np.isfinite(ops).all():
             raise ValueError("Kraus operators contain NaN or Inf entries")
         _, dout, din = ops.shape
+        err = None
         if require_tp:
             x = ops.reshape(-1, din)
             with np.errstate(over="ignore", invalid="ignore"):  # NaN fails the test below
@@ -73,12 +75,36 @@ class KrausChannel:
         self.kraus = ops
         self.din = din
         self.dout = dout
+        self._tp_err = err
 
     def __len__(self) -> int:
         return len(self.kraus)
 
     def __repr__(self) -> str:
         return f"KrausChannel(din={self.din}, dout={self.dout}, n_kraus={len(self.kraus)})"
+
+    @property
+    def _unitary_stack_delta(self) -> Optional[float]:
+        """delta >= ||W W* - I||_2 for the stacked operators W = [M_1; ...;
+        M_K] when W is square (K dout = din) and its trace-preservation error
+        ||W*W - I||_F, as ``__init__`` measured it, is within 16 din eps;
+        None otherwise, and for a map built with ``require_tp=False``.
+
+        A square W has ``||W W* - I||_2 = ||W*W - I||_2 <= ||W*W - I||_F``.
+        The measured Gram is off the exact one by at most gamma_{din+2}
+        ``||W||_F^2`` <= 2 din^2 eps (complex inner products; Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+        Lemma 3.5), so delta is the measured error plus 2 din^2 eps, at most
+        18 din^2 eps.  The threshold admits every stack that is unitary to
+        rounding: the stack of a Haar unitary, or of a product of up to
+        three, measures at most (10 + din) eps at din <= 96.
+        ``Scenario._image`` and ``_algebraic_lstsq`` factor such a map in
+        closed form, where the threshold is weighed."""
+        eps = np.finfo(float).eps
+        if (self._tp_err is None or len(self.kraus) * self.dout != self.din
+                or self._tp_err > 16 * self.din * eps):
+            return None
+        return self._tp_err + 2 * self.din**2 * eps
 
     @cached_property
     def choi(self) -> "ChoiMatrix":

@@ -69,11 +69,14 @@ UNDECIDED = "undecided"
 class _Image(NamedTuple):
     """The coarse-graining's transfer matrix in the real coordinates of
     Hermitian operators (``vec_from_real``), ``t`` = T_R = U_R diag(sigma)
-    V^T, cut at rank r (see ``Scenario._image``), and the real transfer
-    matrix ``a`` = A of {M_k u} split along V: the part of A outside the
-    image, ``e = A - A V V^T``.  One ``eigh`` of its Gram E E^T gives the
-    kernel residual ``e_norm`` = ||E||_2 = sqrt(max(lambda_max, 0)) and its
-    eigenvector ``e_top``, from which the witness reads its kernel element.
+    V^T, cut at rank r (see ``Scenario._image``): the thin SVD, or for a
+    square stack of K operators the closed form U_R = I, sigma = sqrt(K) 1
+    and V = T_R^T / sqrt(K), orthonormal to rounding, with r = d^2 and
+    nothing cut.  The real transfer matrix ``a`` = A of {M_k u} is split
+    along V: the part of A outside the image is ``e = A - A V V^T``.  One
+    ``eigh`` of its Gram E E^T gives the kernel residual ``e_norm`` =
+    ||E||_2 = sqrt(max(lambda_max, 0)) and its eigenvector ``e_top``, from
+    which the witness reads its kernel element.
     ``u = C U_R`` and ``av = C A V`` are in the vec coordinates that the
     complex transfer matrices act on: with C unitary, T_cg = u diag(sigma)
     (C_D V)* and the transfer matrix of {M_k u} maps C_D V to ``av``.
@@ -132,19 +135,47 @@ class Scenario:
 
     @cached_property
     def _image(self) -> _Image:
-        """One thin SVD of T_cg, shared by kernel invariance, the SDP and
-        construction; computed on first use.  cg and conjugation by u
-        preserve Hermiticity, so both maps act on the real coordinates of
-        Hermitian operators (``kraus_to_real_transfer_mat``), with the same
-        singular values as their complex transfer matrices.  The SVD is
+        """One factorization of T_cg, shared by kernel invariance, the SDP
+        and construction; computed on first use: a thin SVD, or for a square
+        stack the closed form below.  cg and conjugation by u preserve
+        Hermiticity, so both maps act on the real coordinates of Hermitian
+        operators (``kraus_to_real_transfer_mat``), with the same singular
+        values as their complex transfer matrices.  The SVD is
         taken of the tall T_R^T = V S U_R^T, which LAPACK's ``gesdd`` takes
         as R-SVD (T. F. Chan, ACM TOMS 8, 1982): a QR of T_R^T, an SVD of
         the d^2 x d^2 triangular factor and the product of the two.  Each
         step is backward stable, so the rank cut sees the wide SVD's
-        singular values; T_R T_R^T would lose those below sqrt(eps) S_0."""
+        singular values; T_R T_R^T would lose those below sqrt(eps) S_0.
+
+        A square stack W = [M_1; ...; M_K] (K d = D), unitary to within
+        ``KrausChannel._unitary_stack_delta``'s threshold, is an environment
+        traced out after a change of frame (Stinespring, Proc. Amer. Math.
+        Soc. 6, 211, 1955); it takes no SVD.  With W W* = I + Delta,
+        ||Delta||_2 <= delta, the blocks are M_j M_k* = delta_jk I +
+        Delta_jk, and the complex transfer matrix T has
+        ``T T* = sum_jk conj(M_j M_k*) x M_j M_k* = K I + sum_k (conj(Delta_kk)
+        x I + I x Delta_kk) + sum_jk conj(Delta_jk) x Delta_jk``.  The middle
+        sum has norm <= 2 K delta.  The last is the block row
+        [conj(Delta_jk) x I] times the block column [I x Delta_jk], whose
+        squared norms are ``||sum_j (Delta^2)_jj||_2 <= K delta^2`` each.
+        T_R T_R^T = C* T T* C (``vec_from_real``), so sigma = sqrt(K) 1,
+        U_R = I and V = T_R^T / sqrt(K) factor T_R exactly, with
+        ``||V^T V - I||_2 <= 2 delta + delta^2``: every singular value lies
+        within sqrt(K) (2 delta + delta^2) of sqrt(K), so the rank cut keeps
+        all d^2 and cut = 0.  The threshold leaves delta <= 18 D^2 eps, so V
+        is orthonormal to 36.4 D^2 eps (D^2 eps <= 1e-3).  The SVD carries
+        rounding of that order: its first step, a Householder QR of the
+        D^2-row T_R^T, has an a priori backward error per column and loss of
+        orthogonality of order D^2 d^2 eps (Higham 2002, Lemma 19.3 and
+        Section 19.3).  On Haar stacks at D <= 48, ||V^T V - I||_2 measures
+        2.4-8.6 eps in closed form and 4.4-8.3 eps from the SVD."""
         t = kraus_to_real_transfer_mat(self.cg.kraus)
         a = kraus_to_real_transfer_mat(self._kraus_after)
-        v, sigma, uh = np.linalg.svd(t.T, full_matrices=False)
+        if self.cg._unitary_stack_delta is None:
+            v, sigma, uh = np.linalg.svd(t.T, full_matrices=False)
+        else:
+            root_k = np.sqrt(len(self.cg))
+            v, sigma, uh = t.T / root_k, np.full(self.d**2, root_k), np.eye(self.d**2)
         r = int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
         v = v[:, :r]
         av = a @ v
@@ -363,14 +394,26 @@ def _algebraic_lstsq(s: Scenario) -> tuple[np.ndarray, float, float]:
     ||cg(I)||_2``; the last is R (I_K x X) R*, with ||R||_F = rho.  Each
     term is bounded by ||P Q S||_F <= ||P||_2 ||Q||_2 ||S||_F with
     ||X||_2 <= 1, and ||E||_2 is the largest ``||cg(u X u*)||_F``.
+
+    The proof holds for any V, with rho that V's residual, and needs only
+    an upper bound on ||M||_2.  So a square stack (see ``Scenario._image``),
+    with ``M M* = cg(I) = K I + sum_k Delta_kk`` and ||Delta||_2 <= delta,
+    takes no ``lstsq``: V = B M* / K, the least-squares solution B M*
+    (M M*)^-1 to within a relative delta / (1 - delta), and ``||M||_2 <=
+    sqrt(K (1 + delta))``.  ||V||_2 is read off the d x d ``eigvalsh`` of V V*.
     """
     m_cat, b_cat = (x.transpose(1, 0, 2).reshape(s.d, -1) for x in (s.cg.kraus, s._kraus_after))
-    # lstsq also returns the singular values of M^T, so ||M||_2 is its first
-    vt, _, _, m_sv = np.linalg.lstsq(m_cat.T, b_cat.T, rcond=None)
-    v = vt.T
+    delta = s.cg._unitary_stack_delta
+    if delta is None:
+        # lstsq also returns the singular values of M^T, so ||M||_2 is its first
+        vt, _, _, m_sv = np.linalg.lstsq(m_cat.T, b_cat.T, rcond=None)
+        v, m_norm = vt.T, m_sv[0]
+    else:
+        k = len(s.cg)
+        v, m_norm = (b_cat @ m_cat.conj().T) / k, np.sqrt(k * (1.0 + delta))
     rho = frob(b_cat - v @ m_cat)
-    v_norm = np.linalg.svd(v, compute_uv=False)[0]
-    bound = v_norm**2 * s._image.cut + 2 * v_norm * m_sv[0] * rho + rho**2
+    v_norm = np.sqrt(max(np.linalg.eigvalsh(v @ v.conj().T)[-1], 0.0))
+    bound = v_norm**2 * s._image.cut + 2 * v_norm * m_norm * rho + rho**2
     return v, rho, float(bound)
 
 

@@ -893,6 +893,7 @@ def test_composed_channels_close_the_composed_square(pair):
     assert composed <= delta1 + np.sqrt(s1.d) * delta2 + rounding
 
 
+
 @pytest.mark.parametrize("name", [n for n, e in REG.items() if e.expected == "compatible"])
 def test_verdict_flips_once_along_a_perturbed_unitary(name):
     # for a generic H, u exp(i eps H) is incompatible at every eps > 0; along
@@ -940,6 +941,78 @@ def _perturbed(s, eps, seed):
     g = np.random.default_rng(seed).standard_normal((s.D, 2 * s.D)).view(np.complex128)
     w, q = np.linalg.eigh(g + g.conj().T)
     return ck.Scenario(s.cg, s.u @ (q * np.exp(1j * eps * w / np.abs(w).max())) @ q.conj().T)
+
+
+_INVERSION_CGS = {
+    **{name: (lambda name=name: REG[name].scenario) for name in sorted(REG)},
+    # kappa = sqrt(2), as example1's: a lift scales every singular value by sqrt(m)
+    "example1-lifted-4": lambda: lift(REG["example1-compatible"].scenario, 4),
+}
+
+
+def _with_u(s, log_eps=None, seed=0):
+    """s's coarse-graining with u Haar, or with s's u moved by exp(i eps G)."""
+    if log_eps is None:
+        return ck.Scenario(s.cg, haar_unitary(s.D, np.random.default_rng(seed)))
+    return _perturbed(s, 10.0**log_eps, seed)
+
+
+@st.composite
+def inversion_cases(draw):
+    """A registry entry's coarse-graining, lifted example1's or a random
+    Kraus map (square when D = d K), with a unitary from ``_with_u``."""
+    name = draw(st.sampled_from(sorted(_INVERSION_CGS) + ["random"]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if name == "random":
+        d, k = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+        big = draw(st.integers(d, d * k))
+        rng = np.random.default_rng(seed)
+        s = ck.Scenario(KrausChannel(random_kraus_ops(big, d, k, rng)), haar_unitary(big, rng))
+    else:
+        s = _INVERSION_CGS[name]()
+    return _with_u(s, draw(st.one_of(st.none(), st.floats(-12, -1))), seed)
+
+
+def _inversion_example(name, log_eps=None):
+    return _with_u(_INVERSION_CGS[name](), log_eps)
+
+
+@settings(max_examples=60)
+@given(s=inversion_cases())
+@example(s=_inversion_example("example1-lifted-4"))
+@example(s=_inversion_example("example1-lifted-4", -9.0))
+@example(s=_inversion_example("example1-compatible", -6.0))
+@example(s=_inversion_example("example2-compatible", -9.0))
+@example(s=_inversion_example("example2-incompatible"))
+@example(s=_inversion_example("example1-incompatible"))
+@example(s=_inversion_example("spin-d3", -3.0))
+def test_the_kernel_residual_of_u_inverse_is_within_kappa(s):
+    """kappa^-1 <= ||E(u*)||_2 / ||E(u)||_2 <= kappa, kappa = sigma_max /
+    sigma_min of T_cg's kept singular values.
+
+    In the real coordinates of Hermitian operators T_u is orthogonal.  With
+    T_R = U S V^T cut at rank r and V_perp the complement of V, E(u) =
+    T_R T_u (I - V V^T) = U S N V_perp^T for N = V^T T_u V_perp, so
+    sigma_min ||N||_2 <= ||E(u)||_2 <= sigma_max ||N||_2; T_u* = T_u^T puts
+    P^T, P = V_perp^T T_u V, in N's place.  T_u's blocks in the basis
+    (V, V_perp) give N N^T = I - M M^T and P^T P = I - M^T M for the square
+    M = V^T T_u V, whose two Grams share their eigenvalues, so ||N||_2 =
+    ||P||_2 and the bound follows.  A square stack has every singular value
+    sqrt(K), so kappa = 1 and the two residuals are equal.
+
+    Rounding: E is A (I - V V^T) with ||A||_2 = sigma_max and V orthonormal
+    to O(D^2 eps), so each computed ||E||_2 is off by a small multiple of
+    rho = sigma_max D^2 eps; over 600 draws the bound was exceeded by at
+    most 0.22 rho.
+    """
+    img, img_inv = s._image, ck.Scenario(s.cg, s.u.conj().T)._image
+    kappa = img.sigma[0] / img.sigma[-1]
+    rho = img.sigma[0] * s.D**2 * np.finfo(float).eps
+    if s.cg._unitary_stack_delta is not None:
+        assert kappa == 1.0
+        assert abs(img_inv.e_norm - img.e_norm) <= rho
+    assert img_inv.e_norm <= kappa * img.e_norm + rho
+    assert img.e_norm <= kappa * img_inv.e_norm + rho
 
 
 _BASES = {
@@ -1031,10 +1104,12 @@ def test_kernel_witness_is_none_without_a_split():
     assert identity_scenario(np.eye(2))._kernel_witness is None
 
 
-def test_image_criteria_build_nothing_of_size_D2_by_D2():
+# K d = D, a square stack factored in closed form, and K d > D, factored by the SVD
+@pytest.mark.parametrize("kraus_count", [24, 25])
+def test_image_criteria_build_nothing_of_size_D2_by_D2(kraus_count):
     # one D^2 x D^2 complex array at D=48 takes 81 MB; the d^2 x D^2
     # matrices of the thin-SVD path take 0.15 MB each
-    s = random_scenario(48, 2, 24, 0).scenario
+    s = random_scenario(48, 2, kraus_count, 0).scenario
     tracemalloc.start()
     try:
         compat.check_fiber_preservation(s)
@@ -1046,10 +1121,11 @@ def test_image_criteria_build_nothing_of_size_D2_by_D2():
     assert peak < 16 * 2**20
 
 
-def test_image_criteria_hold_real_d2_by_D2_arrays():
+@pytest.mark.parametrize("kraus_count", [8, 9])
+def test_image_criteria_hold_real_d2_by_D2_arrays(kraus_count):
     # at D = 32, d = 4 a d^2 x D^2 array takes 128 KiB in real coordinates
     # and 256 KiB in complex ones; the complex factorization peaked at 1.29 MiB
-    s = random_scenario(32, 4, 8, 7).scenario
+    s = random_scenario(32, 4, kraus_count, 7).scenario
     tracemalloc.start()
     try:
         compat.check_fiber_preservation(s)
