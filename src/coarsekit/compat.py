@@ -68,34 +68,24 @@ UNDECIDED = "undecided"
 
 class _Image(NamedTuple):
     """The coarse-graining's transfer matrix in the real coordinates of
-    Hermitian operators (``vec_from_real``), ``t`` = T_R = U_R diag(sigma)
-    V^T, cut at rank r (see ``Scenario._image``): the thin SVD, or for a
-    square stack of K operators the closed form U_R = I, sigma = sqrt(K) 1
-    and V = T_R^T / sqrt(K), orthonormal to rounding, with r = d^2 and
-    nothing cut.  The real transfer matrix ``a`` = A of {M_k u} is split
-    along V: the part of A outside the image is ``e = A - A V V^T``.  One
-    ``eigh`` of its Gram E E^T gives the kernel residual ``e_norm`` =
-    ||E||_2 = sqrt(max(lambda_max, 0)) and its eigenvector ``e_top``, from
-    which the witness reads its kernel element.
-    ``u = C U_R`` and ``av = C A V`` are in the vec coordinates that the
-    complex transfer matrices act on: with C unitary, T_cg = u diag(sigma)
-    (C_D V)* and the transfer matrix of {M_k u} maps C_D V to ``av``.
-    ``cut`` is the largest singular value the rank cut dropped (0 when it
-    dropped none).  ``us`` = U diag(sigma) and ``e_frob`` = ||E||_F are the
-    two terms of the SDP's residual and of the diagram distance, computed
-    once here."""
+    Hermitian operators (``vec_from_real``), T_R = ``u`` diag(``sigma``)
+    ``v``^T, cut at rank r: the thin SVD, or a square stack's closed form
+    (``Scenario._image``).  ``cut`` is the largest singular value the cut
+    dropped (0 when it dropped none).  The real transfer matrix A of
+    {M_k u} is split along V into ``av`` = A V and ``e`` = E = A - A V V^T,
+    with ``e_frob`` = ||E||_F.  One ``eigh`` of E E^T gives the kernel
+    residual ``e_norm`` = ||E||_2 = sqrt(max(lambda_max, 0)) and its
+    eigenvector ``e_top``, from which the witness reads its kernel element.
+    Every array is real; T_R and A are not kept."""
 
-    u: np.ndarray  # d^2 x r
+    u: np.ndarray  # d^2 x r, U_R
     sigma: np.ndarray  # r
+    v: np.ndarray  # D^2 x r
     cut: float
-    a: np.ndarray  # d^2 x D^2, real
     av: np.ndarray  # d^2 x r
-    e: np.ndarray  # d^2 x D^2, real
+    e: np.ndarray  # d^2 x D^2
     e_norm: float
-    e_top: np.ndarray  # d^2, real
-    t: np.ndarray  # d^2 x D^2, real
-    u_real: np.ndarray  # d^2 x r, U_R
-    us: np.ndarray  # d^2 x r
+    e_top: np.ndarray  # d^2
     e_frob: float
 
 
@@ -182,12 +172,10 @@ class Scenario:
         # with a trivial kernel A lies in the image exactly
         e = a - av @ v.T if r < a.shape[1] else np.zeros_like(a)
         cut = float(sigma[r]) if r < sigma.size else 0.0
-        u, sigma = uh[:r].T, sigma[:r]
         w, y = np.linalg.eigh(e @ e.T)
-        # U and A V in vec coordinates
-        uc, avc = vec_from_real(u, self.d), vec_from_real(av, self.d)
-        return _Image(uc, sigma, cut, a, avc, e, float(np.sqrt(max(w[-1], 0.0))), y[:, -1],
-                      t, u, uc * sigma, frob(e))
+        # a copy past a cut, where the view V would keep all d^2 columns
+        return _Image(uh[:r].T, sigma[:r], v.copy() if r < sigma.size else v, cut, av, e,
+                      float(np.sqrt(max(w[-1], 0.0))), y[:, -1], frob(e))
 
     @cached_property
     def _kernel_witness(self) -> Optional["EnsembleWitness"]:
@@ -207,16 +195,19 @@ class Scenario:
         ``pg_after = 1/2 + ||cg(u H u*)||_1 / (2 ||H||_1)``, with no ancilla;
         ||H||_1 takes one ``eigvalsh``.
 
+        The image's factors give cg(H) = U_R S V^T x, and cg(u H u*) = A x
+        is read as E x, off by ``||A x - E x|| <= ||A V||_2 ||V^T x||``, with
+        ||A V||_2 <= sigma_0 and V^T x at rounding after the second projection.
+
         None when H is 0, or when the gap is within WITNESS_MARGIN, as for a
         check that fails only by rounding.
         """
         img, d = self._image, self.d
         # x = E^T y for the top eigenvector y of E E^T.  E's rounding puts x off
         # the kernel by about eps ||A||, which ||x|| = ||E||_2 does not dwarf
-        # when the check fails narrowly, so V V^T x = T_R^T U_R S^-2 U_R^T T_R x
-        # is taken out once more
+        # when the check fails narrowly, so V V^T x is taken out once more
         x = img.e_top @ img.e
-        x -= ((img.u_real / img.sigma**2) @ (img.u_real.T @ (img.t @ x))) @ img.t
+        x -= img.v @ (img.v.T @ x)
         # H, then cg(H) and cg(u H u*) in vec coordinates; vecs are
         # column-stacked, so a matrix is its vec reshaped and transposed, and
         # without the transpose it is the conjugate, with the same eigenvalues
@@ -224,7 +215,7 @@ class Scenario:
         h_norm = np.abs(np.linalg.eigvalsh(h)).sum()
         if not h_norm > 0:
             return None
-        images = vec_from_real(np.stack((img.t @ x, img.a @ x), axis=1), d)
+        images = vec_from_real(np.column_stack((img.u * img.sigma @ (img.v.T @ x), img.e @ x)), d)
         norms = np.abs(np.linalg.eigvalsh(images.T.reshape(2, d, d))).sum(axis=-1)
         pg_before, pg_after = 0.5 * (1.0 + norms / h_norm)
         if pg_after <= pg_before + WITNESS_MARGIN:
@@ -445,9 +436,10 @@ def verify_dual_identity(s: Scenario, v) -> float:
 
 def helstrom_pguess(p0: float, rho0, rho1) -> float:
     """Optimal guessing probability for a binary ensemble of two state
-    matrices, ``(1 + || p0 rho0 - p1 rho1 ||_1) / 2``."""
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"p0 must be a probability, got {p0}")
+    matrices, ``(1 + || p0 rho0 - p1 rho1 ||_1) / 2``.  ``p0`` follows
+    ``_require_tol``'s rule, a real number and not a bool, in [0, 1]."""
+    if not (isinstance(p0, numbers.Real) and not isinstance(p0, bool) and 0 <= p0 <= 1):
+        raise ValueError(f"p0 must be a probability, got {p0!r}")
     m0, m1 = asmatrix(rho0), asmatrix(rho1)
     if m0.shape != m1.shape:
         raise DimensionMismatch(f"state shapes differ: {m0.shape} vs {m1.shape}")
@@ -555,9 +547,10 @@ def sdp_feasibility(
     the coarse-graining square (both affine).
 
     The square T_J T_cg = A (A the transfer matrix of {M_k u}) is taken in
-    the thin SVD T_cg = U S V*: its rows along V read T_J U = (A V) S^-1,
-    whatever D is, and its rows off V read 0 = A - A V V*, which no J can
-    change and which enters the residual as the constant ``||A - A V V*||_F``.
+    the thin SVD T_cg = U S V*, U = C U_R and A V = C (A V)_R with C the
+    unitary of ``vec_from_real`` (``Scenario._image``): its rows along V read
+    T_J U = (A V) S^-1, whatever D is, and its rows off V read 0 = A - A V V*,
+    which no J can change and which enters the residual as ``||A - A V V*||_F``.
     In transfer form the affine set L is {T : T U = (A V) S^-1, w* T = w*},
     w = vec(I): one constraint acts on the right of T, the other on the
     left, and both hold at once because cg and {M_k u} preserve the trace.
@@ -573,8 +566,9 @@ def sdp_feasibility(
     its last term, so once ``||A - A V V*||_F`` > tol no point can be
     feasible: that term alone is then the residual and sets the status,
     ``infeasible`` above BAND*tol and ``undecided`` in between, at 0
-    iterations.  r = d^2 (then I - U U* = 0 and L is the one point T0) is
-    decided exactly by the same bands, at 0 iterations too.
+    iterations and before U and A V are formed.  r = d^2 (then I - U U* = 0
+    and L is the one point T0) is decided exactly by the same bands, at 0
+    iterations too.
 
     Else Dykstra's alternating projections run at most ``max_iter`` times;
     the correction p on the cone side makes them converge to a point of the
@@ -606,7 +600,12 @@ def sdp_feasibility(
     d = s.d
     n = d * d
     img = s._image
-    us, off_image = img.us, img.e_frob
+    off_image = img.e_frob
+    if off_image > tol:
+        # every point's residual is at least off_image, so none is within tol
+        return SdpOutcome(INFEASIBLE if off_image > BAND * tol else UNDECIDED, off_image, 0)
+    u, av = vec_from_real(img.u, d), vec_from_real(img.av, d)  # in vec coordinates
+    us = u * img.sigma
     # vec(I): the trace-preservation row of a transfer matrix T is tp_row @ T
     tp_row = np.eye(d, dtype=np.complex128).ravel()
 
@@ -615,28 +614,25 @@ def sdp_feasibility(
         w, vecs = np.linalg.eigh(j_mat)
         psd = (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
         t_y = choi_to_transfer_mat(psd, d, d)
-        diagram = t_y @ us - img.av
+        diagram = t_y @ us - av
         trace = tp_row @ t_y - tp_row
         sq = np.vdot(diagram, diagram).real + np.vdot(trace, trace).real
         return w, vecs, psd, t_y, float(np.sqrt(sq + off_image**2))
 
-    if off_image > tol:
-        # every point's residual is at least off_image, so none is within tol
-        return SdpOutcome(INFEASIBLE if off_image > BAND * tol else UNDECIDED, off_image, 0)
-    candidate = (img.av / img.sigma) @ img.u.conj().T
+    candidate = (av / img.sigma) @ u.conj().T
     if img.sigma.size == n:
         w, vecs, _, _, residual = project(transfer_to_choi_mat(candidate, d, d))
         channel = _channel(w, vecs, d) if residual <= tol else None
         band = INFEASIBLE if residual > BAND * tol else UNDECIDED
         return SdpOutcome(FEASIBLE if channel is not None else band, residual, 0, channel)
     w_hat = tp_row / np.sqrt(d)
-    off_u = np.eye(n) - img.u @ img.u.conj().T
+    off_u = np.eye(n) - u @ u.conj().T
     off_w = np.eye(n) - np.outer(w_hat, w_hat)
     t0 = candidate + np.outer(w_hat, w_hat @ off_u)
     j0 = transfer_to_choi_mat(t0, d, d)
     # iteration 1 projects j = 0, which P_K keeps: p = 0, x = P_L(0) = J0, and
     # the residual is ``project``'s at J = 0, in its order, with no eigh
-    residual = float(np.sqrt(np.vdot(img.av, img.av).real + d + off_image**2))
+    residual = float(np.sqrt(np.vdot(av, av).real + d + off_image**2))
     x, p = j0, np.zeros((n, n), dtype=np.complex128)
     for iterations in range(2, max_iter + 1):
         j_mat = x + p
@@ -677,12 +673,15 @@ def diagram_distance(s: Scenario, gamma: KrausChannel) -> float:
     A Choi matrix is a realignment of its transfer matrix, so the distance
     is ``||T_gamma T_cg - A||_F`` with A the transfer matrix of {M_k u};
     no composed channel is formed.  With T_cg = U S V*, the rows of
-    E = A - A V V* are orthogonal to V, so the square distance is
-    ``||T_gamma U S - A V||_F^2 + ||E||_F^2``: no d^2 x D^2 product either.
+    E = A - A V V* are orthogonal to V, so in ``Scenario._image``'s real
+    coordinates, which the unitary C of ``vec_from_real`` maps to the
+    complex ones, the square distance is ``||T_gamma,R U_R S - A V||_F^2 +
+    ||E||_F^2`` with T_gamma,R = ``kraus_to_real_transfer_mat(gamma.kraus)``.
     """
     _require_effective(s, gamma)
     img = s._image
-    return float(np.hypot(frob(gamma.transfer_mat @ img.us - img.av), img.e_frob))
+    t_gamma = kraus_to_real_transfer_mat(gamma.kraus)
+    return float(np.hypot(frob(t_gamma @ (img.u * img.sigma) - img.av), img.e_frob))
 
 
 def verify_kraus_equivalence(

@@ -211,6 +211,14 @@ class TestCheck:
         assert "witness search : skipped (the effective channel closes the square)" in out
         assert "none found" not in out
 
+    def test_check_prints_a_search_witness_with_its_ancilla_and_trial(self, tmp_path, capsys):
+        # D = d = 2: the kernel check holds, so the witness comes from the
+        # seeded search, which finds one at trial 3 on ancilla 1
+        path = write_scenario(tmp_path / "dephased.json", dephased_hadamard(0.5))
+        assert main(["check", path, "--seed", "0"]) == 1
+        assert ("  witness search : FOUND (ancilla=1, trial=3)   pg 0.666564 -> 0.684827"
+                "   gap 1.826e-02\n") in capsys.readouterr().out
+
     def test_undecided_check_says_none_found(self, tmp_path, capsys):
         path = write_scenario(tmp_path / "almost.json", pauli_contraction(4e-6))
         assert main(["check", path, "--trials", "0"]) == 2

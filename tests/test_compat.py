@@ -16,6 +16,7 @@ from coarsekit.channel import (
     kraus_to_transfer_mat,
     transfer_to_choi_mat,
     unitary_channel,
+    vec_from_real,
 )
 from coarsekit.errors import DimensionMismatch, MethodDisagreement, NotEquivalent, NumericalFailure
 from coarsekit.linalg import RANK_TOL, frob, vec
@@ -346,7 +347,8 @@ class TestSdpFeasibility:
         s = dephased_hadamard(p)
         assert compat.check_fiber_preservation(s)[0]
         img = s._image
-        j0 = transfer_to_choi_mat((img.av / img.sigma) @ img.u.conj().T, 2, 2)
+        u, av = vec_from_real(img.u, 2), vec_from_real(img.av, 2)
+        j0 = transfer_to_choi_mat((av / img.sigma) @ u.conj().T, 2, 2)
         vec = np.linalg.eigh(j0)[1][:, 0]
         assert np.vdot(vec, j0 @ vec).real == pytest.approx(quotient, abs=1e-4)
         out = compat.sdp_feasibility(s)
@@ -405,9 +407,17 @@ class TestHelstrom:
         with pytest.raises(DimensionMismatch):
             compat.helstrom_pguess(0.5, np.eye(2) / 2, np.eye(3) / 3)
 
-    def test_p0_must_be_a_probability(self):
+    # the rule of every tolerance, a real number and not a bool, in [0, 1]:
+    # True used to read as 1, and a string or None raised a TypeError
+    @pytest.mark.parametrize("p0", [1.5, True, False, "0.5", None])
+    def test_p0_must_be_a_probability(self, p0):
         with pytest.raises(ValueError, match="probability"):
-            compat.helstrom_pguess(1.5, np.eye(2) / 2, np.eye(2) / 2)
+            compat.helstrom_pguess(p0, np.eye(2) / 2, np.eye(2) / 2)
+
+    @pytest.mark.parametrize("p0, same", [(np.float64(0.3), 0.3), (1, 1.0)])
+    def test_p0_takes_numpy_floats_and_integers(self, p0, same):
+        rho0, rho1 = np.diag([1.0, 0.0]), np.eye(2) / 2
+        assert compat.helstrom_pguess(p0, rho0, rho1) == compat.helstrom_pguess(same, rho0, rho1)
 
     def test_data_processing_monotonicity(self):
         rng = np.random.default_rng(9)
@@ -1015,6 +1025,73 @@ def test_the_kernel_residual_of_u_inverse_is_within_kappa(s):
     assert img.e_norm <= kappa * img_inv.e_norm + rho
 
 
+_COMPOSITION_CGS = {
+    **{name: (lambda name=name: REG[name].scenario) for name in sorted(REG)},
+    # kappa = sqrt(2), as example1's
+    "example1-rotated-lifted-4": lambda: lift(rotated_example1(5e-9), 4),
+}
+
+
+def _composition_pair(s, log_eps1, log_eps2, seed=0):
+    """s's coarse-graining with u1 and u2 each s's u moved by exp(i eps G)."""
+    return _perturbed(s, 10.0**log_eps1, seed), _perturbed(s, 10.0**log_eps2, seed + 1)
+
+
+@st.composite
+def composition_cases(draw):
+    """A registry entry's coarse-graining, lifted rotated example1's or a
+    random Kraus map (D 3-8, d 2-3, K from ceil(D/d) to ceil(D/d) + 2, so
+    square when K d = D, with u = I), and a pair from ``_composition_pair``."""
+    name = draw(st.sampled_from(sorted(_COMPOSITION_CGS) + ["random"]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if name == "random":
+        d = draw(st.integers(2, 3))
+        big = draw(st.integers(3, 8))
+        k = draw(st.integers(-(-big // d), -(-big // d) + 2))
+        ops = random_kraus_ops(big, d, k, np.random.default_rng(seed))
+        s = ck.Scenario(KrausChannel(ops), np.eye(big))
+    else:
+        s = _COMPOSITION_CGS[name]()
+    return _composition_pair(s, draw(st.floats(-9, -1)), draw(st.floats(-9, -1)), seed)
+
+
+@settings(max_examples=60)
+@given(pair=composition_cases())
+@example(pair=_composition_pair(_COMPOSITION_CGS["example1-rotated-lifted-4"](), -9.0, -9.0))
+@example(pair=_composition_pair(REG["spin-d3"].scenario, -9.0, -1.0))
+@example(pair=_composition_pair(REG["example2-compatible"].scenario, -6.0, -9.0))
+@example(pair=_composition_pair(REG["example1-incompatible"].scenario, -1.0, -1.0))
+def test_the_kernel_residual_of_a_product_is_within_the_composition_bound(pair):
+    """||E(u1 u2)||_2 <= ||E(u1)||_2 + kappa ||E(u2)||_2, kappa = sigma_max /
+    sigma_min of T_cg's kept singular values; as kappa >= 1 this implies
+    kappa (||E(u1)||_2 + ||E(u2)||_2).
+
+    In the real coordinates of Hermitian operators, T_R = U S V^T cut at
+    rank r, V_perp the complement of V and T_u orthogonal,
+    T_{u1 u2} = T_u1 T_u2 and E(u) = T_R T_u (I - V V^T), so ||E(u)||_2 =
+    ||T_R T_u V_perp||_2.  Splitting T_u2 V_perp along (V, V_perp),
+    ``T_{u1 u2} V_perp = T_u1 V (V^T T_u2 V_perp) + T_u1 V_perp (V_perp^T
+    T_u2 V_perp)``.  T_R times the first term has norm <= sigma_max
+    ||V^T T_u2 V_perp||_2, and ``||E(u2)||_2 = ||S V^T T_u2 V_perp||_2 >=
+    sigma_min ||V^T T_u2 V_perp||_2``, so it is <= kappa ||E(u2)||_2.  T_R
+    times the second term has norm <= ||E(u1)||_2, since a block of the
+    orthogonal T_u2 has norm <= 1.  The argument holds wherever the cut
+    falls, so this law cannot see a misplaced cut; the composition of
+    channels does.
+
+    Rounding: as in the inversion law, each computed ||E||_2 is off by a
+    small multiple of rho = sigma_max D^2 eps, and the bound adds three of
+    them, one scaled by kappa.  The law is tight (a ratio of 1 - 6e-9 seen
+    over 1776 draws of these cases), so the test allows (2 + kappa) rho.
+    """
+    s1, s2 = pair
+    s12 = ck.Scenario(s1.cg, s1.u @ s2.u)
+    img = s1._image
+    kappa = img.sigma[0] / img.sigma[-1]
+    rho = img.sigma[0] * s1.D**2 * np.finfo(float).eps
+    assert s12._image.e_norm <= img.e_norm + kappa * s2._image.e_norm + (2 + kappa) * rho
+
+
 _BASES = {
     **{name: (lambda seed, name=name: REG[name].scenario) for name in sorted(REG)},
     # u2 = H R(5e-9) H, a rotation mixing the kept and discarded directions
@@ -1135,6 +1212,35 @@ def test_image_criteria_hold_real_d2_by_D2_arrays(kraus_count):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        pytest.param(random_scenario(32, 4, 8, 7).scenario, id="square-D32"),
+        pytest.param(random_scenario(32, 4, 9, 7).scenario, id="svd-D32"),
+        pytest.param(decohered_example2(8, 4, 7), id="dephasing-D32"),  # r = d < d^2
+    ],
+)
+def test_the_image_keeps_real_factors_and_the_split_alone(s):
+    # E (d^2 x D^2), V (D^2 x r), U_R and A V (d^2 x r), E E^T's top
+    # eigenvector and sigma, all real.  U_R and the eigenvector are views of
+    # the d^2 x d^2 factors they are cut from, and sigma of all d^2 singular
+    # values, so those count at that size; 8 KiB covers the tuple, the array
+    # headers and the floats (2.7 KiB measured).  At D = 32, d = 4, r = 16 the
+    # bound is 270 KiB and the image keeps 265 KiB; with T_R, A and complex
+    # copies of U, A V and U S it kept 404 KiB
+    d2, dd2 = s.d**2, s.D**2
+    s._kraus_after, s.cg._unitary_stack_delta  # the scenario's and the channel's
+    tracemalloc.start()
+    try:
+        img = s._image
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    r = img.sigma.size
+    assert kept <= 8 * (d2 * dd2 + dd2 * r + d2 * d2 + d2 * r + d2 * d2 + d2) + 8192
+    assert all(f.dtype == np.float64 for f in img if isinstance(f, np.ndarray))
 
 
 def test_sdp_builds_nothing_of_size_d4():
@@ -1347,7 +1453,7 @@ def test_a_one_iteration_loop_is_undecided_at_the_zero_point(monkeypatch, name):
     assert calls == []
     zero = np.zeros((n, n), dtype=np.complex128)
     tp_row = np.eye(s.d, dtype=np.complex128).ravel()
-    diagram = zero @ img.us - img.av
+    diagram = zero @ (vec_from_real(img.u, s.d) * img.sigma) - vec_from_real(img.av, s.d)
     trace = tp_row @ zero - tp_row
     sq = np.vdot(diagram, diagram).real + np.vdot(trace, trace).real
     assert out.residual == float(np.sqrt(sq + img.e_frob**2))

@@ -27,6 +27,7 @@ from coarsekit.channel import (
     choi_to_transfer_mat,
     kraus_to_transfer_mat,
     transfer_to_choi_mat,
+    vec_from_real,
 )
 from coarsekit.linalg import RANK_TOL, frob, hermitize, kernel_basis
 from coarsekit.rand import haar_unitary, random_kraus_ops
@@ -265,7 +266,8 @@ def test_sdp_matches_full_diagram_rows(case):
 def test_candidate_matches_pseudoinverse(case):
     s = CASES[case]()
     img = s._image
-    t_gamma = (img.av / img.sigma) @ img.u.conj().T
+    u, av = vec_from_real(img.u, s.d), vec_from_real(img.av, s.d)
+    t_gamma = (av / img.sigma) @ u.conj().T
     t_ref, residual_ref = _dense_candidate(s)
     assert frob(t_gamma - t_ref) <= TOL
     assert abs(frob(img.e) - residual_ref) <= TOL
@@ -328,12 +330,13 @@ def test_image_resolves_the_rank_of_the_wide_svd(eps, rank):
     av = a @ vh.conj().T
     candidate = (av / sigma) @ u.conj().T
     img = s._image
+    img_u, img_av = vec_from_real(img.u, s.d), vec_from_real(img.av, s.d)
     assert img.sigma.size == r
     assert np.abs(img.sigma - sigma).max() <= TOL
-    assert frob(img.av @ img.av.conj().T - av @ av.conj().T) <= TOL
+    assert frob(img_av @ img_av.conj().T - av @ av.conj().T) <= TOL
     # the candidate is determined to eps sigma_0 / sigma_r off the image, by
     # either SVD, and to rounding on it
-    img_candidate = (img.av / img.sigma) @ img.u.conj().T
+    img_candidate = (img_av / img.sigma) @ img_u.conj().T
     assert frob((img_candidate - candidate) @ t_cg) <= TOL
     assert frob(img_candidate - candidate) <= TOL * sigma[0] / sigma[-1]
     _, residual = compat.check_fiber_preservation(s)
