@@ -14,7 +14,7 @@ from coarsekit.channel import (
     connecting_unitary,
     dual,
 )
-from coarsekit.linalg import frob, vec
+from coarsekit.linalg import frob
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 
 rng = np.random.default_rng(5)
@@ -28,7 +28,7 @@ print(f"Kraus -> Choi -> Kraus: {len(back.kraus)} operators, "
 
 # transfer matrix agrees with direct application
 rho = random_density_mat(3, rng)
-via_transfer = (ch.transfer_mat @ vec(rho)).reshape(2, 2, order="F")
+via_transfer = (ch.transfer_mat @ rho.flatten(order="F")).reshape(2, 2, order="F")
 direct = sum(k @ rho @ k.conj().T for k in ch.kraus)
 print(f"transfer vs direct application: {frob(via_transfer - direct):.2e}")
 

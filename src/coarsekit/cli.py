@@ -139,6 +139,8 @@ def cmd_check(args) -> int:
               f"   residual {_e(report.sdp.residual)}   iterations {report.sdp.iterations}")
         if report.emergent is not None:
             print("  witness search : skipped (the effective channel closes the square)")
+        elif report.verdict == UNDECIDED:
+            print("  witness search : skipped (it documents only an incompatible verdict)")
         elif report.witness is None:
             print(f"  witness search : none found"
                   f"   (trials={cfg.witness_trials}, ancillas={cfg.resolved_ancillas(scenario)})")
@@ -158,8 +160,8 @@ def cmd_check(args) -> int:
 
 def cmd_construct(args) -> int:
     scenario, doc = _resolve_input(args.input)
-    # the verdict of check --trials 0: the random search is the one step that
-    # needs a seed, and a channel is written only when it closes the square
+    # the search never decides and construct prints no witness, so it runs
+    # none; a channel is written only when it closes the square
     report = run_all(scenario, dataclasses.replace(_config(args, doc), witness_trials=0))
     gamma = report.emergent
     if gamma is None:
@@ -223,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_sdp(p_check)
     p_check.add_argument("--trials", type=int, default=None,
                          help="random witness-search trials per ancilla dimension, spent only "
-                         "when no effective channel is built and the kernel check yields no "
-                         "witness (0 disables)")
+                         "to document an incompatible verdict that the kernel check left "
+                         "without a witness; never changes the verdict (0 disables)")
     p_check.add_argument("--ancilla", type=int, default=None,
                          help="restrict the witness search to one ancilla dimension")
 

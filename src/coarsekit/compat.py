@@ -19,8 +19,8 @@ for every state rho:
    point, made exactly trace preserving, is the effective channel;
 4. a randomized discrimination witness: a binary ensemble whose optimal
    guessing probability increases across the dynamics certifies that no
-   CPTP effective map can exist; it is searched for at random only when
-   criterion 3 builds no channel and criterion 1 yields no witness.
+   CPTP effective map can exist; it is searched for at random only to
+   document an incompatible verdict that criterion 1 left without a witness.
 
 ``run_all`` holds all four to one tolerance, ``CheckConfig.tol``, checks
 their verdicts against each other, and returns the SDP's channel if any.
@@ -709,10 +709,18 @@ def verify_kraus_equivalence(
 def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
     """Run all four criteria, cross-check them, and assemble a report.
 
-    The channel is built before the witness search, and the search runs
-    only when there is none: once a CPTP gamma closes the square to its
-    diagram residual delta, no ensemble can gain more than
-    ``sqrt(d D) delta / 2`` in guessing probability.  With
+    The rule: ``compatible`` when the SDP's channel closes the square,
+    ``incompatible`` when the kernel check fails or the SDP is
+    ``infeasible``, else ``undecided``, so the verdict reads ``cfg.tol`` and
+    ``cfg.sdp_max_iter`` alone.  The random witness search never decides: it
+    runs only for an ``incompatible`` verdict that the kernel check left
+    without a witness (a failed check builds one, ``Scenario._kernel_witness``,
+    unless it misses WITNESS_MARGIN), and only attaches what it finds, so a
+    report that is not ``incompatible`` does not depend on its settings.
+
+    A compatible report needs no witness, as none exists: once a CPTP
+    gamma closes the square to its diagram residual delta, no ensemble can
+    gain more than ``sqrt(d D) delta / 2`` in guessing probability.  With
     Delta = gamma . cg - cg(u . u*) and a witness's X = p0 rho0 - p1 rho1
     (``EnsembleWitness.x``) on the system and any ancilla (||X||_1 <= 1),
     the gap is half of
@@ -722,13 +730,7 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
     matrix J(Delta) = P - Q into PSD parts gives
     ``||Delta||_<> <= tr P + tr Q = ||J(Delta)||_1`` (Watrous 2018, ch. 3),
     and J(Delta) is dD x dD, so ``||J(Delta)||_1 <= sqrt(d D)
-    ||J(Delta)||_F``, which is delta (``diagram_distance``).  A compatible
-    report therefore carries no witness.
-
-    A failed kernel check brings its own witness, built inside the check
-    (``Scenario._kernel_witness``), so the random search runs only when no
-    channel is built and either the kernel check holds or its witness
-    misses WITNESS_MARGIN; ``witness_trials`` is that search's budget alone.
+    ||J(Delta)||_F``, which is delta (``diagram_distance``).
 
     All four criteria are held to the one ``cfg.tol``.  ``method_agreement``
     holds the cross-checks that can fail: an intertwiner or a feasible SDP
@@ -759,16 +761,6 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
             f"constructed effective map fails to close the diagram: {diag_res:.3e}"
         )
 
-    # a channel that closes the square bounds every witness's gap by
-    # sqrt(d D) diag_res / 2, so only a decision without one searches, and
-    # only when the failed kernel check left no witness
-    witness = None if fiber_ok else s._kernel_witness
-    if witness is None and emergent is None and cfg.witness_trials > 0:
-        for ancilla in cfg.resolved_ancillas(s):
-            witness = search_witness(s, cfg.witness_trials, ancilla, cfg.seed)
-            if witness is not None:
-                break
-
     flags = {
         "algebraic_implies_fiber": v_opt is None or fiber_ok,
         "sdp_feasible_implies_fiber": sdp.status != FEASIBLE or fiber_ok,
@@ -782,10 +774,18 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
 
     if emergent is not None:
         verdict = COMPATIBLE
-    elif not fiber_ok or sdp.status == INFEASIBLE or witness is not None:
+    elif not fiber_ok or sdp.status == INFEASIBLE:
         verdict = INCOMPATIBLE
     else:
         verdict = UNDECIDED
+
+    # the search only documents an incompatible verdict that has no witness yet
+    witness = None if fiber_ok else s._kernel_witness
+    if verdict == INCOMPATIBLE and witness is None and cfg.witness_trials > 0:
+        for ancilla in cfg.resolved_ancillas(s):
+            witness = search_witness(s, cfg.witness_trials, ancilla, cfg.seed)
+            if witness is not None:
+                break
 
     return CompatReport(
         fiber_preserved=fiber_ok,

@@ -37,11 +37,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def vec(a: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(a).flatten(order="F")
-
-
 def require_unitary(m, what: str) -> np.ndarray:
     """``m`` as a complex matrix; NotUnitary unless it is square with
     ``||M*M - I||_F <= UNITARY_TOL``, which a Gram that overflows to NaN

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from coarsekit import channel as qc
 from coarsekit.errors import (DimensionMismatch, NotCP, NotEquivalent, NotHermitian, NotUnitary,
                              NumericalFailure)
-from coarsekit.linalg import RANK_TOL, frob, hermitize, vec
+from coarsekit.linalg import RANK_TOL, frob, hermitize
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 
 from builders import tr_in
@@ -264,7 +264,7 @@ class TestTransfer:
         worst = 0.0
         for _ in range(10):
             rho = random_density_mat(4, rng)
-            via_transfer = (ch.transfer_mat @ vec(rho)).reshape(2, 2, order="F")
+            via_transfer = (ch.transfer_mat @ rho.flatten(order="F")).reshape(2, 2, order="F")
             direct = sum(k @ rho @ k.conj().T for k in ch.kraus)
             worst = max(worst, frob(via_transfer - direct))
         assert worst < 1e-10
@@ -289,7 +289,7 @@ class TestTransfer:
 
 def _real_coords(x):
     """y(X) = vec(Re X + Im X), column-stacked, for a Hermitian X."""
-    return vec(x.real + x.imag)
+    return (x.real + x.imag).flatten(order="F")
 
 
 def _from_real_coords(y, n):
@@ -318,7 +318,8 @@ def test_real_transfer_matrix_acts_on_hermitian_coordinates(din, dout, k, seed):
     assert frob(got - image) <= 1e-12 * max(1.0, frob(image))
     # the coordinates are an isometry, and C y is the vec of the operator
     assert abs(np.linalg.norm(_real_coords(x)) - frob(x)) <= 1e-12 * frob(x)
-    assert np.linalg.norm(qc.vec_from_real(_real_coords(x), din) - vec(x)) <= 1e-12 * frob(x)
+    vec_x = x.flatten(order="F")
+    assert np.linalg.norm(qc.vec_from_real(_real_coords(x), din) - vec_x) <= 1e-12 * frob(x)
     # T_R = C_out* T C_in: the same singular values as the complex T
     want = np.linalg.svd(qc.kraus_to_transfer_mat(ops), compute_uv=False)
     sv = np.linalg.svd(t_r, compute_uv=False)
@@ -424,7 +425,8 @@ class TestEquivalence:
     def test_distance_is_the_choi_distance(self, seed):
         # the oracle: Choi matrices built from vec(K) outer products
         def choi(ch):
-            return sum(np.outer(vec(op), vec(op).conj()) for op in ch.kraus)
+            vecs = [op.flatten(order="F") for op in ch.kraus]
+            return sum(np.outer(v, v.conj()) for v in vecs)
 
         din, dout = [(2, 2), (3, 2), (4, 3)][seed % 3]
         a = rand_channel(din, dout, 2 + seed % 3, 400 + seed)

@@ -6,6 +6,7 @@ import pytest
 from coarsekit import cli
 from coarsekit.channel import KrausChannel, channels_equal, unitary_channel
 from coarsekit.cli import main
+from coarsekit.compat import CheckConfig, run_all
 from coarsekit.errors import MethodDisagreement
 from coarsekit.io import dumps, matrix_to_json, scenario_from_json
 from coarsekit.linalg import frob
@@ -158,8 +159,8 @@ class TestCheck:
         assert "not trace preserving" in err and err.count("\n") == 1
 
     def test_undecided_exit_two(self, tmp_path, capsys):
-        # with the witness budget at zero, the remaining criteria cannot
-        # decide this nearly-compatible scenario at default tolerances
+        # the kernel check holds and the SDP's residual sits inside its band,
+        # so no criterion decides this nearly-compatible scenario
         path = write_scenario(tmp_path / "almost.json", pauli_contraction(4e-6))
         assert main(["check", path, "--trials", "0"]) == 2
         out = capsys.readouterr().out
@@ -219,10 +220,24 @@ class TestCheck:
         assert ("  witness search : FOUND (ancilla=1, trial=3)   pg 0.666564 -> 0.684827"
                 "   gap 1.826e-02\n") in capsys.readouterr().out
 
-    def test_undecided_check_says_none_found(self, tmp_path, capsys):
+    @pytest.mark.parametrize("trials", [[], ["--trials", "0"]], ids=["default", "zero"])
+    def test_undecided_check_says_the_search_was_skipped(self, trials, tmp_path, capsys):
         path = write_scenario(tmp_path / "almost.json", pauli_contraction(4e-6))
-        assert main(["check", path, "--trials", "0"]) == 2
-        assert "witness search : none found   (trials=0" in capsys.readouterr().out
+        assert main(["check", path, *trials]) == 2
+        out = capsys.readouterr().out
+        assert ("  witness search : skipped (it documents only an incompatible verdict)\n"
+                in out)
+        assert "none found" not in out
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_search_does_not_decide_inside_the_band(self, seed, tmp_path, capsys):
+        # criterion 9's Pauli case at the default budget: a search would find
+        # gaps of 2.3e-9 to 8.1e-8 at these seeds, far inside the SDP's band
+        # of 1e-6, so it does not run and the case stays undecided
+        s = pauli_contraction(4e-6)
+        assert run_all(s, CheckConfig(seed=seed)).verdict == "undecided"
+        path = write_scenario(tmp_path / "almost.json", s)
+        assert main(["check", path, "--seed", str(seed)]) == 2
 
     @pytest.mark.parametrize(
         "name", [n for n, e in registry().items() if e.expected == "compatible"]
@@ -345,8 +360,8 @@ class TestCheck:
 
 
 def _parity_cases():
-    """(registry name or scenario builder, flags) for the parity of construct
-    and check --trials 0."""
+    """(registry name or scenario builder, flags) for the parity of construct,
+    check --trials 0 and check at the default budget."""
     yield from (pytest.param(name, [], id=name) for name in registry())
     yield pytest.param(three_cycle, [], id="three-cycle")
     yield pytest.param(lambda: dephased_hadamard(0.5), [], id="dephased-hadamard")
@@ -424,10 +439,12 @@ class TestConstruct:
     @pytest.mark.parametrize("build, flags", list(_parity_cases()))
     def test_exit_code_is_that_of_check_without_the_search(self, build, flags, tmp_path, capsys):
         # construct decides through run_all with the search off, so it claims
-        # neither more nor less than check --trials 0: the rotated example1
+        # neither more nor less than check --trials 0, nor than check at the
+        # default budget, whose search never decides: the rotated example1
         # fails the kernel check while the SDP's residual sits inside its band
         path = build if isinstance(build, str) else write_scenario(tmp_path / "s.json", build())
         expected = main(["check", path, "--trials", "0", *flags])
+        assert main(["check", path, *flags]) == expected
         capsys.readouterr()
         gamma_path = tmp_path / "gamma.json"
         assert main(["construct", path, *flags, "--out", str(gamma_path)]) == expected

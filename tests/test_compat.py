@@ -19,7 +19,8 @@ from coarsekit.channel import (
     vec_from_real,
 )
 from coarsekit.errors import DimensionMismatch, MethodDisagreement, NotEquivalent, NumericalFailure
-from coarsekit.linalg import RANK_TOL, frob, vec
+from coarsekit.io import report_to_json
+from coarsekit.linalg import RANK_TOL, frob
 from coarsekit.rand import haar_unitary, random_density_mat, random_kraus_ops
 from coarsekit.scenarios import (
     emergent_spin_rotation,
@@ -110,7 +111,7 @@ def _kron_lstsq(s):
     d = s.d
     mu = [m @ s.u for m in s.cg.kraus]
     a = np.vstack([np.kron(m.T, np.eye(d)) for m in s.cg.kraus])
-    b = np.concatenate([vec(mu_k) for mu_k in mu])
+    b = np.concatenate([mu_k.flatten(order="F") for mu_k in mu])
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
     v = x.reshape(d, d, order="F")
     residual = np.sqrt(sum(frob(mu_k - v @ m) ** 2 for mu_k, m in zip(mu, s.cg.kraus)))
@@ -322,6 +323,14 @@ class TestSdpFeasibility:
         out = compat.sdp_feasibility(s)
         assert (out.status, out.iterations) == (compat.UNDECIDED, 0)
         assert compat.TOL < out.residual <= compat.BAND * compat.TOL
+
+    def test_closed_form_accepts_a_point_only_within_tol(self):
+        # at theta = 1e-7 the one linear effective map's PSD projection misses
+        # the square by 1.34e-8, inside (tol, 2 tol]: no channel, and nothing
+        # for the loop to do
+        out = compat.sdp_feasibility(pauli_contraction(1e-7))
+        assert (out.status, out.iterations, out.channel) == (compat.UNDECIDED, 0, None)
+        assert compat.TOL < out.residual <= 2 * compat.TOL
 
     @pytest.mark.parametrize("eps", [1e-9, 3e-9, 1e-8])
     def test_band_off_the_image_decided_without_iterating(self, eps):
@@ -683,8 +692,8 @@ COMPATIBLE_NAMES = [n for n, e in REG.items() if e.expected == "compatible"]
 
 
 class TestWitnessSkip:
-    """run_all searches for a witness only when no channel closes the square
-    and the kernel check yields no witness."""
+    """run_all searches for a witness only for an incompatible verdict that
+    the kernel check left without a witness."""
 
     @pytest.mark.parametrize("name", COMPATIBLE_NAMES)
     def test_compatible_decision_does_not_search(self, compat_calls, name):
@@ -708,6 +717,49 @@ class TestWitnessSkip:
         assert report.fiber_preserved and report.sdp.status == compat.INFEASIBLE
         assert len(calls) >= 1
         assert report.witness is None or report.witness.source == "search"
+
+    def test_undecided_decision_does_not_search(self, compat_calls):
+        # the Pauli case's SDP residual sits inside its band: no criterion
+        # decides, and the search, which would find a gap of about 1e-8 here,
+        # does not run
+        calls = compat_calls("search_witness")
+        report = compat.run_all(pauli_contraction(4e-6))
+        assert report.verdict == "undecided"
+        assert calls == [] and report.witness is None
+
+
+@st.composite
+def decisions(draw):
+    """A scenario from the registry, random_scenario, or the builders
+    three_cycle, dephased_hadamard and pauli_contraction (theta 1e-8 to
+    1e-3, across the SDP's band)."""
+    kind = draw(st.sampled_from(["registry", "random", "cycle", "dephased", "pauli"]))
+    if kind == "registry":
+        return REG[draw(st.sampled_from(sorted(REG)))].scenario
+    if kind == "random":
+        d = draw(st.integers(2, 3))
+        big = d + draw(st.integers(0, 3))
+        kraus = -(-big // d) + draw(st.integers(0, 2))
+        return random_scenario(big, d, kraus, draw(st.integers(0, 2**31 - 1))).scenario
+    if kind == "cycle":
+        return three_cycle()
+    if kind == "dephased":
+        return dephased_hadamard(draw(st.floats(0.01, 1.0)))
+    return pauli_contraction(10.0 ** draw(st.floats(-8.0, -3.0)))
+
+
+@settings(max_examples=40)
+@example(s=pauli_contraction(4e-6), seed=0)
+@given(s=decisions(), seed=st.integers(0, 2**31 - 2))
+def test_the_search_settings_never_change_a_verdict(s, seed):
+    # the verdict is the same at 0 and 50 trials and at two seeds; a report
+    # that is not incompatible equals the zero-budget one
+    zero = compat.run_all(s, compat.CheckConfig(witness_trials=0, seed=seed))
+    for cfg_seed in (seed, seed + 1):
+        report = compat.run_all(s, compat.CheckConfig(witness_trials=50, seed=cfg_seed))
+        assert report.verdict == zero.verdict
+        if report.verdict != "incompatible":
+            assert report_to_json(report, "s", {}) == report_to_json(zero, "s", {})
 
 
 def _witness_bound(s, diagram_residual):
@@ -1341,7 +1393,7 @@ def test_channel_is_none_while_the_point_is_no_channel(k, singular):
     # J = vec(K) vec(K)*.  For K = |0><0|, tr_out J is singular.  For the other
     # K its lambda_min is 1e-12, so ||R||_2^2 = 1e12 and sum K*K - I rounds
     # like eps 1e12 (2e-5 seen), far past CHOI_TP_TOL
-    j = np.outer(vec(k), vec(k).conj())
+    j = np.outer(k.flatten(order="F"), k.flatten(order="F").conj())
     lam_min = np.linalg.eigvalsh(tr_out(j, 2, 2)).min()
     assert (lam_min <= 0) == singular and lam_min < 1e-11
     assert compat._channel(*np.linalg.eigh(j), 2) is None

@@ -7,7 +7,7 @@ import pytest
 
 from coarsekit import channel as qc
 from coarsekit.errors import DimensionMismatch
-from coarsekit.linalg import RANK_TOL, hermitize, vec
+from coarsekit.linalg import RANK_TOL, hermitize
 from coarsekit.rand import haar_unitary, random_kraus_ops
 
 # stacked products add the same terms in another order, so results that are
@@ -27,7 +27,7 @@ def _loop_choi(ch):
     n = ch.din * ch.dout
     mat = np.zeros((n, n), dtype=np.complex128)
     for op in ch.kraus:
-        v = vec(op)
+        v = op.flatten(order="F")
         mat += np.outer(v, v.conj())
     return mat
 
@@ -38,7 +38,7 @@ def _loop_apply(ch, rho):
 
 def _loop_connecting_unitary(a, b):
     n = max(len(a.kraus), len(b.kraus))
-    va, vb = (np.column_stack([vec(op) for op in ch.kraus]) for ch in (a, b))
+    va, vb = (np.column_stack([op.flatten(order="F") for op in ch.kraus]) for ch in (a, b))
     va, vb = (np.pad(v, ((0, 0), (0, n - v.shape[1]))) for v in (va, vb))
     p, _, qh = np.linalg.svd(vb.conj().T @ va)
     return (p @ qh).T

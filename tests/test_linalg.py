@@ -17,8 +17,8 @@ def test_vec_convention():
     # column stacking: vec(A X B) == kron(B.T, A) vec(X)
     rng = np.random.default_rng(0)
     a, x, b = (rand_complex(rng, 3) for _ in range(3))
-    lhs = linalg.vec(a @ x @ b)
-    rhs = np.kron(b.T, a) @ linalg.vec(x)
+    lhs = (a @ x @ b).flatten(order="F")
+    rhs = np.kron(b.T, a) @ x.flatten(order="F")
     assert np.linalg.norm(lhs - rhs) < 1e-12
 
 

@@ -150,3 +150,19 @@ def test_a_square_stack_takes_no_svd_and_no_lstsq(monkeypatch, case):
     # the SVD path factors the D^2 x d^2 T_R^T, and solves K D equations
     assert svd == [(s.D**2, s.d**2)] * count
     assert lstsq == [(len(s.cg) * s.D, s.d)] * count
+
+
+@pytest.mark.parametrize("scale, closed_form", [(50, False), (4, True)])
+def test_the_closed_form_takes_a_stack_only_within_its_threshold(scale, closed_form):
+    # a Haar stack W (I + delta H), ||H||_F = 1, has W*W - I = 2 delta H +
+    # delta^2 H^2: at delta = 50 D eps it measures 100 D eps, past the
+    # threshold 16 D eps, and takes the SVD; at 4 D eps it measures 8 D eps
+    big, d = 16, 4
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((big, big)) + 1j * rng.standard_normal((big, big))
+    h = g + g.conj().T
+    delta = scale * big * EPS
+    stack = haar_unitary(big, rng) @ (np.eye(big) + delta * h / np.linalg.norm(h))
+    cg = KrausChannel(stack.reshape(big // d, d, big))
+    assert cg._tp_err == pytest.approx(2 * delta, rel=0.1)
+    assert (cg._unitary_stack_delta is not None) == closed_form
