@@ -9,8 +9,7 @@ unchanged copy, so that a kill means the change was seen.
 
 Run from anywhere, with the test extras installed:
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py
 
 It prints killed or survived per mutant and exits 1 if any survives or if a
 mutant or its tests are broken.  pytest does not collect this file (it
@@ -57,7 +56,7 @@ MUTANTS = (
         "                verdict = INCOMPATIBLE\n"
         "                break\n",
         ("tests/test_compat.py::test_the_search_settings_never_change_a_verdict",
-         "tests/test_cli.py::TestCheck::test_the_search_does_not_decide_inside_the_band"),
+         "tests/test_cli.py::TestCheck::test_undecided_check_says_the_search_was_skipped"),
     ),
     # the r = d^2 closed form accepts its one point at 2 tol
     Mutant(
@@ -118,19 +117,14 @@ def _outcome(mutant: Mutant | None, tests) -> int:
         return _pytest(tree, tests)
 
 
-def main(names) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    tests = sorted({t for m in chosen for t in m.tests})
+def main() -> int:
+    tests = sorted({t for m in MUTANTS for t in m.tests})
     code = _outcome(None, tests)
     if code != 0:
         print(f"the killing tests fail on the unchanged tree (pytest exit {code})")
         return 1
     failed = False
-    for m in chosen:
+    for m in MUTANTS:
         code = _outcome(m, m.tests)
         # pytest exits 1 when a test fails; 0 is a survivor, anything else an error
         status = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
@@ -140,4 +134,4 @@ def main(names) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -6,7 +6,6 @@ import pytest
 from coarsekit import cli
 from coarsekit.channel import KrausChannel, channels_equal, unitary_channel
 from coarsekit.cli import main
-from coarsekit.compat import CheckConfig, run_all
 from coarsekit.errors import MethodDisagreement
 from coarsekit.io import dumps, matrix_to_json, scenario_from_json
 from coarsekit.linalg import frob
@@ -220,24 +219,26 @@ class TestCheck:
         assert ("  witness search : FOUND (ancilla=1, trial=3)   pg 0.666564 -> 0.684827"
                 "   gap 1.826e-02\n") in capsys.readouterr().out
 
+    def test_incompatible_check_without_a_witness_says_none_found(self, tmp_path, capsys):
+        # the kernel check holds and the SDP is infeasible, so only the search
+        # could attach a witness, and with no trials it finds none
+        path = write_scenario(tmp_path / "cycle.json", three_cycle())
+        assert main(["check", path, "--trials", "0"]) == 1
+        assert ("  witness search : none found   (trials=0, ancillas=(1, 3))\n"
+                in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("trials", [[], ["--trials", "0"]], ids=["default", "zero"])
-    def test_undecided_check_says_the_search_was_skipped(self, trials, tmp_path, capsys):
+    def test_undecided_check_says_the_search_was_skipped(self, trials, seed, tmp_path, capsys):
+        # criterion 9's Pauli case: a search at the default budget would find
+        # gaps of 2.3e-9 to 8.1e-8 at seeds 0-3, far inside the SDP's band of
+        # 1e-6, so it does not run and the case stays undecided
         path = write_scenario(tmp_path / "almost.json", pauli_contraction(4e-6))
-        assert main(["check", path, *trials]) == 2
+        assert main(["check", path, *trials, "--seed", str(seed)]) == 2
         out = capsys.readouterr().out
         assert ("  witness search : skipped (it documents only an incompatible verdict)\n"
                 in out)
         assert "none found" not in out
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_the_search_does_not_decide_inside_the_band(self, seed, tmp_path, capsys):
-        # criterion 9's Pauli case at the default budget: a search would find
-        # gaps of 2.3e-9 to 8.1e-8 at these seeds, far inside the SDP's band
-        # of 1e-6, so it does not run and the case stays undecided
-        s = pauli_contraction(4e-6)
-        assert run_all(s, CheckConfig(seed=seed)).verdict == "undecided"
-        path = write_scenario(tmp_path / "almost.json", s)
-        assert main(["check", path, "--seed", str(seed)]) == 2
 
     @pytest.mark.parametrize(
         "name", [n for n, e in registry().items() if e.expected == "compatible"]
