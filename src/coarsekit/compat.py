@@ -70,17 +70,18 @@ class _Image(NamedTuple):
     """The coarse-graining's transfer matrix in the real coordinates of
     Hermitian operators (``vec_from_real``), T_R = ``u`` diag(``sigma``)
     ``v``^T, cut at rank r: the thin SVD, or a square stack's closed form
-    (``Scenario._image``).  ``cut`` is the largest singular value the cut
-    dropped (0 when it dropped none).  The real transfer matrix A of
-    {M_k u} is split along V into ``av`` = A V and ``e`` = E = A - A V V^T,
-    with ``e_frob`` = ||E||_F.  One ``eigh`` of E E^T gives the kernel
-    residual ``e_norm`` = ||E||_2 = sqrt(max(lambda_max, 0)) and its
-    eigenvector ``e_top``, from which the witness reads its kernel element.
-    Every array is real; T_R and A are not kept."""
+    (``Scenario._image``), with ``v`` None.  ``cut`` is the largest singular
+    value the cut dropped (0 when it dropped none).  The real transfer
+    matrix A of {M_k u} is split along V into ``av`` = A V and ``e`` = E =
+    A - A V V^T, in a square stack's own frame, with ``e_frob`` = ||E||_F.
+    One ``eigh`` of E E^T gives the kernel residual ``e_norm`` = ||E||_2 =
+    sqrt(max(lambda_max, 0)) and its eigenvector ``e_top``, from which the
+    witness reads its kernel element.  Every array is real; T_R and A are
+    not kept."""
 
     u: np.ndarray  # d^2 x r, U_R
     sigma: np.ndarray  # r
-    v: np.ndarray  # D^2 x r
+    v: Optional[np.ndarray]  # D^2 x r
     cut: float
     av: np.ndarray  # d^2 x r
     e: np.ndarray  # d^2 x D^2
@@ -138,44 +139,45 @@ class Scenario:
         singular values; T_R T_R^T would lose those below sqrt(eps) S_0.
 
         A square stack W = [M_1; ...; M_K] (K d = D), unitary to within
-        ``KrausChannel._unitary_stack_delta``'s threshold, is an environment
-        traced out after a change of frame (Stinespring, Proc. Amer. Math.
-        Soc. 6, 211, 1955); it takes no SVD.  With W W* = I + Delta,
-        ||Delta||_2 <= delta, the blocks are M_j M_k* = delta_jk I +
-        Delta_jk, and the complex transfer matrix T has
-        ``T T* = sum_jk conj(M_j M_k*) x M_j M_k* = K I + sum_k (conj(Delta_kk)
-        x I + I x Delta_kk) + sum_jk conj(Delta_jk) x Delta_jk``.  The middle
-        sum has norm <= 2 K delta.  The last is the block row
-        [conj(Delta_jk) x I] times the block column [I x Delta_jk], whose
-        squared norms are ``||sum_j (Delta^2)_jj||_2 <= K delta^2`` each.
-        T_R T_R^T = C* T T* C (``vec_from_real``), so sigma = sqrt(K) 1,
-        U_R = I and V = T_R^T / sqrt(K) factor T_R exactly, with
-        ``||V^T V - I||_2 <= 2 delta + delta^2``: every singular value lies
-        within sqrt(K) (2 delta + delta^2) of sqrt(K), so the rank cut keeps
-        all d^2 and cut = 0.  The threshold leaves delta <= 18 D^2 eps, so V
-        is orthonormal to 36.4 D^2 eps (D^2 eps <= 1e-3).  The SVD carries
-        rounding of that order: its first step, a Householder QR of the
-        D^2-row T_R^T, has an a priori backward error per column and loss of
-        orthogonality of order D^2 d^2 eps (Higham 2002, Lemma 19.3 and
-        Section 19.3).  On Haar stacks at D <= 48, ||V^T V - I||_2 measures
-        2.4-8.6 eps in closed form and 4.4-8.3 eps from the SVD."""
-        t = kraus_to_real_transfer_mat(self.cg.kraus)
-        a = kraus_to_real_transfer_mat(self._kraus_after)
+        ``KrausChannel._unitary_stack_delta``'s threshold, takes no SVD:
+        cg = tr_K Ad_W (Stinespring, Proc. Amer. Math. Soc. 6, 211, 1955), so
+        T_R = P G^T, P the real transfer matrix of tr_K and G that of Ad_W*.
+        P P^T = K I gives sigma = sqrt(K) 1, U_R = I, cut = 0 and
+        V = G P^T / sqrt(K).  The real transfer matrix A' of the K row blocks
+        of u' = (W u) W* is A G, so A V = A' P^T / sqrt(K), and E' =
+        A' - A' P^T P / K (``_strip_block_mean``).  With W W* = I + Delta,
+        ||Delta||_2 <= delta, G's singular values lie in [1 - delta,
+        1 + delta], and E = E' G^T - A (G G^T - I), so in the 2- and the
+        Frobenius norm ||E|| is within delta ||E'|| + (2 delta + delta^2) ||A||
+        of ||E'||, with ||A||_2 <= sqrt(K) (1 + delta) and ||A||_F <=
+        d ||A||_2.  The threshold leaves delta <= 18 D^2 eps, so 2 delta +
+        delta^2 <= 36.4 D^2 eps (D^2 eps <= 1e-3), the order of the SVD's
+        rounding: its Householder QR of the D^2-row T_R^T loses orthogonality
+        of order D^2 d^2 eps (Higham 2002, Section 19.3).  No T_R, V or
+        (A V) V^T is formed; the image keeps E'."""
         if self.cg._unitary_stack_delta is None:
+            t = kraus_to_real_transfer_mat(self.cg.kraus)
+            a = kraus_to_real_transfer_mat(self._kraus_after)
             v, sigma, uh = np.linalg.svd(t.T, full_matrices=False)
+            r = int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
+            v = v[:, :r]
+            av = a @ v
+            # with a trivial kernel A lies in the image exactly
+            e = a - av @ v.T if r < a.shape[1] else np.zeros_like(a)
+            cut = float(sigma[r]) if r < sigma.size else 0.0
+            # a copy past a cut, where the view V would keep all d^2 columns
+            u_r, v, sigma = uh[:r].T, v.copy() if r < sigma.size else v, sigma[:r]
         else:
-            root_k = np.sqrt(len(self.cg))
-            v, sigma, uh = t.T / root_k, np.full(self.d**2, root_k), np.eye(self.d**2)
-        r = int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
-        v = v[:, :r]
-        av = a @ v
-        # with a trivial kernel A lies in the image exactly
-        e = a - av @ v.T if r < a.shape[1] else np.zeros_like(a)
-        cut = float(sigma[r]) if r < sigma.size else 0.0
+            k, n, big = len(self.cg), self.d**2, self.D
+            stack = self.cg.kraus.reshape(big, big)
+            frame = self._kraus_after.reshape(big, big) @ stack.conj().T
+            e = kraus_to_real_transfer_mat(frame.reshape(self.cg.kraus.shape))
+            sigma = np.full(n, np.sqrt(k))
+            u_r, v, cut = np.eye(n), None, 0.0
+            av = _strip_block_mean(e, k, self.d)[1].reshape(n, n) / sigma[0]
         w, y = np.linalg.eigh(e @ e.T)
-        # a copy past a cut, where the view V would keep all d^2 columns
-        return _Image(uh[:r].T, sigma[:r], v.copy() if r < sigma.size else v, cut, av, e,
-                      float(np.sqrt(max(w[-1], 0.0))), y[:, -1], frob(e))
+        return _Image(u_r, sigma, v, cut, av, e, float(np.sqrt(max(w[-1], 0.0))), y[:, -1],
+                      frob(e))
 
     @cached_property
     def _kernel_witness(self) -> Optional["EnsembleWitness"]:
@@ -186,42 +188,61 @@ class Scenario:
         The top right singular vector x of E = A - A V V^T, in the real
         coordinates of Hermitian operators, is a Hermitian H: the kernel
         element that u pushes furthest out of the kernel, cg(H) = 0 and
-        ``||cg(u H u*)||_F = ||E||_2 ||H||_F``.  The complex kernel check
-        sees the same ||E||_2: the kernel is closed under adjoints, so its
-        complexification adds no direction that u pushes further.  H is
-        traceless (cg preserves the trace), so X = H / ||H||_1 has PSD parts
-        X+ and X- of traces p0 = p1 = 1/2, and X = p0 rho0 - p1 rho1 with
-        rho0 = X+/p0 and rho1 = X-/p1.  Then pg_before = 1/2 and
-        ``pg_after = 1/2 + ||cg(u H u*)||_1 / (2 ||H||_1)``, with no ancilla;
-        ||H||_1 takes one ``eigvalsh``.
+        ``||cg(u H u*)||_F = ||E||_2 ||H||_F``.  H is traceless (cg preserves
+        the trace), so X = H / ||H||_1 has PSD parts X+ and X- of traces
+        p0 = p1 = 1/2, and X = p0 rho0 - p1 rho1 with rho0 = X+/p0 and
+        rho1 = X-/p1.  Then pg_before = 1/2 and ``pg_after = 1/2 +
+        ||cg(u H u*)||_1 / (2 ||H||_1)``, with no ancilla; ||H||_1 takes one
+        ``eigvalsh``.
 
         The image's factors give cg(H) = U_R S V^T x, and cg(u H u*) = A x
         is read as E x, off by ``||A x - E x|| <= ||A V||_2 ||V^T x||``, with
         ||A V||_2 <= sigma_0 and V^T x at rounding after the second projection.
+        A square stack's E' (``Scenario._image``) gives x' = W H W*, whose
+        block mean goes out again; cg(H) is its block trace, and X = W* H' W
+        / ||H'||_1, hermitized, to the frame's delta.
 
         None when H is 0, or when the gap is within WITNESS_MARGIN, as for a
         check that fails only by rounding.
         """
-        img, d = self._image, self.d
+        img, d, big = self._image, self.d, self.D
         # x = E^T y for the top eigenvector y of E E^T.  E's rounding puts x off
         # the kernel by about eps ||A||, which ||x|| = ||E||_2 does not dwarf
-        # when the check fails narrowly, so V V^T x is taken out once more
+        # when the check fails narrowly, so its part along V is taken out once
+        # more, on a square stack as the block mean
         x = img.e_top @ img.e
-        x -= img.v @ (img.v.T @ x)
+        if img.v is None:
+            cg_h = _strip_block_mean(x, len(self.cg), d)[0].sum(axis=-1).ravel()
+        else:
+            x -= img.v @ (img.v.T @ x)
+            cg_h = img.u * img.sigma @ (img.v.T @ x)
         # H, then cg(H) and cg(u H u*) in vec coordinates; vecs are
         # column-stacked, so a matrix is its vec reshaped and transposed, and
         # without the transpose it is the conjugate, with the same eigenvalues
-        h = vec_from_real(x, self.D).reshape(self.D, self.D).T
+        h = vec_from_real(x, big).reshape(big, big).T
         h_norm = np.abs(np.linalg.eigvalsh(h)).sum()
         if not h_norm > 0:
             return None
-        images = vec_from_real(np.column_stack((img.u * img.sigma @ (img.v.T @ x), img.e @ x)), d)
+        images = vec_from_real(np.column_stack((cg_h, img.e @ x)), d)
         norms = np.abs(np.linalg.eigvalsh(images.T.reshape(2, d, d))).sum(axis=-1)
         pg_before, pg_after = 0.5 * (1.0 + norms / h_norm)
         if pg_after <= pg_before + WITNESS_MARGIN:
             return None
+        if img.v is None:
+            stack = self.cg.kraus.reshape(big, big)
+            h = hermitize(stack.conj().T @ h @ stack)
         return EnsembleWitness(_freeze(h / h_norm), float(pg_before), float(pg_after),
                                source="kernel")
+
+
+def _strip_block_mean(y: np.ndarray, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Take, in place, the mean of the K diagonal d x d blocks out of each,
+    for the D x D operators whose real coordinates run along y's last axis.
+    Returns the blocks, a (..., d, d, K) view, and tr_K y, their sum before."""
+    blocks = np.einsum("...kakb->...abk", y.reshape(*y.shape[:-1], k, d, k, d))
+    total = blocks.sum(axis=-1, keepdims=True)
+    blocks -= total / k
+    return blocks, total
 
 
 def _require_count(name: str, value, low: int) -> None:

@@ -78,6 +78,24 @@ MUTANTS = (
         ("tests/test_unitary_stack.py::"
          "test_the_closed_form_takes_a_stack_only_within_its_threshold",),
     ),
+    # the intertwiner's bound drops its ||V||^2 s_cut term
+    Mutant(
+        "alg-bound-no-cut",
+        "src/coarsekit/compat.py",
+        "bound = v_norm**2 * s._image.cut + 2 * v_norm",
+        "bound = 2 * v_norm",
+        ("tests/test_compat.py::TestAlgebraic::test_the_bound_carries_the_cut",),
+    ),
+    # a square stack's frame takes the sum of its diagonal blocks, not their
+    # mean, out of each block
+    Mutant(
+        "frame-mean-no-1/k",
+        "src/coarsekit/compat.py",
+        "blocks -= total / k\n",
+        "blocks -= total\n",
+        ("tests/test_unitary_stack.py::test_a_square_stack_kernel_witness_matches_the_svd_paths",
+         "tests/test_unitary_stack.py::test_a_square_stack_decides_as_the_svd_path_does"),
+    ),
 )
 
 

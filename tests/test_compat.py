@@ -153,6 +153,24 @@ class TestAlgebraic:
         assert v is None
         assert res > 1e-3
 
+    def test_the_bound_carries_the_cut(self):
+        # qubit phase damping, rho -> (1+p)/2 rho + (1-p)/2 Z rho Z, scales the
+        # coherences by p; at p = 1e-11 the rank cut (RANK_TOL s_0 = 1e-10)
+        # drops them, so s_cut = p.  With u = I, V = I closes every
+        # intertwining exactly (rho = 0), and the bound is ||V||^2 s_cut alone
+        p = 1e-11
+        z = np.diag([1.0, -1.0])
+        cg = KrausChannel([np.sqrt((1 + p) / 2) * np.eye(2), np.sqrt((1 - p) / 2) * z])
+        s = ck.Scenario(cg, np.eye(2))
+        cut = s._image.cut
+        assert cut == pytest.approx(p, rel=1e-3)
+        v, rho, bound = compat._algebraic_lstsq(s)
+        assert rho <= 1e-15 and frob(v - np.eye(2)) <= 1e-15
+        assert bound == pytest.approx(cut, rel=1e-3)
+        assert compat.solve_algebraic_V(s, cut / 2)[0] is None
+        v, _ = compat.solve_algebraic_V(s, 2 * cut)
+        assert v is not None
+
     def test_run_all_uses_the_same_decision(self):
         cfg = compat.CheckConfig(witness_trials=0)
         for ns in REG.values():
@@ -1279,9 +1297,12 @@ def test_the_image_keeps_real_factors_and_the_split_alone(s):
     # eigenvector and sigma, all real.  U_R and the eigenvector are views of
     # the d^2 x d^2 factors they are cut from, and sigma of all d^2 singular
     # values, so those count at that size; 8 KiB covers the tuple, the array
-    # headers and the floats (2.7 KiB measured).  At D = 32, d = 4, r = 16 the
-    # bound is 270 KiB and the image keeps 265 KiB; with T_R, A and complex
-    # copies of U, A V and U S it kept 404 KiB
+    # headers and the floats (2.7 KiB measured).  A square stack keeps no V:
+    # its E is in the stack's own frame.  At D = 32, d = 4, r = 16 the bound
+    # is 270 KiB with V and 142 KiB without; the SVD path keeps 265 KiB, and
+    # the square stack 137 KiB (265 KiB while it kept V).  With T_R, A and
+    # complex copies of U, A V and U S the image kept 404 KiB
+    square = s.cg._unitary_stack_delta is not None
     d2, dd2 = s.d**2, s.D**2
     s._kraus_after, s.cg._unitary_stack_delta  # the scenario's and the channel's
     tracemalloc.start()
@@ -1291,7 +1312,9 @@ def test_the_image_keeps_real_factors_and_the_split_alone(s):
     finally:
         tracemalloc.stop()
     r = img.sigma.size
-    assert kept <= 8 * (d2 * dd2 + dd2 * r + d2 * d2 + d2 * r + d2 * d2 + d2) + 8192
+    v_cols = 0 if square else r
+    assert kept <= 8 * (d2 * dd2 + dd2 * v_cols + d2 * d2 + d2 * r + d2 * d2 + d2) + 8192
+    assert (img.v is None) == square
     assert all(f.dtype == np.float64 for f in img if isinstance(f, np.ndarray))
 
 

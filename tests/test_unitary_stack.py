@@ -2,9 +2,10 @@
 
 The stack W = [M_1; ...; M_K] of a coarse-graining with K d = D operators is
 a square D x D matrix, unitary when the map is trace preserving: an
-environment traced out after a change of frame.  ``Scenario._image`` and
-``_algebraic_lstsq`` then take T_R's factorization and the intertwiner in
-closed form (derived there), with no SVD and no least-squares solve.
+environment traced out after a change of frame.  ``Scenario._image`` then
+decides in that frame, where the map is a partial trace, and
+``_algebraic_lstsq`` takes the intertwiner in closed form (both derived
+there), with no SVD and no least-squares solve.
 Appending one zero Kraus operator leaves the map as it is but makes the
 stack (K + 1) d x D, so that copy takes the SVD path: the two decide the
 same scenario by the two routes, with no setting to switch between them.
@@ -79,12 +80,13 @@ def _decision(report):
 @settings(max_examples=60)
 @given(s=square_scenarios())
 def test_a_square_stack_decides_as_the_svd_path_does(s):
-    # Rounding: both factorizations span T_R's row space, the closed form's V
-    # orthonormal to 36.4 D^2 eps (Scenario._image) and the SVD's to its own
-    # rounding, of the same order.  Each residual is a norm of A (||A||_2 =
-    # sqrt(K)) times V V^T, or of products of A V with the SDP's d^2 x d^2
-    # factors, so the two paths' residuals differ by a small multiple of
-    # sqrt(K) D^2 eps: over 150 draws the largest difference was 4.0 of them.
+    # Rounding: the frame moves ||E|| by at most 36.4 D^2 eps (||E'|| + ||A||)
+    # (Scenario._image), and the SVD's V is orthonormal to its own rounding,
+    # of the same order.  Each residual is a norm of A (||A||_2 = sqrt(K))
+    # split along T_R's row space, or of products of A V with the SDP's
+    # d^2 x d^2 factors, so the two paths' residuals differ by a small
+    # multiple of sqrt(K) D^2 eps: over 300 draws the largest difference was
+    # 9.5 of them, at D = 1.
     delta = s.cg._unitary_stack_delta
     assert delta is not None and _padded(s).cg._unitary_stack_delta is None
     # delta bounds the stack's exact TP error, which extended precision
@@ -103,6 +105,44 @@ def test_a_square_stack_decides_as_the_svd_path_does(s):
     assert (closed.diagram_residual is None) == (svd.diagram_residual is None)
     if closed.diagram_residual is not None:
         assert abs(closed.diagram_residual - svd.diagram_residual) <= rounding
+
+
+@pytest.mark.parametrize("dim", [16, 24, 32])
+def test_a_square_stack_kernel_witness_matches_the_svd_paths(dim):
+    # The frame path reads H' = W H W* off E' (E = E' G^T, Scenario._image)
+    # and the SVD path H off E: the same top eigenvector of E E^T wherever
+    # its top eigenvalue is simple, up to a sign, which neither guessing
+    # probability sees.  Davis and Kahan put the eigenvectors within the
+    # Grams' difference over the relative gap, and the residuals' rounding
+    # bounds that difference
+    s = random_scenario(dim, 4, dim // 4, 7).scenario
+    closed, svd = s._kernel_witness, _padded(s)._kernel_witness
+    assert (closed.source, svd.source) == ("kernel", "kernel")
+    rounding = 32 * np.sqrt(len(s.cg)) * s.D**2 * EPS
+    assert abs(closed.pg_before - svd.pg_before) <= rounding
+    assert abs(closed.pg_after - svd.pg_after) <= rounding
+    w = np.linalg.eigvalsh(s._image.e @ s._image.e.T)
+    gap = (w[-1] - w[-2]) / w[-1]
+    assert gap > 1e-5  # 6e-5 to 2e-3 at D = 16-32 over seeds 0-2 and 7
+    assert min(np.linalg.norm(closed.x - sign * svd.x) for sign in (1, -1)) <= rounding / gap
+    assert np.array_equal(closed.x, closed.x.conj().T)
+
+
+def test_a_degenerate_square_stack_witness_keeps_its_guessing_probabilities():
+    # example2-incompatible's E E^T has a degenerate top eigenvalue, so each
+    # path's eigh returns its own vector of that eigenspace and the two X
+    # differ at order one; each X still attains the eigenvalue, so the
+    # guessing probabilities and the gap agree to rounding
+    s = REG["example2-incompatible"].scenario
+    s = compat.Scenario(s.cg, s.u)
+    w = np.linalg.eigvalsh(s._image.e @ s._image.e.T)
+    assert w[-1] - w[-2] <= 1e-12 * w[-1]
+    closed, svd = s._kernel_witness, _padded(s)._kernel_witness
+    rounding = 32 * np.sqrt(len(s.cg)) * s.D**2 * EPS
+    for got, want in ((closed.pg_before, svd.pg_before), (closed.pg_after, svd.pg_after),
+                      (closed.gap, svd.gap)):
+        assert abs(got - want) <= rounding
+    assert np.array_equal(closed.x, closed.x.conj().T)
 
 
 def _scaled_haar():
@@ -150,6 +190,19 @@ def test_a_square_stack_takes_no_svd_and_no_lstsq(monkeypatch, case):
     # the SVD path factors the D^2 x d^2 T_R^T, and solves K D equations
     assert svd == [(s.D**2, s.d**2)] * count
     assert lstsq == [(len(s.cg) * s.D, s.d)] * count
+
+
+@pytest.mark.parametrize("case", sorted(_WORK_CASES))
+def test_a_square_stack_builds_one_real_transfer_matrix(monkeypatch, case):
+    # the frame's A' alone; the SVD path builds T_R and A
+    build, count = _WORK_CASES[case]
+    named = build()
+    s = compat.Scenario(named.cg, named.u)
+    calls, real = [], compat.kraus_to_real_transfer_mat
+    monkeypatch.setattr(compat, "kraus_to_real_transfer_mat",
+                        lambda ops: calls.append(ops.shape) or real(ops))
+    s._image
+    assert calls == [s.cg.kraus.shape] * (1 + count)
 
 
 @pytest.mark.parametrize("scale, closed_form", [(50, False), (4, True)])
