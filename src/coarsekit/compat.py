@@ -1,29 +1,23 @@
 """Compatibility of a microscopic unitary with a coarse-graining map.
 
 Given a CPTP coarse-graining ``cg`` from dimension D to dimension d and a
-D x D unitary ``u``, four independent criteria decide whether an effective
-d-level dynamics ``gamma`` exists with ``gamma(cg(rho)) == cg(u rho u*)``
-for every state rho:
+D x D unitary ``u``, four criteria decide whether an effective d-level
+dynamics ``gamma`` exists with ``gamma(cg(rho)) == cg(u rho u*)`` for every
+state rho:
 
-1. kernel invariance of the coarse-graining under conjugation by u
-   (exact; decides whether a well-defined linear map exists at all, and
-   when it fails yields an ensemble witness in closed form);
-2. a one-sided algebraic shortcut: a single d x d matrix V intertwining
-   every Kraus operator, ``M_k u == V M_k`` (sufficient, not necessary),
-   accepted when the bound its residual puts on criterion 1's residual is
-   within the tolerance;
-3. semidefinite feasibility of a CPTP effective map's Choi matrix, exact
-   when the part of the square no Choi matrix can change exceeds the
-   tolerance or the affine set is one point, and otherwise by Dykstra
-   projections, whose iterate certifies an ``infeasible``; its feasible
-   point, made exactly trace preserving, is the effective channel;
-4. a randomized discrimination witness: a binary ensemble whose optimal
-   guessing probability increases across the dynamics certifies that no
-   CPTP effective map can exist; it is searched for at random only to
-   document an incompatible verdict that criterion 1 left without a witness.
+1. kernel invariance of cg under conjugation by u, exact
+   (``check_fiber_preservation``); a failure yields an ensemble witness in
+   closed form (``Scenario._kernel_witness``);
+2. a d x d intertwiner V with ``M_k u == V M_k`` for every Kraus operator,
+   sufficient only (``_algebraic_lstsq``);
+3. semidefinite feasibility of the effective map's Choi matrix, whose
+   feasible point is the effective channel (``sdp_feasibility``);
+4. a random discrimination witness, searched for only to document an
+   incompatible verdict that criterion 1 left without one
+   (``search_witness``).
 
-``run_all`` holds all four to one tolerance, ``CheckConfig.tol``, checks
-their verdicts against each other, and returns the SDP's channel if any.
+``run_all`` holds all four to one tolerance, ``CheckConfig.tol``, and reads
+the verdict off them.
 """
 
 from __future__ import annotations
@@ -67,17 +61,12 @@ UNDECIDED = "undecided"
 
 
 class _Image(NamedTuple):
-    """The coarse-graining's transfer matrix in the real coordinates of
-    Hermitian operators (``vec_from_real``), T_R = ``u`` diag(``sigma``)
-    ``v``^T, cut at rank r: the thin SVD, or a square stack's closed form
-    (``Scenario._image``), with ``v`` None.  ``cut`` is the largest singular
-    value the cut dropped (0 when it dropped none).  The real transfer
-    matrix A of {M_k u} is split along V into ``av`` = A V and ``e`` = E =
-    A - A V V^T, in a square stack's own frame, with ``e_frob`` = ||E||_F.
-    One ``eigh`` of E E^T gives the kernel residual ``e_norm`` = ||E||_2 =
-    sqrt(max(lambda_max, 0)) and its eigenvector ``e_top``, from which the
-    witness reads its kernel element.  Every array is real; T_R and A are
-    not kept."""
+    """The real factors that ``Scenario._image`` derives: T_R = ``u``
+    diag(``sigma``) ``v``^T cut at rank r (``v`` None for a square stack),
+    ``cut`` the largest singular value the cut dropped (0 if none), ``av`` =
+    A V, ``e`` = E = A - A V V^T (a square stack's E' in its frame), ``e_norm``
+    = ||E||_2 with ``e_top`` the top eigenvector of E E^T, and ``e_frob`` =
+    ||E||_F.  T_R and A are not kept."""
 
     u: np.ndarray  # d^2 x r, U_R
     sigma: np.ndarray  # r
@@ -126,35 +115,34 @@ class Scenario:
 
     @cached_property
     def _image(self) -> _Image:
-        """One factorization of T_cg, shared by kernel invariance, the SDP
-        and construction; computed on first use: a thin SVD, or for a square
-        stack the closed form below.  cg and conjugation by u preserve
-        Hermiticity, so both maps act on the real coordinates of Hermitian
-        operators (``kraus_to_real_transfer_mat``), with the same singular
-        values as their complex transfer matrices.  The SVD is
-        taken of the tall T_R^T = V S U_R^T, which LAPACK's ``gesdd`` takes
-        as R-SVD (T. F. Chan, ACM TOMS 8, 1982): a QR of T_R^T, an SVD of
-        the d^2 x d^2 triangular factor and the product of the two.  Each
-        step is backward stable, so the rank cut sees the wide SVD's
-        singular values; T_R T_R^T would lose those below sqrt(eps) S_0.
+        """One factorization of T_cg, shared by the kernel check, the SDP
+        and construction, computed on first use.  cg and u preserve
+        Hermiticity, so both act by real transfer matrices
+        (``kraus_to_real_transfer_mat``): T_R for cg, A for {M_k u}.
 
-        A square stack W = [M_1; ...; M_K] (K d = D), unitary to within
-        ``KrausChannel._unitary_stack_delta``'s threshold, takes no SVD:
-        cg = tr_K Ad_W (Stinespring, Proc. Amer. Math. Soc. 6, 211, 1955), so
-        T_R = P G^T, P the real transfer matrix of tr_K and G that of Ad_W*.
-        P P^T = K I gives sigma = sqrt(K) 1, U_R = I, cut = 0 and
-        V = G P^T / sqrt(K).  The real transfer matrix A' of the K row blocks
-        of u' = (W u) W* is A G, so A V = A' P^T / sqrt(K), and E' =
-        A' - A' P^T P / K (``_strip_block_mean``).  With W W* = I + Delta,
-        ||Delta||_2 <= delta, G's singular values lie in [1 - delta,
-        1 + delta], and E = E' G^T - A (G G^T - I), so in the 2- and the
-        Frobenius norm ||E|| is within delta ||E'|| + (2 delta + delta^2) ||A||
-        of ||E'||, with ||A||_2 <= sqrt(K) (1 + delta) and ||A||_F <=
-        d ||A||_2.  The threshold leaves delta <= 18 D^2 eps, so 2 delta +
-        delta^2 <= 36.4 D^2 eps (D^2 eps <= 1e-3), the order of the SVD's
-        rounding: its Householder QR of the D^2-row T_R^T loses orthogonality
-        of order D^2 d^2 eps (Higham 2002, Section 19.3).  No T_R, V or
-        (A V) V^T is formed; the image keeps E'."""
+        The thin SVD T_R = U_R S V^T, cut below RANK_TOL s_0, splits A into
+        A V and E = A - A V V^T, the part of the dynamics off T_R's row
+        space.  It is taken of the tall T_R^T, which LAPACK's ``gesdd`` takes
+        as R-SVD (T. F. Chan, ACM TOMS 8, 1982): a QR, an SVD of the
+        d^2 x d^2 triangle and their product, each backward stable, so the
+        cut sees the wide SVD's singular values, which T_R T_R^T would lose
+        below sqrt(eps) s_0.  One ``eigh`` of the d^2 x d^2 Gram E E^T gives
+        ||E||_2 = sqrt(max(lambda_max, 0)) to a few ulps, and its top
+        eigenvector.
+
+        A square stack W = [M_1; ...; M_K] (K d = D) within
+        ``KrausChannel._unitary_stack_delta`` takes no SVD: cg = tr_K Ad_W
+        (Stinespring, Proc. Amer. Math. Soc. 6, 211, 1955), so T_R = P G^T,
+        P the real transfer matrix of tr_K and G that of Ad_W*.  P P^T = K I
+        gives sigma = sqrt(K) 1, U_R = I, cut = 0 and V = G P^T / sqrt(K).
+        The real transfer matrix A' of the K row blocks of u' = (W u) W* is
+        A G, so A V = A' P^T / sqrt(K) and E' = A' - A' P^T P / K
+        (``_strip_block_mean``).  With ||W W* - I||_2 <= delta, G's singular
+        values lie in [1 - delta, 1 + delta] and E = E' G^T - A (G G^T - I),
+        so in the 2- and Frobenius norms ||E|| is within delta ||E'|| +
+        (2 delta + delta^2) ||A|| of ||E'||, with ||A||_2 <= sqrt(K)
+        (1 + delta) and ||A||_F <= d ||A||_2.  No T_R, V or (A V) V^T is
+        formed; the image keeps E'."""
         if self.cg._unitary_stack_delta is None:
             t = kraus_to_real_transfer_mat(self.cg.kraus)
             a = kraus_to_real_transfer_mat(self._kraus_after)
@@ -185,22 +173,18 @@ class Scenario:
         (after Buscemi, Commun. Math. Phys. 310, 625, 2012), or None; the
         check builds it when it fails.
 
-        The top right singular vector x of E = A - A V V^T, in the real
-        coordinates of Hermitian operators, is a Hermitian H: the kernel
-        element that u pushes furthest out of the kernel, cg(H) = 0 and
-        ``||cg(u H u*)||_F = ||E||_2 ||H||_F``.  H is traceless (cg preserves
-        the trace), so X = H / ||H||_1 has PSD parts X+ and X- of traces
-        p0 = p1 = 1/2, and X = p0 rho0 - p1 rho1 with rho0 = X+/p0 and
-        rho1 = X-/p1.  Then pg_before = 1/2 and ``pg_after = 1/2 +
-        ||cg(u H u*)||_1 / (2 ||H||_1)``, with no ancilla; ||H||_1 takes one
-        ``eigvalsh``.
+        The top right singular vector x of the image's E is a Hermitian H
+        (``vec_from_real``): the kernel element that u pushes furthest out
+        of the kernel, cg(H) = 0 and ``||cg(u H u*)||_F = ||E||_2 ||H||_F``.
+        H is traceless (cg preserves the trace), so X = H / ||H||_1 has PSD
+        parts of trace 1/2 each, X = (rho0 - rho1) / 2 with no ancilla, and
+        pg_before = 1/2, ``pg_after = (1 + ||cg(u H u*)||_1 / ||H||_1) / 2``.
 
-        The image's factors give cg(H) = U_R S V^T x, and cg(u H u*) = A x
-        is read as E x, off by ``||A x - E x|| <= ||A V||_2 ||V^T x||``, with
-        ||A V||_2 <= sigma_0 and V^T x at rounding after the second projection.
-        A square stack's E' (``Scenario._image``) gives x' = W H W*, whose
-        block mean goes out again; cg(H) is its block trace, and X = W* H' W
-        / ||H'||_1, hermitized, to the frame's delta.
+        cg(H) = U_R S V^T x, and cg(u H u*) = A x is read as E x, off by
+        ``||A V||_2 ||V^T x||``, with ||A V||_2 <= sigma_0 and V^T x at
+        rounding after a second projection.  A square stack's E' gives
+        x' = W H W*: its block mean goes out again, cg(H) is its block
+        trace, and X = W* H' W / ||H'||_1, hermitized, to the frame's delta.
 
         None when H is 0, or when the gap is within WITNESS_MARGIN, as for a
         check that fails only by rounding.
@@ -224,8 +208,7 @@ class Scenario:
         if not h_norm > 0:
             return None
         images = vec_from_real(np.column_stack((cg_h, img.e @ x)), d)
-        norms = np.abs(np.linalg.eigvalsh(images.T.reshape(2, d, d))).sum(axis=-1)
-        pg_before, pg_after = 0.5 * (1.0 + norms / h_norm)
+        pg_before, pg_after = _helstrom(images.T.reshape(2, d, d), h_norm)
         if pg_after <= pg_before + WITNESS_MARGIN:
             return None
         if img.v is None:
@@ -291,9 +274,14 @@ class CheckConfig:
             _require_count("each of ancilla_dims", n, 1)
 
     def resolved_ancillas(self, s: "Scenario") -> tuple[int, ...]:
+        """The ancilla dimensions the search tries: ``ancilla_dims``, else 1
+        and d.  Ancilla D, whose Wishart factors are (D D) x (2 D D), is
+        searched only when asked for: a witness read off the SDP's dual
+        certificate needs an ancilla of dimension d alone (Buscemi, Commun.
+        Math. Phys. 310, 625, 2012)."""
         if self.ancilla_dims is not None:
             return self.ancilla_dims
-        return tuple(sorted({1, s.d, s.D}))
+        return tuple(sorted({1, s.d}))
 
     # a read-only alias of tol for perfbench's sdp_setup_probe, which reads it
     @property
@@ -357,26 +345,14 @@ def check_fiber_preservation(s: Scenario, tol: float = TOL) -> tuple[bool, float
     """Exact test that conjugation by u maps ker(cg) into ker(cg).
 
     Two microscopic states have the same coarse-grained image iff they differ
-    by a kernel element of the coarse-graining's transfer matrix, so an
-    effective map is well defined iff the kernel is invariant.  The residual
-    is the operator norm of (T_cg . T_u) restricted to the kernel; no
-    sampling is involved.
-
-    Both maps preserve Hermiticity, so the check runs in the real
-    coordinates of Hermitian operators (``Scenario._image``).  With the
-    thin SVD T_R = U S V^T (rank r <= d^2), the kernel is the complement of
-    V, and T_cg . T_u = A is the real d^2 x D^2 transfer matrix of
-    {M_k u}, so the residual is ``||E||_2`` with E = A - A V V^T, taken as
-    sqrt(lambda_max(E E^T)): a Gram of E alone keeps its largest singular
-    value to a few ulps.  The image takes that one ``eigh`` whatever tol
-    is, and its top eigenvector gives the witness its vector; tol only
-    decides the verdict.  The kernel is closed under adjoints, so its
-    complex span adds no direction and this is the complex check's residual
-    too.  No D^2 x D^2 array is formed.
-
-    A failed check also builds its ensemble witness
-    (``Scenario._kernel_witness``), cached on the scenario, so the verdict
-    carries it at no further cost.
+    by a kernel element of cg's transfer matrix, so an effective map is well
+    defined iff the kernel is invariant.  The residual is the operator norm
+    of T_cg . T_u on the kernel, ``||E||_2`` of ``Scenario._image``, with no
+    sampling.  It is taken over the Hermitian kernel elements: the kernel
+    is closed under adjoints, so its complex span adds no direction and
+    this is the complex check's residual too.  tol only decides the
+    verdict; a failed check builds its witness
+    (``Scenario._kernel_witness``), cached on the scenario.
     """
     _require_tol(tol)
     residual = s._image.e_norm
@@ -388,31 +364,28 @@ def check_fiber_preservation(s: Scenario, tol: float = TOL) -> tuple[bool, float
 def _algebraic_lstsq(s: Scenario) -> tuple[np.ndarray, float, float]:
     """Least-squares solution of ``M_k u == V M_k`` over all Kraus operators.
 
-    With the operators side by side, M = [M_1 ... M_K] and
-    B = [M_1 u ... M_K u] (d x K D), the system is V M = B, solved as
-    ``M^T V^T = B^T``: K D equations with d right-hand sides, one per row
-    of V.  Returns the minimum-norm solution V, the joint residual
-    ``rho = ||B - V M||_F`` and the bound it puts on the kernel residual
-    ``||E||_2`` of ``check_fiber_preservation``,
-    ``||V||_2^2 s_cut + 2 ||V||_2 ||cg(I)||_2^(1/2) rho + rho^2``.
+    With M = [M_1 ... M_K] and B = [M_1 u ... M_K u] (d x K D), the system
+    V M = B is solved as ``M^T V^T = B^T``.  Returns the minimum-norm V, the
+    residual ``rho = ||B - V M||_F`` and the bound it puts on the kernel
+    residual ``||E||_2``, ``||V||_2^2 s_cut + 2 ||V||_2 ||cg(I)||_2^(1/2) rho
+    + rho^2``.
 
     Proof: with M_k u = V M_k + R_k and X in the check's kernel (T_cg's
     right singular vectors past the rank cut), ||X||_F = 1,
     ``cg(u X u*) = V cg(X) V* + sum_k (V M_k X R_k* + R_k X M_k* V*)
-    + sum_k R_k X R_k*``.  The cut drops singular values below
-    RANK_TOL s_0, so X is a kernel element only numerically:
-    ``||cg(X)||_F <= s_cut``, the largest one it dropped.  The middle sum
-    is V M (I_K x X) R* plus its adjoint, and ``||M||_2^2 = ||M M*||_2 =
-    ||cg(I)||_2``; the last is R (I_K x X) R*, with ||R||_F = rho.  Each
-    term is bounded by ||P Q S||_F <= ||P||_2 ||Q||_2 ||S||_F with
+    + sum_k R_k X R_k*``.  The cut makes X a kernel element only
+    numerically: ``||cg(X)||_F <= s_cut``, the largest singular value it
+    dropped.  The middle sum is V M (I_K x X) R* plus its adjoint, and
+    ``||M||_2^2 = ||cg(I)||_2``; the last is R (I_K x X) R*, ||R||_F = rho.
+    Each term is bounded by ||P Q S||_F <= ||P||_2 ||Q||_2 ||S||_F with
     ||X||_2 <= 1, and ||E||_2 is the largest ``||cg(u X u*)||_F``.
 
-    The proof holds for any V, with rho that V's residual, and needs only
-    an upper bound on ||M||_2.  So a square stack (see ``Scenario._image``),
-    with ``M M* = cg(I) = K I + sum_k Delta_kk`` and ||Delta||_2 <= delta,
-    takes no ``lstsq``: V = B M* / K, the least-squares solution B M*
-    (M M*)^-1 to within a relative delta / (1 - delta), and ``||M||_2 <=
-    sqrt(K (1 + delta))``.  ||V||_2 is read off the d x d ``eigvalsh`` of V V*.
+    The proof holds for any V, with that V's rho, and needs only an upper
+    bound on ||M||_2.  So a square stack, with ``M M* = cg(I) = K I +
+    sum_k Delta_kk`` and ||Delta||_2 <= delta (``Scenario._image``), takes
+    no ``lstsq``: V = B M* / K, the least-squares B M* (M M*)^-1 to within a
+    relative delta / (1 - delta), and ``||M||_2 <= sqrt(K (1 + delta))``.
+    ||V||_2 is read off the d x d ``eigvalsh`` of V V*.
     """
     m_cat, b_cat = (x.transpose(1, 0, 2).reshape(s.d, -1) for x in (s.cg.kraus, s._kraus_after))
     delta = s.cg._unitary_stack_delta
@@ -455,17 +428,22 @@ def verify_dual_identity(s: Scenario, v) -> float:
     return frob(s.u - rebuilt)
 
 
+def _helstrom(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The Helstrom value ``(1 + ||X||_1 / scale) / 2`` of a Hermitian X, or
+    of each in a stack, from one ``eigvalsh``."""
+    return 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(x)).sum(axis=-1) / scale)
+
+
 def helstrom_pguess(p0: float, rho0, rho1) -> float:
-    """Optimal guessing probability for a binary ensemble of two state
-    matrices, ``(1 + || p0 rho0 - p1 rho1 ||_1) / 2``.  ``p0`` follows
-    ``_require_tol``'s rule, a real number and not a bool, in [0, 1]."""
+    """Optimal guessing probability of the ensemble {p0: rho0, 1 - p0:
+    rho1} of two state matrices, ``_helstrom`` of p0 rho0 - p1 rho1.  ``p0``
+    follows ``_require_tol``'s rule, a real number and not a bool, in [0, 1]."""
     if not (isinstance(p0, numbers.Real) and not isinstance(p0, bool) and 0 <= p0 <= 1):
         raise ValueError(f"p0 must be a probability, got {p0!r}")
     m0, m1 = asmatrix(rho0), asmatrix(rho1)
     if m0.shape != m1.shape:
         raise DimensionMismatch(f"state shapes differ: {m0.shape} vs {m1.shape}")
-    w = np.linalg.eigvalsh(hermitize(p0 * m0 - (1.0 - p0) * m1))
-    return float(0.5 * (1.0 + np.abs(w).sum()))
+    return float(_helstrom(hermitize(p0 * m0 - (1.0 - p0) * m1)))
 
 
 def _witness_trials(dim: int, seed: int, ancilla_dim: int) -> Iterator[tuple]:
@@ -495,7 +473,7 @@ def _trial_pguess(s: Scenario, n: int, p0: float, g0: np.ndarray, g1: np.ndarray
     an n-level ancilla.  Each factor G goes through {M_k} and {M_k u} one
     operator at a time: M_k applied to G read as (D, n r), read back as
     (d n, r), is the image Y_k = (M_k x I_n) G, and the blocks Y_k Y_k* are
-    summed.  Both values come from one stacked ``eigvalsh``."""
+    summed.  Both values come from one stacked ``_helstrom``."""
     dn = s.d * n
     helstrom = np.zeros((2, dn, dn), dtype=np.complex128)
     for path, kraus in enumerate((s.cg.kraus, s._kraus_after)):
@@ -505,7 +483,7 @@ def _trial_pguess(s: Scenario, n: int, p0: float, g0: np.ndarray, g1: np.ndarray
                 y = (m @ g.reshape(s.D, -1)).reshape(dn, -1)
                 gram += y @ y.conj().T
             helstrom[path] += (p / np.vdot(g, g).real) * gram
-    return 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(helstrom)).sum(axis=-1))
+    return _helstrom(helstrom)
 
 
 def search_witness(
@@ -543,7 +521,8 @@ def _channel(w: np.ndarray, vecs: np.ndarray, d: int) -> Optional[KrausChannel]:
     R = (tr_out J_+)^(-1/2), makes J_+ exactly trace preserving and maps c_k
     to (R x I) c_k: read as d x (d m), the columns' Gram is tr_out J_+ and R
     multiplies them from the left, so no second decomposition and no
-    Kronecker product is formed.  None while J_+ is no channel: tr_out J_+
+    Kronecker product is formed.  The congruence keeps J_+ PSD and moves
+    its diagram residual by O(tol).  None while J_+ is no channel: tr_out J_+
     singular, as it cannot be within a residual tol < 1 of the affine set,
     or trace preservation missed by CHOI_TP_TOL."""
     y = _kept_columns(w, vecs).reshape(d, -1)
@@ -557,64 +536,56 @@ def _channel(w: np.ndarray, vecs: np.ndarray, d: int) -> Optional[KrausChannel]:
         return None
 
 
+def _zero_iteration(residual: float, tol: float,
+                    channel: Optional[KrausChannel] = None) -> SdpOutcome:
+    """A decision at 0 iterations: ``feasible`` with a channel, else
+    ``infeasible`` past BAND*tol and ``undecided`` within it."""
+    if channel is not None:
+        return SdpOutcome(FEASIBLE, residual, 0, channel)
+    return SdpOutcome(INFEASIBLE if residual > BAND * tol else UNDECIDED, residual, 0)
+
+
 def sdp_feasibility(
     s: Scenario, max_iter: int = SDP_MAX_ITER, tol: float = TOL
 ) -> SdpOutcome:
     """Decide existence of a CPTP effective map, in closed form where the
     affine set allows and by alternating projections otherwise.
 
-    The unknown is the effective map's Choi matrix J, constrained to be PSD
-    (cone projection by eigenvalue clipping), trace preserving, and to close
-    the coarse-graining square (both affine).
+    The unknown is the effective map's Choi matrix J: PSD (cone projection
+    by eigenvalue clipping), trace preserving, and closing the square
+    T_J T_cg = A (both affine).  In ``Scenario._image``'s split, taken to
+    complex vecs by the unitary C of ``vec_from_real`` (U = C U_R, and A V
+    likewise), the rows along V read T_J U = (A V) S^-1, whatever D is, and
+    the rows off V read 0 = E, which no J changes.  So the affine set L is
+    {T : T U = (A V) S^-1, w* T = w*}, w = vec(I); the two constraints act
+    on opposite sides of T and hold at once, as cg and {M_k u} preserve the
+    trace.  Its orthogonal projection is closed form, ``T0 + (I - w w*/d) T
+    (I - U U*)`` with T0 = (A V) S^-1 U* + ``w w*/d (I - U U*)``, and keeps J
+    Hermitian; an iteration is one ``eigh`` of J and two d^2 x d^2 products.
 
-    The square T_J T_cg = A (A the transfer matrix of {M_k u}) is taken in
-    the thin SVD T_cg = U S V*, U = C U_R and A V = C (A V)_R with C the
-    unitary of ``vec_from_real`` (``Scenario._image``): its rows along V read
-    T_J U = (A V) S^-1, whatever D is, and its rows off V read 0 = A - A V V*,
-    which no J can change and which enters the residual as ``||A - A V V*||_F``.
-    In transfer form the affine set L is {T : T U = (A V) S^-1, w* T = w*},
-    w = vec(I): one constraint acts on the right of T, the other on the
-    left, and both hold at once because cg and {M_k u} preserve the trace.
-    Its orthogonal projection is closed form,
-    ``T0 + (I - w w*/d) T (I - U U*)`` with T0 the candidate (A V) S^-1 U*
-    plus ``w w*/d (I - U U*)``; it keeps J Hermitian.  An iteration is one
-    ``eigh`` of J and two d^2 x d^2 products; no basis of the d^4 Hermitian
-    directions and no linear system over them is built.
-
-    The reported residual is the affine violation of the PSD-projected
-    point, ``sqrt(||T_J U S - A V||^2 + ||tr_out J - I||^2 +
-    ||A - A V V*||_F^2)``: ``feasible`` when <= tol.  It is never below
-    its last term, so once ``||A - A V V*||_F`` > tol no point can be
-    feasible: that term alone is then the residual and sets the status,
-    ``infeasible`` above BAND*tol and ``undecided`` in between, at 0
-    iterations and before U and A V are formed.  r = d^2 (then I - U U* = 0
-    and L is the one point T0) is decided exactly by the same bands, at 0
-    iterations too.
+    The residual of the PSD-projected point is ``sqrt(||T_J U S - A V||^2 +
+    ||tr_out J - I||^2 + ||E||_F^2)``: ``feasible`` when <= tol and the
+    point gives a channel (``_channel``), which the outcome then carries.
+    It is never below ||E||_F, so past tol that term alone decides, at 0
+    iterations and before U and A V are formed: ``infeasible`` past
+    BAND*tol, ``undecided`` in between.  r = d^2 makes I - U U* = 0 and L
+    the one point T0, decided by the same bands at 0 iterations too.
 
     Else Dykstra's alternating projections run at most ``max_iter`` times;
     the correction p on the cone side makes them converge to a point of the
-    intersection whenever one exists.  They say ``infeasible`` only with a
-    Farkas certificate read off their own iterate (Boyle & Dykstra 1986;
-    Bauschke & Borwein, J. Approx. Theory 79, 1994).  From x = p = 0 each
-    step takes j = x + p, P = P_K(j), p <- j - P and x <- P_L(P), so it adds
-    to j the difference x - P, orthogonal to L's directions N; so is every
-    j.  The first step is closed form, with no ``eigh``: P_K(0) = 0 leaves
-    p = 0 and x = J0 (the Choi matrix of T0), at the zero point's residual.
-    Every J in L has <j, J> = <j, J0>, while a PSD J of trace d has
-    <j, J> <= d max(lambda_max(j), 0).  So a margin
-    ``m = (<j, J0> - d max(lambda_max(j), 0)) / ||j||_F`` > 0 proves that no
-    CPTP J exists, and puts every PSD J of trace d at Frobenius distance
-    >= m from L.  The loop stops at m > BAND*tol, the closed form's band,
-    with that iteration's residual; the cone projection's eigenvalues w give
-    lambda_max(j) and ||j||_F = sqrt(sum w^2).  A loop that reaches
-    ``max_iter`` with neither a channel nor a certificate is ``undecided``.
-
-    A ``feasible`` outcome carries the channel, and only it does: the
-    feasible point J after the congruence by (tr_out J)^(-1/2) x I, which
-    keeps it PSD, makes it exactly trace preserving and moves its diagram
-    residual by O(tol); its Kraus operators are read off the cone
-    projection's eigenpairs (``_channel``).  The loop goes on while a point
-    within tol is not yet a valid channel.
+    intersection whenever one exists (Boyle & Dykstra 1986; Bauschke &
+    Borwein, J. Approx. Theory 79, 1994).  From x = p = 0 each step takes
+    j = x + p, P = P_K(j), p <- j - P and x <- P_L(P), adding to j the
+    difference x - P, orthogonal to L's directions; so is every j.  The
+    first step is closed form: P_K(0) = 0 leaves x = J0, T0's Choi matrix.
+    Every J in L has <j, J> = <j, J0>, while a PSD J of trace d has <j, J>
+    <= d max(lambda_max(j), 0).  So a Farkas margin ``m = (<j, J0> - d
+    max(lambda_max(j), 0)) / ||j||_F`` > 0 proves that no CPTP J exists and
+    puts every PSD J of trace d at distance >= m from L; the loop stops
+    ``infeasible`` at m > BAND*tol, with lambda_max(j) and ||j||_F =
+    sqrt(sum w^2) from the cone projection's eigenvalues w.  It goes on
+    while a point within tol is not yet a channel, and is ``undecided`` at
+    ``max_iter`` with neither a channel nor a certificate.
     """
     _require_count("max_iter", max_iter, 1)
     _require_tol(tol)
@@ -624,7 +595,7 @@ def sdp_feasibility(
     off_image = img.e_frob
     if off_image > tol:
         # every point's residual is at least off_image, so none is within tol
-        return SdpOutcome(INFEASIBLE if off_image > BAND * tol else UNDECIDED, off_image, 0)
+        return _zero_iteration(off_image, tol)
     u, av = vec_from_real(img.u, d), vec_from_real(img.av, d)  # in vec coordinates
     us = u * img.sigma
     # vec(I): the trace-preservation row of a transfer matrix T is tp_row @ T
@@ -643,9 +614,7 @@ def sdp_feasibility(
     candidate = (av / img.sigma) @ u.conj().T
     if img.sigma.size == n:
         w, vecs, _, _, residual = project(transfer_to_choi_mat(candidate, d, d))
-        channel = _channel(w, vecs, d) if residual <= tol else None
-        band = INFEASIBLE if residual > BAND * tol else UNDECIDED
-        return SdpOutcome(FEASIBLE if channel is not None else band, residual, 0, channel)
+        return _zero_iteration(residual, tol, _channel(w, vecs, d) if residual <= tol else None)
     w_hat = tp_row / np.sqrt(d)
     off_u = np.eye(n) - u @ u.conj().T
     off_w = np.eye(n) - np.outer(w_hat, w_hat)
@@ -671,10 +640,8 @@ def sdp_feasibility(
 def construct_emergent(s: Scenario, sdp: Optional[SdpOutcome] = None) -> Optional[KrausChannel]:
     """The effective channel in Kraus form, or None when the SDP finds none.
 
-    The channel is ``sdp.channel``, the SDP's feasible point made exactly
-    trace preserving (see ``sdp_feasibility``), so it closes the square to
-    the SDP's tolerance.  ``sdp`` is an outcome of ``sdp_feasibility(s)``;
-    without one the SDP runs with its default tolerance and iteration cap.
+    The channel is ``sdp.channel`` (``_channel``).  ``sdp`` is an outcome of
+    ``sdp_feasibility(s)``; without one the SDP runs with its defaults.
     """
     if sdp is None:
         sdp = sdp_feasibility(s)
@@ -691,13 +658,10 @@ def _require_effective(s: Scenario, gamma: KrausChannel) -> None:
 def diagram_distance(s: Scenario, gamma: KrausChannel) -> float:
     """Choi-space distance between gamma(cg(.)) and cg(u . u*).
 
-    A Choi matrix is a realignment of its transfer matrix, so the distance
-    is ``||T_gamma T_cg - A||_F`` with A the transfer matrix of {M_k u};
-    no composed channel is formed.  With T_cg = U S V*, the rows of
-    E = A - A V V* are orthogonal to V, so in ``Scenario._image``'s real
-    coordinates, which the unitary C of ``vec_from_real`` maps to the
-    complex ones, the square distance is ``||T_gamma,R U_R S - A V||_F^2 +
-    ||E||_F^2`` with T_gamma,R = ``kraus_to_real_transfer_mat(gamma.kraus)``.
+    A Choi matrix realigns its transfer matrix, so the distance is
+    ``||T_gamma T_cg - A||_F``, with no composed channel formed.  E's rows
+    are orthogonal to V, so in ``Scenario._image``'s real split the square
+    distance is ``||T_gamma,R U_R S - A V||_F^2 + ||E||_F^2``.
     """
     _require_effective(s, gamma)
     img = s._image
@@ -733,38 +697,31 @@ def run_all(s: Scenario, cfg: Optional[CheckConfig] = None) -> CompatReport:
     The rule: ``compatible`` when the SDP's channel closes the square,
     ``incompatible`` when the kernel check fails or the SDP is
     ``infeasible``, else ``undecided``, so the verdict reads ``cfg.tol`` and
-    ``cfg.sdp_max_iter`` alone.  The random witness search never decides: it
-    runs only for an ``incompatible`` verdict that the kernel check left
-    without a witness (a failed check builds one, ``Scenario._kernel_witness``,
-    unless it misses WITNESS_MARGIN), and only attaches what it finds, so a
-    report that is not ``incompatible`` does not depend on its settings.
+    ``cfg.sdp_max_iter`` alone.  The random search never decides: it runs
+    only for an ``incompatible`` verdict that the kernel check left without
+    a witness, and only attaches what it finds, so a report that is not
+    ``incompatible`` does not depend on its settings.
 
     A compatible report needs no witness, as none exists: once a CPTP
     gamma closes the square to its diagram residual delta, no ensemble can
     gain more than ``sqrt(d D) delta / 2`` in guessing probability.  With
-    Delta = gamma . cg - cg(u . u*) and a witness's X = p0 rho0 - p1 rho1
-    (``EnsembleWitness.x``) on the system and any ancilla (||X||_1 <= 1),
-    the gap is half of
+    Delta = gamma . cg - cg(u . u*) and a witness's X (``EnsembleWitness``,
+    ||X||_1 <= 1) on the system and any ancilla, the gap is half of
     ``||(cg(u . u*) x id)(X)||_1 - ||(cg x id)(X)||_1``; gamma x id
     contracts the trace norm, so the gap is at most ``||Delta||_<> / 2``.
     Delta is a difference of CP maps; splitting its unnormalized Choi
-    matrix J(Delta) = P - Q into PSD parts gives
-    ``||Delta||_<> <= tr P + tr Q = ||J(Delta)||_1`` (Watrous 2018, ch. 3),
-    and J(Delta) is dD x dD, so ``||J(Delta)||_1 <= sqrt(d D)
-    ||J(Delta)||_F``, which is delta (``diagram_distance``).
+    matrix J(Delta) = P - Q into PSD parts gives ``||Delta||_<> <= tr P +
+    tr Q = ||J(Delta)||_1`` (Watrous 2018, ch. 3), and J(Delta) is dD x dD,
+    so ``||J(Delta)||_1 <= sqrt(d D) ||J(Delta)||_F = sqrt(d D) delta``.
 
-    All four criteria are held to the one ``cfg.tol``.  ``method_agreement``
-    holds the cross-checks that can fail: an intertwiner or a feasible SDP
-    each implies that the kernel check holds.  The intertwiner is accepted
-    on the bound its residual puts on the kernel residual
-    (``_algebraic_lstsq``), so its flag can fail only by rounding in the
-    two computed residuals.  A feasible SDP's residual is at least
-    ``||E||_F``, so ``||E||_2 <= ||E||_F <= tol``: the kernel check holds.
-    The SDP is feasible exactly when it yields the channel, so no witness
-    meets either.
-
-    Raises MethodDisagreement when the verdicts are logically inconsistent
-    (a bug or a tolerance pathology; never ignored silently).
+    ``method_agreement`` holds the two cross-checks that can fail: an
+    intertwiner and a feasible SDP each imply that the kernel check holds.
+    The intertwiner is accepted on its bound on the kernel residual
+    (``_algebraic_lstsq``), so its flag fails only by rounding; a feasible
+    SDP's residual is at least ``||E||_F >= ||E||_2``.  Raises
+    MethodDisagreement when either fails, or when the channel misses the
+    square by more than BAND*tol (a bug or a tolerance pathology; never
+    ignored silently).
     """
     cfg = cfg or CheckConfig()
     fiber_ok, fiber_res = check_fiber_preservation(s, cfg.tol)

@@ -152,10 +152,8 @@ def scenario_from_json(doc: dict) -> Scenario:
 
 
 def witness_to_json(w: EnsembleWitness) -> dict:
-    """``x`` is Y = Re X + Im X for the witness's X = p0 rho0 - p1 rho1
-    (``w.x``) on the system and an n-level ancilla, so X = sym(Y) + i
-    antisym(Y) (``channel``'s coordinates); pg_before = (1 + ||sum_k (M_k x
-    I_n) X (M_k x I_n)*||_1) / 2, pg_after with M_k u."""
+    """``x`` is Y = Re X + Im X, the real coordinates (``channel``) of the
+    witness's X (``EnsembleWitness``); the other fields are the witness's."""
     return {
         "x": (w.x.real + w.x.imag).tolist(),
         "pg_before": w.pg_before,

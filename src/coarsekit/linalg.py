@@ -37,14 +37,19 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def _isometry_error(x: np.ndarray) -> float:
+    """``||X*X - I||_F``, the one isometry test.  A Gram that overflows
+    gives NaN, which fails every ``<=`` bound, so it is not warned about."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return frob(x.conj().T @ x - np.eye(x.shape[1]))
+
+
 def require_unitary(m, what: str) -> np.ndarray:
     """``m`` as a complex matrix; NotUnitary unless it is square with
-    ``||M*M - I||_F <= UNITARY_TOL``, which a Gram that overflows to NaN
-    fails."""
+    ``_isometry_error`` within UNITARY_TOL."""
     m = asmatrix(m)
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected, not warned about
-        if m.shape[0] != m.shape[1] or not frob(m.conj().T @ m - np.eye(len(m))) <= UNITARY_TOL:
-            raise NotUnitary(f"{what} must be unitary")
+    if m.shape[0] != m.shape[1] or not _isometry_error(m) <= UNITARY_TOL:
+        raise NotUnitary(f"{what} must be unitary")
     return m
 
 

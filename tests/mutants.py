@@ -11,9 +11,10 @@ Run from anywhere, with the test extras installed:
 
     python tests/mutants.py
 
-It prints killed or survived per mutant and exits 1 if any survives or if a
-mutant or its tests are broken.  pytest does not collect this file (it
-collects only ``test_*.py``).
+It prints each recorded equivalent mutant with its argument, then killed or
+survived per mutant, and exits 1 if any survives or if a mutant or its tests
+are broken.  pytest does not collect this file (it collects only
+``test_*.py``).
 """
 
 from __future__ import annotations
@@ -62,10 +63,8 @@ MUTANTS = (
     Mutant(
         "closed-form-2tol",
         "src/coarsekit/compat.py",
-        "        channel = _channel(w, vecs, d) if residual <= tol else None\n"
-        "        band = ",
-        "        channel = _channel(w, vecs, d) if residual <= 2 * tol else None\n"
-        "        band = ",
+        "_zero_iteration(residual, tol, _channel(w, vecs, d) if residual <= tol else None)",
+        "_zero_iteration(residual, tol, _channel(w, vecs, d) if residual <= 2 * tol else None)",
         ("tests/test_compat.py::TestSdpFeasibility::"
          "test_closed_form_accepts_a_point_only_within_tol",),
     ),
@@ -95,6 +94,52 @@ MUTANTS = (
         "blocks -= total\n",
         ("tests/test_unitary_stack.py::test_a_square_stack_kernel_witness_matches_the_svd_paths",
          "tests/test_unitary_stack.py::test_a_square_stack_decides_as_the_svd_path_does"),
+    ),
+    # run_all's guard on the channel's diagram residual moved from BAND tol
+    # to 10 BAND tol
+    Mutant(
+        "diag-guard-x10",
+        "src/coarsekit/compat.py",
+        "diag_res > BAND * cfg.tol",
+        "diag_res > 10 * BAND * cfg.tol",
+        ("tests/test_compat.py::TestRunAll::test_a_channel_that_misses_the_square_raises",),
+    ),
+)
+
+
+class Equivalent(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    argument: str  # why the mutant moves no verdict
+
+
+# Mutants recorded as equivalent, each with the argument that it moves no
+# verdict.  The script runs no tests for them: it checks that the old text
+# still occurs exactly once, so the entry follows the code, and prints the
+# argument.
+EQUIVALENTS = (
+    Equivalent(
+        "enorm-abs",
+        "src/coarsekit/compat.py",
+        "np.sqrt(max(w[-1], 0.0))",
+        "np.sqrt(abs(w[-1]))",
+        "the computed Gram E E^T has a diagonal of sums of squares, so its trace "
+        "is >= 0 and every eigenvalue's modulus is at most d^2 lambda_max; eigh's "
+        "backward error, a small multiple of d^2 eps lambda_max, cannot take a "
+        "computed lambda_max below 0, and lambda_max = 0 makes the Gram 0, whose "
+        "eigenvalues eigh returns as exact zeros, so both forms read the same",
+    ),
+    Equivalent(
+        "fiber-le-lt",
+        "src/coarsekit/compat.py",
+        "return residual <= tol, residual",
+        "return residual < tol, residual",
+        "the two differ only when tol equals the computed residual to the bit; "
+        "a caller can force that only by reading tol off that residual, and every "
+        "other rule (the SDP's feasible, the intertwiner's bound) also accepts "
+        "at <= tol, so the mutant changes no verdict on any other input",
     ),
 )
 
@@ -136,6 +181,11 @@ def _outcome(mutant: Mutant | None, tests) -> int:
 
 
 def main() -> int:
+    for e in EQUIVALENTS:
+        count = (ROOT / e.path).read_text(encoding="utf-8").count(e.old)
+        if count != 1:
+            raise SystemExit(f"{e.name}: the old text occurs {count} times in {e.path}")
+        print(f"{e.name}: equivalent, not run: {e.argument}")
     tests = sorted({t for m in MUTANTS for t in m.tests})
     code = _outcome(None, tests)
     if code != 0:

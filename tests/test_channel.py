@@ -321,7 +321,7 @@ def test_real_transfer_matrix_acts_on_hermitian_coordinates(din, dout, k, seed):
     vec_x = x.flatten(order="F")
     assert np.linalg.norm(qc.vec_from_real(_real_coords(x), din) - vec_x) <= 1e-12 * frob(x)
     # T_R = C_out* T C_in: the same singular values as the complex T
-    want = np.linalg.svd(qc.kraus_to_transfer_mat(ops), compute_uv=False)
+    want = np.linalg.svd(qc.KrausChannel(ops, require_tp=False).transfer_mat, compute_uv=False)
     sv = np.linalg.svd(t_r, compute_uv=False)
     assert np.abs(sv - want).max() <= 1e-12 * max(1.0, want[0])
 

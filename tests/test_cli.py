@@ -1,4 +1,7 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -762,3 +765,19 @@ def test_a_reports_witness_is_checked_from_its_x_alone(which, gen32, tmp_path, c
     assert abs(before - w["pg_before"]) <= bound
     assert abs(after - w["pg_after"]) <= bound
     assert w["pg_after"] - w["pg_before"] > 1e-3
+
+
+def test_the_readme_names_the_parsers_flags():
+    # the long options of the top-level parser and of every subcommand are
+    # the backticked --flags of README's "Command line" section, so a flag
+    # removed or renamed in one leaves no stale name in the other
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for p in (parser, *sub.choices.values()) for action in p._actions
+             for opt in action.option_strings if opt.startswith("--")}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    section = re.sub(r"```.*?```", "", section, flags=re.S)
+    documented = {flag for span in re.findall(r"`([^`]+)`", section)
+                  for flag in re.findall(r"--[a-z][a-z-]*", span)}
+    assert flags == documented

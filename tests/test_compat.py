@@ -13,7 +13,6 @@ from coarsekit.channel import (
     KrausChannel,
     channels_equal,
     compose,
-    kraus_to_transfer_mat,
     transfer_to_choi_mat,
     unitary_channel,
     vec_from_real,
@@ -249,7 +248,7 @@ class TestConstructEmergent:
 
         def product(gamma):
             # the distance as the full d^2 x D^2 product of transfer matrices
-            a = kraus_to_transfer_mat(s._kraus_after)
+            a = KrausChannel(s._kraus_after, require_tp=False).transfer_mat
             return frob(gamma.transfer_mat @ s.cg.transfer_mat - a)
 
         gamma = compat.construct_emergent(s)
@@ -638,6 +637,15 @@ def test_check_config_takes_numpy_integers():
     assert (cfg.witness_trials, cfg.seed) == (5, 3)
 
 
+@pytest.mark.parametrize("s", [lift(three_cycle(), 2), REG["spin-d3"].scenario,
+                               random_planted_scenario(2, 3, 0).scenario],
+                         ids=["lifted-cycle", "spin-d3", "planted"])
+def test_the_default_ancillas_are_one_and_d(s):
+    assert s.D > s.d
+    assert compat.CheckConfig().resolved_ancillas(s) == (1, s.d)
+    assert compat.CheckConfig(ancilla_dims=(s.D,)).resolved_ancillas(s) == (s.D,)
+
+
 def test_check_config_stores_ancilla_dims_as_a_tuple():
     # a list would leave the config unhashable and open to changes after
     # __post_init__ has checked it
@@ -692,12 +700,21 @@ class TestRunAll:
             compat.run_all(REG["example1-incompatible"].scenario,
                            compat.CheckConfig(witness_trials=0))
 
-    def test_a_channel_that_misses_the_square_raises(self, monkeypatch):
+    @pytest.mark.parametrize("factor, raises", [(2.0, True), (0.5, False)])
+    def test_a_channel_that_misses_the_square_raises(self, monkeypatch, factor, raises):
         # the SDP's channel closes the square to within O(tol); a diagram
-        # distance past 100 tol is a bug, never ignored
-        monkeypatch.setattr(compat, "diagram_distance", lambda s, gamma: 1.0)
-        with pytest.raises(MethodDisagreement, match="fails to close the diagram"):
-            compat.run_all(REG["spin-d3"].scenario, compat.CheckConfig(witness_trials=0))
+        # distance past BAND tol is a bug, never ignored, and one within it
+        # is reported.  Both sides sit within a factor 2 of the guard, so a
+        # guard at 10 BAND tol fails the first case
+        cfg = compat.CheckConfig(witness_trials=0)
+        distance = factor * compat.BAND * cfg.tol
+        monkeypatch.setattr(compat, "diagram_distance", lambda s, gamma: distance)
+        if raises:
+            with pytest.raises(MethodDisagreement, match="fails to close the diagram"):
+                compat.run_all(REG["spin-d3"].scenario, cfg)
+        else:
+            report = compat.run_all(REG["spin-d3"].scenario, cfg)
+            assert report.verdict == "compatible" and report.diagram_residual == distance
 
     def test_witness_disabled_by_zero_trials(self):
         report = compat.run_all(REG["spin-d3"].scenario,
@@ -735,6 +752,16 @@ class TestWitnessSkip:
         assert report.fiber_preserved and report.sdp.status == compat.INFEASIBLE
         assert len(calls) >= 1
         assert report.witness is None or report.witness.source == "search"
+
+    def test_the_default_search_stops_at_ancilla_d(self, compat_calls):
+        # lift(three_cycle(), 2) has D = 6 > d = 3, and with one trial at seed
+        # 2 the search finds nothing on ancillas 1 and 3; ancilla D = 6, where
+        # that trial finds a witness, is not searched by default
+        s = lift(three_cycle(), 2)
+        calls = compat_calls("search_witness")
+        report = compat.run_all(s, compat.CheckConfig(witness_trials=1, seed=2))
+        assert report.verdict == "incompatible" and report.witness is None
+        assert [call[2] for call in calls] == [1, 3]
 
     def test_undecided_decision_does_not_search(self, compat_calls):
         # the Pauli case's SDP residual sits inside its band: no criterion

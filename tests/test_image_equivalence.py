@@ -25,7 +25,6 @@ from coarsekit.channel import (
     KrausChannel,
     choi_to_kraus,
     choi_to_transfer_mat,
-    kraus_to_transfer_mat,
     transfer_to_choi_mat,
     vec_from_real,
 )
@@ -326,7 +325,7 @@ def test_image_resolves_the_rank_of_the_wide_svd(eps, rank):
     r = int(np.sum(sigma > RANK_TOL * sigma[0]))
     assert r == rank
     u, sigma, vh = u[:, :r], sigma[:r], vh[:r]
-    a = kraus_to_transfer_mat(s._kraus_after)
+    a = KrausChannel(s._kraus_after, require_tp=False).transfer_mat
     av = a @ vh.conj().T
     candidate = (av / sigma) @ u.conj().T
     img = s._image
